@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs as _obs
 from ..ibv import wr_cas, wr_write
 from ..net.conn import QpPool
 from ..sim.sharded import Shard, ShardChannel, ShardedSimulation
@@ -111,10 +110,9 @@ def _frontend(rig: _BedRig, reply_to: Dict[int, ShardChannel]):
     while True:
         src_index, client_id, seq = yield rpc.get()
         yield rig.service()
-        if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.serviced()
+        if sim.probe.serviced:
+            for hook in sim.probe.serviced:
+                hook()
         reply_to[src_index].send(f"rsp{client_id}", seq)
 
 
@@ -143,13 +141,11 @@ def _client(rig: _BedRig, chan: ShardChannel, client_id: int,
         reply = yield rsp.get()
         assert reply == seq, f"out-of-order reply {reply} != {seq}"
         latency_sum += sim.now - start
-        if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.request_complete(
-                    sim.now - start,
-                    key=_SKEW_TABLE[(bed_index * 31 + client_id * 17
-                                     + seq * 7) % 16])
+        if sim.probe.request:
+            key = _SKEW_TABLE[(bed_index * 31 + client_id * 17
+                               + seq * 7) % 16]
+            for hook in sim.probe.request:
+                hook(sim.now - start, key, None)
         yield THINK_NS + (dither_base + seq * 31) % 97
     return latency_sum
 

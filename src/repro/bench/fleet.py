@@ -40,13 +40,13 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs as _obs
 from ..apps.memcached import MemcachedServer
 from ..datastructs.hashing import splitmix64
 from ..datastructs.records import BUCKET_SIZE
 from ..ibv import wr_read
 from ..net.conn import HashRing, QpPool
 from ..nic.queue import DoorbellBatcher
+from ..obs.telemetry import TelemetryCollector
 from ..offloads.hash_lookup import hash_get_payload
 from ..redn.offload import OffloadClient
 from ..sim.resources import Resource
@@ -237,8 +237,7 @@ class _ShardRig:
                           self.table_rkey, wr_id=1, signaled=True)
         if self.batchers is not None:
             batcher = self.batchers[lease.index]
-            if _obs.enabled:
-                batcher.blame = lease.blame
+            batcher.blame = lease.blame
             lease.post_send(bucket0, batcher=batcher)
             lease.post_send(bucket1, batcher=batcher)
             batcher.flush()
@@ -273,10 +272,9 @@ def _gateway(rig: _ShardRig, reply_to: Dict[int, ShardChannel]):
         if ctx is not None:
             ctx.hop_received(sim.now, rig.index, "rpc")
         yield from rig.execute_get(key, blame=ctx)
-        if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.serviced()
+        if sim.probe.serviced:
+            for hook in sim.probe.serviced:
+                hook()
         sent = sim.now
         arrival = reply_to[src_index].send(f"rsp{gid}", seq)
         if ctx is not None:
@@ -306,8 +304,8 @@ def _client(rig: _ShardRig, ring: HashRing, rigs: List[_ShardRig],
     sim = rig.sim
     rsp = rig.shard.mailbox(f"rsp{gid}")
     blame_cls = None
-    if _obs.enabled and sim.telemetry is not None \
-            and sim.telemetry.exemplar_k:
+    telemetry = sim.probe.find(TelemetryCollector)
+    if telemetry is not None and telemetry.exemplar_k:
         from ..obs.blame import RequestBlame as blame_cls
     if start_skew:
         yield start_skew
@@ -343,11 +341,9 @@ def _client(rig: _ShardRig, ring: HashRing, rigs: List[_ShardRig],
         latency_sum += latency
         completed += 1
         rigs[owner].latencies.append(latency)
-        if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.request_complete(latency, key=f"k{key}",
-                                           blame=ctx)
+        if sim.probe.request:
+            for hook in sim.probe.request:
+                hook(latency, f"k{key}", ctx)
         yield THINK_NS + (dither_base + seq * 31) % 97
     # sim.now here, not the drained-queue frontier: a dangling offload
     # timeout event otherwise inflates the denominator of Mops.

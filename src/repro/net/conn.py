@@ -44,7 +44,6 @@ from bisect import bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from .. import obs as _obs
 from ..datastructs.hashing import hash_key
 from ..memory.region import ProtectionDomain
 from ..nic.qp import QueuePair
@@ -235,28 +234,22 @@ class CompletionRouter:
             self.stale += 1
             self.stale_cqes.append(
                 (cqe.wq_num, generation, cqe.wr_id & _USER_MASK))
-            if _obs.enabled:
-                telemetry = self.sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_stale_cqe(cq)
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.cqe_demux(cq, cqe, stale=True)
+            if self.sim.probe.cqe_demux:
+                for hook in self.sim.probe.cqe_demux:
+                    hook(cq, cqe, True)
             return
         # Strip the cookie so the consumer sees the wr_id it posted.
         cqe.wr_id &= _USER_MASK
         self.routed += 1
-        if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.cqe_demux(cq, cqe, stale=False)
-            blame = lease.blame
-            if blame is not None:
-                # The completion-to-host-delivery window: the CQE was
-                # raised at cqe.timestamp, the demux runs now — blaming
-                # the *edge*, not the completion order.
-                blame.span(cqe.timestamp, self.sim.now, "cqe_demux",
-                           cq.name)
+        if self.sim.probe.cqe_demux:
+            for hook in self.sim.probe.cqe_demux:
+                hook(cq, cqe, False)
+        if lease.blame is not None:
+            # The completion-to-host-delivery window: the CQE was
+            # raised at cqe.timestamp, the demux runs now — blaming the
+            # *edge*, not the completion order.
+            lease.blame.span(cqe.timestamp, self.sim.now, "cqe_demux",
+                             cq.name)
         lease._deliver(cqe)
 
 
@@ -348,18 +341,13 @@ class QpPool(object):
             event = Event(self.sim, f"{self.name}-acquire")
             self._waiters.append(event)
             yield event
-        if _obs.enabled:
-            now = self.sim.now
-            wait_ns = 0 if waited_from is None else now - waited_from
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_pool_wait(self, wait_ns)
-            if wait_ns:
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.pool_wait(self, waited_from, tag)
-                if blame is not None:
-                    blame.span(waited_from, now, "pool_wait", self.name)
+        now = self.sim.now
+        start = now if waited_from is None else waited_from
+        if self.sim.probe.pool_acquire:
+            for hook in self.sim.probe.pool_acquire:
+                hook(self, start, tag)
+        if blame is not None and start != now:
+            blame.span(start, now, "pool_wait", self.name)
         return self.lease(tag, blame=blame)
 
     def release(self, lease: QpLease) -> None:

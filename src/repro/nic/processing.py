@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-from .. import obs as _obs
 from ..memory.dram import MemoryError_
 from ..memory.region import ProtectionError
 from ..sim.core import Event
@@ -112,19 +111,14 @@ class SendQueueDriver:
             else:
                 engine.release(grant)
             self.stats["fetch_managed"] += 1
-            if _obs.enabled:
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.fetch_span(self.nic, wq, fetch_start, 1, True)
-                    tracer.wqe_fetched(wq, wr_index, cursor, slots, wqe,
-                                       wq._last_decode_cached)
-                recorder = sim.recorder
-                if recorder is not None:
-                    recorder.on_fetch(wq, wr_index, cursor, slots, wqe,
-                                      wq._last_decode_cached)
-                telemetry = sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_fetch(wq, 1)
+            probe = sim.probe
+            if probe.fetch_span:
+                for hook in probe.fetch_span:
+                    hook(self.nic, wq, fetch_start, 1, True)
+            if probe.fetch:
+                for hook in probe.fetch:
+                    hook(wq, wr_index, cursor, slots, wqe,
+                         wq._last_decode_cached)
             return [(wqe, wr_index)]
 
         count = min(wq.fetchable, timing.prefetch_batch)
@@ -141,11 +135,8 @@ class SendQueueDriver:
             yield remaining
         if wq.destroyed:
             return []
-        tracer = sim.tracer if _obs.enabled else None
-        recorder = sim.recorder if _obs.enabled else None
-        telemetry = sim.telemetry if _obs.enabled else None
-        fetch_meta = ([] if (tracer is not None or recorder is not None)
-                      else None)
+        probe = sim.probe
+        fetch_meta = [] if probe.fetch else None
         batch = []
         for _ in range(count):
             if wq.fetchable == 0:
@@ -159,17 +150,14 @@ class SendQueueDriver:
                 fetch_meta.append((cursor, slots, wq._last_decode_cached))
         self.stats["fetch_batches"] += 1
         self.stats["fetch_prefetched"] += len(batch)
-        if tracer is not None:
-            tracer.fetch_span(self.nic, wq, fetch_start, len(batch), False)
+        if probe.fetch_span:
+            for hook in probe.fetch_span:
+                hook(self.nic, wq, fetch_start, len(batch), False)
+        if fetch_meta is not None:
             for (wqe, wr_index), (cursor, slots, cached) in zip(
                     batch, fetch_meta):
-                tracer.wqe_fetched(wq, wr_index, cursor, slots, wqe, cached)
-        if recorder is not None:
-            for (wqe, wr_index), (cursor, slots, cached) in zip(
-                    batch, fetch_meta):
-                recorder.on_fetch(wq, wr_index, cursor, slots, wqe, cached)
-        if telemetry is not None and batch:
-            telemetry.on_fetch(wq, len(batch))
+                for hook in probe.fetch:
+                    hook(wq, wr_index, cursor, slots, wqe, cached)
         return batch
 
     # -- execute path -----------------------------------------------------------
@@ -189,16 +177,10 @@ class SendQueueDriver:
         nic_stats = self.nic.stats
         nic_stats[op_name] += 1
         nic_stats["total_wrs"] += 1
-        if _obs.enabled:
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.execute_begin(wq, wr_index, wqe)
-            recorder = sim.recorder
-            if recorder is not None:
-                recorder.on_exec(wq, wr_index, wqe)
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.on_exec(wq)
+        probe = sim.probe
+        if probe.execute:
+            for hook in probe.execute:
+                hook(wq, wr_index, wqe)
 
         if wq.rate_limiter is not None:
             yield from wq.rate_limiter.throttle(1.0)
@@ -210,13 +192,9 @@ class SendQueueDriver:
                 return
             yield cq.wait_for_count(wqe.wqe_count)
             yield timing.wait_check_ns
-            if _obs.enabled:
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.wait_span(wq, wqe, exec_start)
-                recorder = sim.recorder
-                if recorder is not None:
-                    recorder.on_wait(wq, wr_index, wqe, cq)
+            if probe.wait:
+                for hook in probe.wait:
+                    hook(wq, wr_index, wqe, cq, exec_start)
             self._signal_if_requested(wqe, wr_index)
             return
 
@@ -228,13 +206,9 @@ class SendQueueDriver:
                 return
             relative = bool(wqe.flags & WrFlags.ENABLE_RELATIVE)
             target.enable(wqe.wqe_count, relative=relative)
-            if _obs.enabled:
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.enable_event(wq, wqe, relative, target)
-                recorder = sim.recorder
-                if recorder is not None:
-                    recorder.on_enable(wq, wr_index, wqe, relative, target)
+            if probe.enable:
+                for hook in probe.enable:
+                    hook(wq, wr_index, wqe, relative, target)
             self._signal_if_requested(wqe, wr_index)
             return
 
@@ -246,13 +220,9 @@ class SendQueueDriver:
             pu = self._pu = self.nic.port_of(wq).pus[wq.pu_index]
         pu_start = sim.now
         yield from pu.use(timing.occupancy(opcode))
-        if _obs.enabled:
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.pu_span(self.nic, wq, opcode, pu_start)
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.on_pu(wq, sim.now - pu_start)
+        if probe.pu:
+            for hook in probe.pu:
+                hook(self.nic, wq, opcode, pu_start)
 
         prev = self._prev_completion
         done = sim.event()
@@ -286,14 +256,9 @@ class SendQueueDriver:
             status = "QUEUE_ERROR"
         if not prev.triggered:
             yield prev
-        if _obs.enabled:
-            tracer = self.nic.sim.tracer
-            if tracer is not None:
-                tracer.wqe_executed(self.wq, wr_index, wqe, status,
-                                    exec_start)
-            recorder = self.nic.sim.recorder
-            if recorder is not None:
-                recorder.on_done(self.wq, wr_index, wqe, status, byte_len)
+        if self.nic.sim.probe.done:
+            for hook in self.nic.sim.probe.done:
+                hook(self.wq, wr_index, wqe, status, byte_len, exec_start)
         if wqe.signaled or status != "OK":
             self._signal(wqe, wr_index, status=status, byte_len=byte_len,
                          immediate=immediate)

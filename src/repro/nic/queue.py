@@ -29,7 +29,6 @@ import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, TYPE_CHECKING, Tuple
 
-from .. import obs as _obs
 from ..memory.dram import Allocation, HostMemory
 from ..sim.core import Event, Simulator
 from ..sim.resources import Resource, TokenBucket
@@ -78,6 +77,7 @@ class CompletionQueue:
 
     def __init__(self, sim: Simulator, cq_num: int, name: str = ""):
         self.sim = sim
+        self._probe = sim.probe
         self.cq_num = cq_num
         self.name = name or f"cq{cq_num}"
         self.count = 0                      # monotonic, for WAIT verbs
@@ -109,16 +109,9 @@ class CompletionQueue:
         if self.destroyed:
             return
         self.count += 1
-        if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.cqe(self, cqe, host_delay_ns)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.on_cqe(self, cqe)
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_cqe(self)
+        if self._probe.cqe:
+            for hook in self._probe.cqe:
+                hook(self, cqe, host_delay_ns)
         if self._watchers:
             ready = [(n, ev) for n, ev in self._watchers if self.count >= n]
             if ready:
@@ -206,6 +199,7 @@ class WorkQueue:
         if num_slots < 1:
             raise QueueError("queue needs at least one slot")
         self.sim = sim
+        self._probe = sim.probe
         self.memory = memory
         self.wq_num = wq_num
         self.kind = kind
@@ -250,7 +244,7 @@ class WorkQueue:
         self._recv_waiters: Deque[Event] = deque()
 
         # Observability only: whether the last read_wqe_at_cursor was
-        # served from the decode cache (read by the tracer's fetch hook).
+        # served from the decode cache (the probe's fetch ``cache_hit``).
         self._last_decode_cached = False
 
         # PU assignment happens when the owning RNIC adopts the queue.
@@ -336,16 +330,9 @@ class WorkQueue:
         self._post_slot_cursor = cursor + slots
         wr_index = self.posted_count
         self.posted_count += 1
-        if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.wqe_posted(self, wr_index, cursor, slots, wqe)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.on_post(self, wr_index, cursor, slots, wqe)
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_post(self)
+        if self._probe.post:
+            for hook in self._probe.post:
+                hook(self, wr_index, cursor, slots, wqe)
         if ring_doorbell is None:
             ring_doorbell = not self.managed
         if ring_doorbell:
@@ -364,16 +351,9 @@ class WorkQueue:
         default of 0 keeps the unbatched path timing-identical.
         """
         target = self.posted_count if up_to is None else up_to
-        if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.doorbell(self, target)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.on_doorbell(self, target)
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_doorbell(self)
+        if self._probe.doorbell:
+            for hook in self._probe.doorbell:
+                hook(self, target)
         delay = self.doorbell_delay_ns + extra_delay_ns
         if delay > 0:
             self.sim.schedule_at(self.sim.now + delay,
@@ -439,8 +419,7 @@ class WorkQueue:
             # generation int; multi-slot WQEs carry a tuple.
             if wqe_slots == 1:
                 if gens[slot_index] == snapshot:
-                    if _obs.enabled:
-                        self._last_decode_cached = True
+                    self._last_decode_cached = True
                     return wqe, 1
             else:
                 index = slot_index
@@ -451,11 +430,9 @@ class WorkQueue:
                     if index == ring_slots:
                         index = 0
                 else:
-                    if _obs.enabled:
-                        self._last_decode_cached = True
+                    self._last_decode_cached = True
                     return wqe, wqe_slots
-        if _obs.enabled:
-            self._last_decode_cached = False
+        self._last_decode_cached = False
         memory = self.memory
         header_addr = self.ring.addr + slot_index * WQE_SLOT_SIZE
         header = memory.view(header_addr, WQE_SLOT_SIZE)
@@ -590,7 +567,7 @@ class DoorbellBatcher:
         """Post with the doorbell suppressed; returns the WR index."""
         wr_index = self.wq.post(wqe, ring_doorbell=False)
         self.pending += 1
-        if _obs.enabled and self.pending == 1:
+        if self.pending == 1:
             self._hold_since = self.wq.sim.now
         if self.pending >= self.max_batch:
             self.flush()
@@ -615,19 +592,17 @@ class DoorbellBatcher:
         self.flushes += 1
         self.coalesced += count
         extra_delay_ns = (count - 1) * self.wq.doorbell_batch_entry_ns
-        if _obs.enabled:
-            sim = self.wq.sim
-            hold_since = self._hold_since or sim.now
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.doorbell_batch(self.wq, count, hold_since,
-                                      extra_delay_ns)
-            blame = self.blame
-            if blame is not None:
-                # Hold window (first suppressed post -> this flush)
-                # plus the per-entry surcharge the coalesced ring pays.
-                blame.span(hold_since, sim.now + extra_delay_ns,
-                           "doorbell_batch", self.wq.name)
+        now = self.wq.sim.now
+        hold_since = self._hold_since or now
+        probe = self.wq._probe
+        if probe.doorbell_batch:
+            for hook in probe.doorbell_batch:
+                hook(self.wq, count, hold_since, extra_delay_ns)
+        if self.blame is not None:
+            # Hold window (first suppressed post -> this flush) plus
+            # the per-entry surcharge the coalesced ring pays.
+            self.blame.span(hold_since, now + extra_delay_ns,
+                            "doorbell_batch", self.wq.name)
         self._hold_since = 0
         self.wq.doorbell(extra_delay_ns=extra_delay_ns)
         return count

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional
 
-from .. import obs as _obs
 from ..memory.dram import HostMemory
 from ..memory.region import ProtectionDomain
 from ..sim.core import Simulator
@@ -108,13 +107,9 @@ class RNIC:
     def create_cq(self, name: str = "") -> CompletionQueue:
         cq = CompletionQueue(self.sim, next(self._cq_nums), name=name)
         self.cqs[cq.cq_num] = cq
-        if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.cq_created(self, cq)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.cq_created(self, cq)
+        if self.sim.probe.cq_created:
+            for hook in self.sim.probe.cq_created:
+                hook(self, cq)
         return cq
 
     def create_wq(self, kind: str, num_slots: int, cq: CompletionQueue,
@@ -134,13 +129,9 @@ class RNIC:
         wq.doorbell_delay_ns = self.timing.doorbell_ns
         wq.doorbell_batch_entry_ns = self.timing.doorbell_batch_entry_ns
         self.wqs[wq.wq_num] = wq
-        if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.wq_created(self, wq)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.wq_created(self, wq)
+        if self.sim.probe.wq_created:
+            for hook in self.sim.probe.wq_created:
+                hook(self, wq)
         if kind == "send":
             driver = SendQueueDriver(self, wq)
             self._drivers[wq.wq_num] = driver

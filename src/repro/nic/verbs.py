@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from .. import obs as _obs
 from ..memory.region import AccessFlags, ProtectionError
 from .opcodes import Opcode
 from .qp import QueuePair
@@ -89,10 +88,9 @@ class VerbExecutor:
         latency = nic.link_latency_to(src_qp.peer.nic)
         if latency > 0:
             yield latency
-        if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.wire_span(nic, src_qp.peer.nic, nbytes, start)
+        if nic.sim.probe.wire:
+            for hook in nic.sim.probe.wire:
+                hook(nic, src_qp.peer.nic, nbytes, start)
 
     def _dma_txn(self, nic: "RNIC", kind: str, ns: int) -> Generator:
         """One posted/non-posted DMA transaction latency (a dma span)."""
@@ -100,10 +98,9 @@ class VerbExecutor:
             return
         start = nic.sim.now
         yield ns
-        if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.dma_txn(nic, kind, start)
+        if nic.sim.probe.dma_txn:
+            for hook in nic.sim.probe.dma_txn:
+                hook(nic, kind, start)
 
     def _dma_in(self, nic: "RNIC", nbytes: int) -> Generator:
         """Initiator/responder DMA of a payload across PCIe (gather)."""
@@ -111,13 +108,9 @@ class VerbExecutor:
         if cost > 0:
             start = nic.sim.now
             yield from nic.pcie.use(cost)
-            if _obs.enabled:
-                tracer = nic.sim.tracer
-                if tracer is not None:
-                    tracer.dma_span(nic, nbytes, start)
-                telemetry = nic.sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_dma(nic, nbytes)
+            if nic.sim.probe.dma:
+                for hook in nic.sim.probe.dma:
+                    hook(nic, nbytes, start)
 
     def _scatter_bytes(self, nic: "RNIC", data: bytes,
                        sges: List[Sge], laddr: int, length: int) -> int:
@@ -248,10 +241,9 @@ class VerbExecutor:
             recv_wqe, slots = recv_wq.read_wqe_at_cursor()
             recv_wq.advance_fetch(slots)
             engine.release(fetch_grant)
-            if _obs.enabled:
-                telemetry = rnic.sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_fetch(recv_wq, 1)
+            if rnic.sim.probe.recv_fetch:
+                for hook in rnic.sim.probe.recv_fetch:
+                    hook(recv_wq)
         finally:
             recv_wq.consume_lock.release(grant)
         written = byte_len
@@ -287,22 +279,18 @@ class VerbExecutor:
                 wqe.raddr, wqe.operand0, wqe.operand1)
         else:
             original = rnic.memory.fetch_add_u64(wqe.raddr, wqe.operand0)
-        if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.atomic(rnic, wqe, original)
-            recorder = nic.sim.recorder
-            if recorder is not None:
-                recorder.on_atomic(rnic, qp.send_wq.name, wqe, original)
+        probe = nic.sim.probe
+        if probe.atomic:
+            for hook in probe.atomic:
+                hook(rnic, qp.send_wq.name, wqe, original)
         port.atomic_unit.release(grant)
         # Remaining PCIe-atomic transaction latency happens off-unit.
         remaining = timing.atomic_pcie_ns - timing.atomic_unit_ns
         if remaining > 0:
             yield remaining
-        if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.dma_txn(rnic, "atomic", txn_start)
+        if probe.dma_txn:
+            for hook in probe.dma_txn:
+                hook(rnic, "atomic", txn_start)
         yield from self._traverse(peer, 8)  # original value returns
         if wqe.laddr:
             nic.memory.write_u64(wqe.laddr, original)

@@ -1,6 +1,12 @@
-"""repro.obs — tracing and metrics for the RedN simulator.
+"""repro.obs — tracing, journaling, telemetry and metrics for the simulator.
 
-Two pieces, both zero-cost when disabled:
+Every :class:`~repro.sim.core.Simulator` owns a :class:`Probe`
+(``repro.obs.probe``, ``sim.probe``): the one place the device models
+announce their events (WQE post, doorbell, fetch, execute, WAIT,
+ENABLE, completion, CQE, atomic, DMA, wire, lease, demux, link hop,
+offload call, request), each exactly once, in one shared vocabulary.
+Sinks join the probe and receive those events through ``on_<kind>``
+methods; three ship here:
 
 * :class:`Tracer` (``repro.obs.tracer``) — typed span/instant events
   keyed on *simulated* time (WQE fetch, prefetch-cache hit/stale,
@@ -13,14 +19,6 @@ Two pieces, both zero-cost when disabled:
   or between fetch and execute (``stale_wqe`` — the §3.1 prefetch
   incoherence window).
 
-* :class:`MetricsRegistry` (``repro.obs.metrics``) — named counters,
-  gauges and sim-time histograms behind one ``snapshot()`` API. Every
-  :class:`~repro.sim.core.Simulator` owns one lazily
-  (``sim.metrics``); the RNIC and its send-queue drivers register
-  their counters there, so one snapshot covers kernel, device and
-  driver state. Exportable as OpenMetrics/Prometheus text via
-  :meth:`MetricsRegistry.to_openmetrics`.
-
 * :class:`FlightRecorder` (``repro.obs.recorder``) — a bounded causal
   journal of every post/doorbell/fetch/execute/WAIT/ENABLE/CQE/atomic/
   ring-store event plus periodic checkpoints of sim-visible state,
@@ -31,7 +29,21 @@ Two pieces, both zero-cost when disabled:
   explanation and an upstream causal slice — see
   ``tools/trace_diff.py``.
 
-A third piece, ``repro.obs.critpath``, is pure post-processing: it
+* :class:`TelemetryCollector` (``repro.obs.telemetry``) — per-bed
+  windowed counters, queue depths, PU utilization and tail-latency
+  digests, merged fleet-wide by :class:`FleetTelemetry` into one
+  deterministic JSONL stream with SLO burn-rate alerting — see
+  ``tools/fleet_top.py``.
+
+Each sink keeps its own output format; none sees another. Separately,
+:class:`MetricsRegistry` (``repro.obs.metrics``) holds named counters,
+gauges and sim-time histograms behind one ``snapshot()`` API. Every
+simulator owns one lazily (``sim.metrics``); the RNIC and its
+send-queue drivers register their counters there, so one snapshot
+covers kernel, device and driver state. Exportable as
+OpenMetrics/Prometheus text via :meth:`MetricsRegistry.to_openmetrics`.
+
+``repro.obs.critpath`` is pure post-processing: it
 rebuilds the causal DAG over a recorded trace's events per request,
 computes the critical path, and attributes every nanosecond of a
 request to exactly one typed phase (``queueing``/``fetch``/
@@ -57,27 +69,25 @@ root-cause report ranking implicated (shard, queue, phase) — see
 Fast path
 ---------
 
-Instrumentation sites across the simulator are guarded by the
-module-level :data:`enabled` flag::
+For each event kind the probe holds the tuple of attached sinks'
+hooks, so a site reads::
 
-    from .. import obs as _obs
-    ...
-    if _obs.enabled:
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.wqe_fetched(...)
+    if probe.fetch:
+        for hook in probe.fetch:
+            hook(wq, wr_index, slot_cursor, slots, wqe, cache_hit)
 
-When no tracer exists anywhere in the process the entire cost of the
-instrumentation is one module-attribute load and a branch — the
-BENCH_simspeed perf gate runs with tracing off and is unaffected.
-Attaching a :class:`Tracer` flips the flag; detaching the last one
-clears it.
+With no sink on a simulator the tuple is empty and the whole cost of
+a site is one attribute load and a branch — the BENCH_simspeed perf
+gate runs with every sink off and is unaffected. Attachment is per
+simulator: a sink on one simulator never puts another on the observed
+path, and ``close()`` on a sink takes it off the probe again.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "enabled",
+    "Probe",
+    "SinkAttachedError",
     "Tracer",
     "export_merged_chrome",
     "MetricsRegistry",
@@ -145,31 +155,12 @@ __all__ = [
     "records_from_trace",
 ]
 
-#: Module-level fast-path flag: False means every instrumentation site
-#: in the simulator reduces to one attribute load and a branch.
-enabled = False
-
-_active_tracers = 0
-
-
-def _activate() -> None:
-    """Register one live tracer (flips :data:`enabled` on)."""
-    global enabled, _active_tracers
-    _active_tracers += 1
-    enabled = True
-
-
-def _deactivate() -> None:
-    """Unregister one tracer; the flag clears with the last one."""
-    global enabled, _active_tracers
-    _active_tracers = max(0, _active_tracers - 1)
-    enabled = _active_tracers > 0
-
-
-# Submodules are imported lazily so that the hot-path guard above can
-# be imported from anywhere in the package (including modules the
-# tracer itself depends on) without import cycles.
+# Submodules are imported lazily: the simulator kernel imports
+# ``repro.obs.probe`` and must not pull in the sinks (or their
+# dependencies on the device models) with it.
 _LAZY = {
+    "Probe": "probe",
+    "SinkAttachedError": "probe",
     "Tracer": "tracer",
     "export_merged_chrome": "tracer",
     "MetricsRegistry": "metrics",

@@ -7,8 +7,8 @@ batch hold windows, synchronizer link hops, and the shared-CQ demux.
 This module closes the gap with a **live causal context**
 (:class:`RequestBlame`) that a fleet request carries across shards:
 
-* the client creates one context per request (behind the zero-cost
-  ``repro.obs.enabled`` flag, only when exemplar capture is on);
+* the client creates one context per request, only when its bed's
+  ``sim.probe`` carries a telemetry sink with exemplar capture on;
 * the connection plane records typed spans into it — ``pool_wait``
   from :meth:`repro.net.conn.QpPool.acquire`, ``doorbell_batch`` from
   :class:`repro.nic.queue.DoorbellBatcher`, ``cqe_demux`` from

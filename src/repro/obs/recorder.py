@@ -1,8 +1,8 @@
 """Flight recorder: causal event journal, checkpoints, replay.
 
 The recorder is the record half of record-and-replay debugging for the
-simulator. Behind the same zero-cost module flag as the tracer it
-journals every **causally identified** event — a WQE post/fetch/execute
+simulator. A :mod:`repro.obs.probe` sink like the tracer, it journals
+every **causally identified** event — a WQE post/fetch/execute
 (queue name + monotonic WR index + slot bytes), a doorbell, a WAIT
 wakeup, an ENABLE, a CQE (CQ + monotonic count), an atomic apply, a
 store into annotated ring memory — into a bounded ring buffer, with a
@@ -43,10 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..nic.opcodes import OPCODE_NAMES, Opcode
-from . import _activate, _deactivate
+from .probe import StoreWatch
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -245,8 +245,6 @@ class FlightRecorder:
                  verify: Optional["Journal"] = None,
                  stop_at: Optional[Dict[str, Any]] = None,
                  monitor: bool = True):
-        if getattr(sim, "recorder", None) is not None:
-            raise ValueError(f"{sim!r} already has a recorder attached")
         if capacity < 1:
             raise ValueError(f"capacity {capacity} < 1")
         if checkpoint_interval < 1:
@@ -271,14 +269,12 @@ class FlightRecorder:
         self.stop_at = stop_at
         self.landed: Optional[Dict[str, Any]] = None
         self.stopped = False
-        # Attachment bookkeeping.
+        # Attachment bookkeeping. Stores into annotated (ring) regions
+        # are journaled, and the regions' digests join every checkpoint.
         self._nics: List = []
         self._nics_seen: set = set()
-        self._memories: List[Tuple[Any, Callable]] = []
-        # Annotated regions per memory: sorted [(start, end, label)].
-        self._regions: Dict[int, List[Tuple[int, int, str]]] = {}
-        sim.recorder = self
-        _activate()
+        self._watch = StoreWatch(self._on_store)
+        sim.probe.attach(self)
 
     def __repr__(self) -> str:
         return (f"<FlightRecorder {self.name} seq={self.seq} "
@@ -295,12 +291,8 @@ class FlightRecorder:
 
     def close(self) -> None:
         """Detach from the simulator and its memories."""
-        if getattr(self.sim, "recorder", None) is self:
-            self.sim.recorder = None
-            for memory, hook in self._memories:
-                memory.remove_store_hook(hook)
-            self._memories.clear()
-            _deactivate()
+        if self.sim.probe.detach(self):
+            self._watch.close()
 
     # -- attachment --------------------------------------------------------
 
@@ -308,52 +300,26 @@ class FlightRecorder:
         """Cover a NIC: journal its ring stores, checkpoint its queues.
 
         Queues the NIC creates later are picked up automatically via
-        the ``wq_created``/``cq_created`` factory hooks.
+        the ``wq_created``/``cq_created`` probe events.
         """
         if id(nic) in self._nics_seen:
             return
         self._nics_seen.add(id(nic))
         self._nics.append(nic)
-        self.attach_memory(nic.memory)
+        self._watch.attach(nic.memory)
         for wq in nic.wqs.values():
-            self.annotate_region(nic.memory, wq.ring.addr, wq.ring.size,
+            self._watch.annotate(nic.memory, wq.ring.addr, wq.ring.size,
                                  f"ring:{wq.name}")
 
-    def attach_memory(self, memory) -> None:
-        """Install the DRAM store hook (stores into annotated regions)."""
-        if id(memory) in self._regions:
-            return
-        self._regions[id(memory)] = []
+    # -- probe hooks -------------------------------------------------------
 
-        def hook(addr: int, length: int, _memory=memory) -> None:
-            self._dram_store(_memory, addr, length)
-
-        memory.add_store_hook(hook)
-        self._memories.append((memory, hook))
-
-    def annotate_region(self, memory, addr: int, size: int,
-                        label: str) -> None:
-        """Mark [addr, addr+size) as causal: stores get journaled and
-        the region's digest joins every checkpoint."""
-        self.attach_memory(memory)
-        regions = self._regions[id(memory)]
-        for start, end, _ in regions:
-            if start == addr and end == addr + size:
-                return
-        regions.append((addr, addr + size, label))
-        regions.sort()
-
-    # -- NIC object lifecycle (called by RNIC factories) --------------------
-
-    def wq_created(self, nic, wq) -> None:
+    def on_wq_created(self, nic, wq) -> None:
         self.attach_nic(nic)
-        self.annotate_region(nic.memory, wq.ring.addr, wq.ring.size,
+        self._watch.annotate(nic.memory, wq.ring.addr, wq.ring.size,
                              f"ring:{wq.name}")
 
-    def cq_created(self, nic, cq) -> None:
+    def on_cq_created(self, nic, cq) -> None:
         self.attach_nic(nic)
-
-    # -- hook methods (called from instrumented NIC code) -------------------
 
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
                 wqe) -> None:
@@ -385,14 +351,14 @@ class FlightRecorder:
                     "op": _op_name(wqe.opcode), "wqe": data.hex(),
                     "gens": list(gens), "cache": bool(cache_hit)})
 
-    def on_exec(self, wq, wr_index: int, wqe) -> None:
+    def on_execute(self, wq, wr_index: int, wqe) -> None:
         if self.stopped:
             return
         self._emit({"kind": "exec", "wq": wq.name,
                     "wq_num": wq.wq_num, "wr": wr_index,
                     "op": _op_name(wqe.opcode), "len": wqe.length})
 
-    def on_wait(self, wq, wr_index: int, wqe, cq) -> None:
+    def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
         if self.stopped:
             return
         self._emit({"kind": "wait", "wq": wq.name,
@@ -412,8 +378,8 @@ class FlightRecorder:
                     "target_name": target.name if target else None,
                     "signaled": bool(wqe.signaled)})
 
-    def on_done(self, wq, wr_index: int, wqe, status: str,
-                byte_len: int) -> None:
+    def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
+                start_ns: int) -> None:
         if self.stopped:
             return
         self._emit({"kind": "done", "wq": wq.name,
@@ -421,7 +387,7 @@ class FlightRecorder:
                     "op": _op_name(wqe.opcode), "status": status,
                     "len": byte_len, "signaled": bool(wqe.signaled)})
 
-    def on_cqe(self, cq, cqe) -> None:
+    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
         if self.stopped:
             return
         self._emit({"kind": "cqe", "cq": cq.name, "cq_num": cq.cq_num,
@@ -441,23 +407,12 @@ class FlightRecorder:
             record["swapped"] = original == wqe.operand0
         self._emit(record)
 
-    def _dram_store(self, memory, addr: int, length: int) -> None:
+    def _on_store(self, memory, addr: int, length: int, label: str) -> None:
         if self.stopped:
             return
-        regions = self._regions.get(id(memory))
-        if not regions:
-            return
-        end = addr + length
-        for start, stop, label in regions:
-            if start >= end:
-                break
-            if stop > addr:
-                self._emit({"kind": "store", "mem": memory.name,
-                            "region": label, "addr": addr,
-                            "len": length,
-                            "digest": _digest(
-                                memory.view(addr, length))})
-                return
+        self._emit({"kind": "store", "mem": memory.name, "region": label,
+                    "addr": addr, "len": length,
+                    "digest": _digest(memory.view(addr, length))})
 
     # -- emission core -----------------------------------------------------
 
@@ -486,8 +441,8 @@ class FlightRecorder:
         state) + PU binding, per-CQ completion counts.
         """
         state: Dict[str, Any] = {"mem": {}, "wq": {}, "cq": {}}
-        for memory, _hook in self._memories:
-            regions = self._regions.get(id(memory), [])
+        for memory, _hook in self._watch.memories:
+            regions = self._watch.regions[id(memory)]
             state["mem"][memory.name] = {
                 label: _digest(memory.view(start, end - start))
                 for start, end, label in regions}

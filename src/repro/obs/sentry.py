@@ -36,7 +36,7 @@ of the simulated system. Targeted capture follows the same rule:
 * **pre/post baselines** — the trailing windows at open time and the
   first windows sealed after close, recorded per implicated shard.
 
-With ``repro.obs.enabled`` off no telemetry exists, nothing is ever
+With no telemetry sink on any bed's ``sim.probe`` nothing is ever
 flushed, and the sentry costs nothing — it has no hook sites of its
 own inside the simulator.
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from . import _activate, _deactivate
 from .metrics import Histogram
 
 __all__ = ["DEFAULT_WINDOW_NS", "TelemetryCollector", "FleetTelemetry",
@@ -69,11 +68,10 @@ def _hot(depth_max: Dict[str, int]):
 
 
 class TelemetryCollector:
-    """Per-bed windowed sampler, attached as ``sim.telemetry``.
+    """Per-bed windowed sampler, a sink on the bed's ``sim.probe``.
 
-    Hook methods are called from instrumentation sites behind the
-    ``repro.obs.enabled`` flag; each rolls the window first (finalizing
-    the previous one with its pre-update state) and then applies its
+    Each ``on_<kind>`` hook rolls the window first (finalizing the
+    previous one with its pre-update state) and then applies its
     update, so end-of-window gauges are consistent.
     """
 
@@ -223,48 +221,57 @@ class TelemetryCollector:
         if depth > wmax.get(name, 0):
             wmax[name] = depth
 
-    def on_post(self, wq) -> None:
+    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
+                wqe) -> None:
         self._touch()
         self._posts += 1
         self._bump_depth(wq.kind, wq.name, 1)
 
-    def on_doorbell(self, wq) -> None:
+    def on_doorbell(self, wq, up_to: int) -> None:
         self._touch()
         self._doorbells += 1
 
-    def on_fetch(self, wq, count: int) -> None:
+    def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
+                 wqe, cache_hit: bool) -> None:
         self._touch()
-        self._fetches += count
-        self._bump_depth(wq.kind, wq.name, -count)
+        self._fetches += 1
+        self._bump_depth(wq.kind, wq.name, -1)
 
-    def on_exec(self, wq) -> None:
+    def on_recv_fetch(self, wq) -> None:
+        self.on_fetch(wq, 0, 0, 1, None, False)
+
+    def on_execute(self, wq, wr_index: int, wqe) -> None:
         self._touch()
         self._wrs += 1
 
-    def on_pu(self, wq, busy_ns: int) -> None:
+    def on_pu(self, nic, wq, opcode: int, start_ns: int) -> None:
         self._touch()
-        self._pu_busy += busy_ns
+        self._pu_busy += self.sim.now - start_ns
 
-    def on_cqe(self, cq) -> None:
+    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
         self._touch()
         self._cqes += 1
         depth = len(cq._entries) + 1  # the CQE being delivered included
         if depth > self._cq_wmax.get(cq.name, 0):
             self._cq_wmax[cq.name] = depth
 
-    def on_dma(self, nic, nbytes: int) -> None:
+    def on_dma(self, nic, nbytes: int, start_ns: int) -> None:
         self._touch()
         self._dma_bytes += nbytes
 
-    def on_pool_wait(self, pool, wait_ns: int) -> None:
-        """One QP-pool lease acquisition waited ``wait_ns`` (0 = free)."""
+    def on_pool_acquire(self, pool, start_ns: int, tag: str) -> None:
+        """One QP-pool lease acquisition (a zero wait when it was free)."""
         self._touch()
+        wait_ns = self.sim.now - start_ns
         self._pool_wait.observe(wait_ns)
         self.sim.metrics.histogram("telemetry.pool_wait_ns").observe(
             wait_ns)
 
-    def request_complete(self, latency_ns: int, key=None,
-                         blame=None) -> None:
+    def on_offload_call(self, conn, start_ns: int, ok: bool,
+                        byte_len: int) -> None:
+        self.on_request(self.sim.now - start_ns)
+
+    def on_request(self, latency_ns: int, key=None, blame=None) -> None:
         """A client-visible request finished with the given latency.
 
         ``blame`` is the request's :class:`repro.obs.blame.RequestBlame`
@@ -286,12 +293,13 @@ class TelemetryCollector:
                 self._exemplars.sort(key=exemplar_order)
                 del self._exemplars[self.exemplar_k:]
 
-    def on_stale_cqe(self, cq) -> None:
-        """The shared-CQ demux quarantined one stale CQE."""
-        self._touch()
-        self._stale_cqes += 1
+    def on_cqe_demux(self, cq, cqe, stale: bool) -> None:
+        """Counts the CQEs the shared-CQ demux quarantined as stale."""
+        if stale:
+            self._touch()
+            self._stale_cqes += 1
 
-    def serviced(self) -> None:
+    def on_serviced(self) -> None:
         """A frontend finished servicing one inbound request."""
         self._touch()
         self._serviced += 1
@@ -322,7 +330,6 @@ class FleetTelemetry:
         self.sink = sink
         self.collectors: List[TelemetryCollector] = []
         self._observers: List = []
-        self._closed = False
 
     def __repr__(self) -> str:
         return (f"<FleetTelemetry beds={len(self.collectors)} "
@@ -330,17 +337,13 @@ class FleetTelemetry:
 
     def attach(self, sim, bed: str = "", shard: Optional[int] = None
                ) -> TelemetryCollector:
-        """Admit one bed's simulator; flips the obs fast-path flag on."""
-        if sim.telemetry is not None:
-            raise RuntimeError(f"simulator already has a telemetry "
-                               f"collector ({sim.telemetry!r})")
+        """Admit one bed's simulator: a collector joins its probe."""
         index = len(self.collectors)
         collector = TelemetryCollector(
             self, sim, bed or f"bed{index}",
             shard if shard is not None else index)
-        sim.telemetry = collector
+        sim.probe.attach(collector)
         self.collectors.append(collector)
-        _activate()
         return collector
 
     def subscribe(self, observer) -> None:
@@ -396,14 +399,9 @@ class FleetTelemetry:
         return self.records
 
     def close(self) -> None:
-        """Detach every collector (clears the obs flag with the last)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Detach every collector from its simulator's probe."""
         for collector in self.collectors:
-            if collector.sim.telemetry is collector:
-                collector.sim.telemetry = None
-            _deactivate()
+            collector.sim.probe.detach(collector)
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(record, sort_keys=True) + "\n"

@@ -37,8 +37,8 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nic.opcodes import OPCODE_NAMES, Opcode
-from . import _activate, _deactivate
 from .events import format_field_diff, wqe_field_diff
+from .probe import StoreWatch
 
 __all__ = ["Tracer", "export_merged_chrome", "diff_wqe_bytes"]
 
@@ -60,11 +60,13 @@ def diff_wqe_bytes(old: bytes, new: bytes) -> List[str]:
 
 
 class Tracer:
-    """Records one simulation's events; one tracer per Simulator."""
+    """Records one simulation's events; one tracer per Simulator.
+
+    A :mod:`repro.obs.probe` sink: its ``on_<kind>`` methods are the
+    probe's event hooks.
+    """
 
     def __init__(self, sim, name: str = "trace"):
-        if getattr(sim, "tracer", None) is not None:
-            raise ValueError(f"{sim!r} already has a tracer attached")
         self.sim = sim
         self.name = name
         #: Recorded events, in emission (= simulated time) order. Each
@@ -73,20 +75,18 @@ class Tracer:
         self._pids: Dict[str, int] = {}
         self._tids: Dict[Tuple[int, str], int] = {}
         self._nics_seen: set = set()
-        self._memories: List = []
         # pid cache per queue object (id() keys are process-local only).
         self._wq_pids: Dict[int, int] = {}
         self._cq_pids: Dict[int, int] = {}
-        # Annotated DRAM regions, per memory: sorted [(start, end, label)].
-        self._regions: Dict[int, List[Tuple[int, int, str]]] = {}
+        # Stores into WQE rings and RedN code regions become events.
+        self._watch = StoreWatch(self._on_store)
         # Inspector state: last-seen slot image per (wq, slot_index) and
         # fetch-time snapshot per in-flight (wq, wr_index).
         self._slot_images: Dict[Tuple[int, int], Tuple[Tuple, bytes]] = {}
         self._fetch_snaps: Dict[Tuple[int, int], Tuple] = {}
         self.self_mod_count = 0
         self.stale_count = 0
-        sim.tracer = self
-        _activate()
+        sim.probe.attach(self)
         self._exec_hist = sim.metrics.histogram("obs.execute_ns")
 
     def __repr__(self) -> str:
@@ -94,12 +94,8 @@ class Tracer:
 
     def close(self) -> None:
         """Detach from the simulator and its memories."""
-        if self.sim.tracer is self:
-            self.sim.tracer = None
-            for memory, hook in self._memories:
-                memory.remove_store_hook(hook)
-            self._memories.clear()
-            _deactivate()
+        if self.sim.probe.detach(self):
+            self._watch.close()
 
     # -- track bookkeeping -----------------------------------------------
 
@@ -136,49 +132,31 @@ class Tracer:
         self._tid(pid, "pcie")
         self._tid(pid, "wire")
         self._tid(pid, "atomics")
-        self.attach_memory(nic.memory)
+        self._watch.attach(nic.memory)
         for cq in nic.cqs.values():
-            self.cq_created(nic, cq)
+            self.on_cq_created(nic, cq)
         for wq in nic.wqs.values():
-            self.wq_created(nic, wq)
+            self.on_wq_created(nic, wq)
         return pid
-
-    def attach_memory(self, memory) -> None:
-        """Install the DRAM store hook (stores into annotated regions)."""
-        if id(memory) in self._regions:
-            return
-        self._regions[id(memory)] = []
-
-        def hook(addr: int, length: int, _memory=memory) -> None:
-            self._dram_store(_memory, addr, length)
-
-        memory.add_store_hook(hook)
-        self._memories.append((memory, hook))
-
-    def annotate_region(self, memory, addr: int, size: int,
-                        label: str) -> None:
-        """Mark [addr, addr+size) as interesting: stores get traced."""
-        self.attach_memory(memory)
-        regions = self._regions[id(memory)]
-        for start, end, _ in regions:
-            if start == addr and end == addr + size:
-                return
-        regions.append((addr, addr + size, label))
-        regions.sort()
 
     # -- NIC object lifecycle (called by RNIC factories) --------------------
 
-    def wq_created(self, nic, wq) -> None:
+    def on_wq_created(self, nic, wq) -> None:
         pid = self.attach_nic(nic)
         self._wq_pids[id(wq)] = pid
         self._tid(pid, f"wq:{wq.name}")
-        self.annotate_region(wq.memory, wq.ring.addr, wq.ring.size,
+        self._watch.annotate(wq.memory, wq.ring.addr, wq.ring.size,
                              f"ring:{wq.name}")
 
-    def cq_created(self, nic, cq) -> None:
+    def on_cq_created(self, nic, cq) -> None:
         pid = self.attach_nic(nic)
         self._cq_pids[id(cq)] = pid
         self._tid(pid, f"cq:{cq.name}")
+
+    def on_code_region(self, memory, addr: int, size: int,
+                       label: str) -> None:
+        """A RedN code region: stores into it get traced."""
+        self._watch.annotate(memory, addr, size, label)
 
     # -- low-level event append --------------------------------------------
 
@@ -192,7 +170,7 @@ class Tracer:
         if pid is None:
             qp = wq.qp
             if qp is not None:
-                self.wq_created(qp.nic, wq)
+                self.on_wq_created(qp.nic, wq)
                 pid = self._wq_pids[id(wq)]
             else:
                 pid = self._pid("orphan-queues")
@@ -200,8 +178,8 @@ class Tracer:
 
     # -- queue-side events ----------------------------------------------------
 
-    def wqe_posted(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                   wqe) -> None:
+    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
+                wqe) -> None:
         """Host posted a WQE: record its image for the race inspector."""
         pid, tid = self._wq_track(wq)
         gens, data = wq.slot_state(slot_cursor, slots)
@@ -213,13 +191,13 @@ class Tracer:
                            "slot": slot_cursor % ring_slots,
                            "slots": slots})
 
-    def doorbell(self, wq, up_to: int) -> None:
+    def on_doorbell(self, wq, up_to: int) -> None:
         pid, tid = self._wq_track(wq)
         self._append("i", "queue", "doorbell", pid, tid, self.sim.now,
                      args={"up_to": up_to})
 
-    def fetch_span(self, nic, wq, start_ns: int, count: int,
-                   managed: bool) -> None:
+    def on_fetch_span(self, nic, wq, start_ns: int, count: int,
+                      managed: bool) -> None:
         """One fetch DMA (managed: 1 WQE; normal: a prefetch batch)."""
         pid = self.attach_nic(nic)
         tid = self._tid(pid, f"port{wq.port_index}/fetch")
@@ -229,8 +207,8 @@ class Tracer:
                      args={"wq": wq.name, "count": count,
                            "managed": managed})
 
-    def wqe_fetched(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                    wqe, cache_hit: bool) -> None:
+    def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
+                 wqe, cache_hit: bool) -> None:
         """One WQE's bytes were snapshotted by the NIC.
 
         Runs the post-vs-fetch half of the race join and arms the
@@ -257,7 +235,7 @@ class Tracer:
 
     # -- execute-side events ----------------------------------------------------
 
-    def execute_begin(self, wq, wr_index: int, wqe) -> None:
+    def on_execute(self, wq, wr_index: int, wqe) -> None:
         """WQE entered execution: close the fetch-vs-execute window."""
         snap = self._fetch_snaps.pop((id(wq), wr_index), None)
         if snap is None:
@@ -277,13 +255,13 @@ class Tracer:
                            "window_ns": self.sim.now - fetch_ts,
                            "changed": changes})
 
-    def pu_span(self, nic, wq, opcode: int, start_ns: int) -> None:
+    def on_pu(self, nic, wq, opcode: int, start_ns: int) -> None:
         pid = self.attach_nic(nic)
         tid = self._tid(pid, f"port{wq.port_index}/pu{wq.pu_index}")
         self._append("X", "exec", _op_name(opcode), pid, tid, start_ns,
                      dur=self.sim.now - start_ns, args={"wq": wq.name})
 
-    def wait_span(self, wq, wqe, start_ns: int) -> None:
+    def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
         pid, tid = self._wq_track(wq)
         now = self.sim.now
         self._append("X", "sync", "WAIT", pid, tid, start_ns,
@@ -292,7 +270,8 @@ class Tracer:
         self._append("i", "sync", "WAIT.wake", pid, tid, now,
                      args={"cq_num": wqe.target})
 
-    def enable_event(self, wq, wqe, relative: bool, target=None) -> None:
+    def on_enable(self, wq, wr_index: int, wqe, relative: bool,
+                  target) -> None:
         args = {"target_wq": wqe.target,
                 "count": wqe.wqe_count, "relative": relative}
         if target is not None:
@@ -301,8 +280,8 @@ class Tracer:
         self._append("i", "sync", "ENABLE", pid, tid, self.sim.now,
                      args=args)
 
-    def wqe_executed(self, wq, wr_index: int, wqe, status: str,
-                     start_ns: int) -> None:
+    def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
+                start_ns: int) -> None:
         pid, tid = self._wq_track(wq)
         dur = self.sim.now - start_ns
         self._exec_hist.observe(dur)
@@ -312,7 +291,7 @@ class Tracer:
 
     # -- completion / data-path events ---------------------------------------
 
-    def cqe(self, cq, cqe, host_delay_ns: int = 0) -> None:
+    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
         pid = self._cq_pids.get(id(cq))
         if pid is None:
             pid = self._pid("orphan-queues")
@@ -332,7 +311,7 @@ class Tracer:
         self._append("C", "cqe", f"cq:{cq.name}", pid, tid, now,
                      args={"completions": cq.count})
 
-    def atomic(self, nic, wqe, original: int) -> None:
+    def on_atomic(self, nic, src_wq_name: str, wqe, original: int) -> None:
         pid = self.attach_nic(nic)
         tid = self._tid(pid, "atomics")
         if wqe.opcode == Opcode.CAS:
@@ -345,20 +324,20 @@ class Tracer:
         self._append("i", "atomic", _op_name(wqe.opcode), pid, tid,
                      self.sim.now, args=args)
 
-    def dma_span(self, nic, nbytes: int, start_ns: int) -> None:
+    def on_dma(self, nic, nbytes: int, start_ns: int) -> None:
         pid = self.attach_nic(nic)
         tid = self._tid(pid, "pcie")
         self._append("X", "dma", f"dma[{nbytes}B]", pid, tid, start_ns,
                      dur=self.sim.now - start_ns, args={"bytes": nbytes})
 
-    def dma_txn(self, nic, kind: str, start_ns: int) -> None:
+    def on_dma_txn(self, nic, kind: str, start_ns: int) -> None:
         """A posted/non-posted PCIe transaction latency window."""
         pid = self.attach_nic(nic)
         tid = self._tid(pid, "pcie")
         self._append("X", "dma", f"dma:{kind}", pid, tid, start_ns,
                      dur=self.sim.now - start_ns, args={"kind": kind})
 
-    def wire_span(self, nic, dst_nic, nbytes: int, start_ns: int) -> None:
+    def on_wire(self, nic, dst_nic, nbytes: int, start_ns: int) -> None:
         """One message's serialization + link traversal (never loopback)."""
         pid = self.attach_nic(nic)
         tid = self._tid(pid, "wire")
@@ -368,16 +347,18 @@ class Tracer:
 
     # -- connection-plane / cross-shard events -------------------------------
 
-    def pool_wait(self, pool, start_ns: int, tag: str = "") -> None:
-        """One lease's FIFO wait in a QpPool's acquire queue."""
+    def on_pool_acquire(self, pool, start_ns: int, tag: str) -> None:
+        """One lease's FIFO wait in a QpPool's acquire queue, if any."""
+        if start_ns == self.sim.now:
+            return
         pid = self._pid(pool.name)
         tid = self._tid(pid, "lease-wait")
         self._append("X", "conn", "pool_wait", pid, tid, start_ns,
                      dur=self.sim.now - start_ns,
                      args={"pool": pool.name, "tag": tag})
 
-    def doorbell_batch(self, wq, count: int, start_ns: int,
-                       extra_delay_ns: int) -> None:
+    def on_doorbell_batch(self, wq, count: int, start_ns: int,
+                          extra_delay_ns: int) -> None:
         """One coalesced doorbell flush: hold window + batch surcharge."""
         pid, tid = self._wq_track(wq)
         self._append("X", "conn", f"batch[{count}]", pid, tid, start_ns,
@@ -385,7 +366,7 @@ class Tracer:
                      args={"wq": wq.name, "count": count,
                            "extra_delay_ns": extra_delay_ns})
 
-    def cqe_demux(self, cq, cqe, stale: bool) -> None:
+    def on_cqe_demux(self, cq, cqe, stale: bool) -> None:
         """CompletionRouter verdict for one shared-CQ entry."""
         pid = self._cq_pids.get(id(cq))
         if pid is None:
@@ -396,8 +377,8 @@ class Tracer:
                      args={"cq_num": cq.cq_num, "wq_num": cqe.wq_num,
                            "wr_id": cqe.wr_id})
 
-    def link_send(self, src_index: int, dst_index: int, mailbox: str,
-                  arrival_ns: int) -> None:
+    def on_link_send(self, src_index: int, dst_index: int, mailbox: str,
+                     arrival_ns: int) -> None:
         """One ShardFabric message's wire traversal to the peer shard."""
         pid = self._pid("fabric")
         tid = self._tid(pid, f"link:{src_index}->{dst_index}")
@@ -407,8 +388,8 @@ class Tracer:
                      args={"src": src_index, "dst": dst_index,
                            "mailbox": mailbox, "arrival_ns": arrival_ns})
 
-    def offload_call(self, conn, start_ns: int, ok: bool,
-                     byte_len: int) -> None:
+    def on_offload_call(self, conn, start_ns: int, ok: bool,
+                        byte_len: int) -> None:
         pid = self.attach_nic(conn.client_nic)
         tid = self._tid(pid, "offload")
         self._append("X", "offload", f"call:{conn.name}", pid, tid,
@@ -427,22 +408,11 @@ class Tracer:
         self._append("X", "request", label, pid, tid, start_ns,
                      dur=self.sim.now - start_ns, args=args)
 
-    def _dram_store(self, memory, addr: int, length: int) -> None:
-        regions = self._regions.get(id(memory))
-        if not regions:
-            return
-        end = addr + length
-        for start, stop, label in regions:
-            if start >= end:
-                break
-            if stop > addr:
-                pid = self._pid(memory.name)
-                tid = self._tid(pid, "stores")
-                self._append("i", "mem", f"store:{label}", pid, tid,
-                             self.sim.now,
-                             args={"addr": addr, "len": length,
-                                   "region": label})
-                return
+    def _on_store(self, memory, addr: int, length: int, label: str) -> None:
+        pid = self._pid(memory.name)
+        tid = self._tid(pid, "stores")
+        self._append("i", "mem", f"store:{label}", pid, tid, self.sim.now,
+                     args={"addr": addr, "len": length, "region": label})
 
     # -- export ------------------------------------------------------------
 

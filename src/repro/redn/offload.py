@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple
 
-from .. import obs as _obs
 from ..ibv.api import VerbsContext
 from ..ibv.wr import wr_recv, wr_send
 from ..memory.region import AccessFlags, ProtectionDomain
@@ -160,6 +159,7 @@ class OffloadClient:
                     signaled=False))
         cq = self.conn.client_recv_cq
         deadline = self.sim.timeout(timeout_ns)
+        probe = self.sim.probe
         while True:
             cqe = cq.poll()
             if cqe is not None:
@@ -167,23 +167,14 @@ class OffloadClient:
                     yield self.sim.timeout(self.verbs.poll_detect_ns)
                 data = memory.read(self.conn.response_addr, cqe.byte_len) \
                     if cqe.byte_len else b""
-                if _obs.enabled:
-                    tracer = self.sim.tracer
-                    if tracer is not None:
-                        tracer.offload_call(self.conn, start, True,
-                                            len(data))
-                    telemetry = self.sim.telemetry
-                    if telemetry is not None:
-                        telemetry.request_complete(self.sim.now - start)
+                if probe.offload_call:
+                    for hook in probe.offload_call:
+                        hook(self.conn, start, True, len(data))
                 return CallResult(True, data, cqe.immediate,
                                   self.sim.now - start)
             if deadline.triggered:
-                if _obs.enabled:
-                    tracer = self.sim.tracer
-                    if tracer is not None:
-                        tracer.offload_call(self.conn, start, False, 0)
-                    telemetry = self.sim.telemetry
-                    if telemetry is not None:
-                        telemetry.request_complete(self.sim.now - start)
+                if probe.offload_call:
+                    for hook in probe.offload_call:
+                        hook(self.conn, start, False, 0)
                 return CallResult(False, latency_ns=self.sim.now - start)
             yield self.sim.any_of([cq.wait_for_event(), deadline])

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from .. import obs as _obs
 from ..memory.dram import Allocation, HostMemory
 from ..memory.region import AccessFlags, MemoryRegion, ProtectionDomain
 from ..nic.qp import QueuePair
@@ -127,12 +126,10 @@ class ChainQueue:
         # loopback QPs in the same PD) may rewrite it.
         self.code_mr: MemoryRegion = ctx.pd.register(
             self.wq.ring, access=AccessFlags.ALL)
-        if _obs.enabled:
-            tracer = ctx.nic.sim.tracer
-            if tracer is not None:
-                tracer.annotate_region(ctx.memory, self.wq.ring.addr,
-                                       self.wq.ring.size,
-                                       f"code:{name}")
+        if ctx.nic.sim.probe.code_region:
+            for hook in ctx.nic.sim.probe.code_region:
+                hook(ctx.memory, self.wq.ring.addr, self.wq.ring.size,
+                     f"code:{name}")
         self.refs: List[WrRef] = []
         #: Signaled completions expected on this queue's CQ after each
         #: posted WR — the numbers WAIT thresholds are computed from.

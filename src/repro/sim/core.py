@@ -45,6 +45,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
+from ..obs.probe import Probe
+
 __all__ = [
     "Simulator",
     "Event",
@@ -496,16 +498,10 @@ class Simulator:
         #: Processes that died with an unhandled exception. Inspect (or
         #: assert empty) in tests — failures never crash the kernel.
         self.failed_processes: List["Process"] = []
-        #: Attached :class:`repro.obs.Tracer`, or None. The kernel never
-        #: touches it; instrumented device models check it behind the
-        #: ``repro.obs.enabled`` module flag.
-        self.tracer = None
-        #: Attached :class:`repro.obs.recorder.FlightRecorder`, or None
-        #: — same contract as ``tracer``.
-        self.recorder = None
-        #: Attached :class:`repro.obs.telemetry.TelemetryCollector`, or
-        #: None — same contract as ``tracer``.
-        self.telemetry = None
+        #: This simulation's :class:`repro.obs.probe.Probe`. The kernel
+        #: never emits through it; device models announce their events
+        #: there and attached obs sinks receive them.
+        self.probe = Probe(self)
         self._metrics = None
 
     # -- scheduling ------------------------------------------------------

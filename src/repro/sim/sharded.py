@@ -47,7 +47,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs as _obs
 from .core import SimulationError, Simulator
 from .resources import Store
 
@@ -173,11 +172,10 @@ class ShardFabric:
             self._pending.setdefault(channel.dst_index, []),
             (arrival, src, seq, mailbox, payload))
         self.messages_sent += 1
-        if _obs.enabled:
-            tracer = self._sims[src].tracer
-            if tracer is not None:
-                tracer.link_send(src, channel.dst_index, mailbox,
-                                 arrival)
+        probe = self._sims[src].probe
+        if probe.link_send:
+            for hook in probe.link_send:
+                hook(src, channel.dst_index, mailbox, arrival)
         return arrival
 
     def pending_floor(self, dst_index: int) -> Optional[int]:

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs as _obs
 from repro.obs.blame import (BLAME_PHASES, RequestBlame, blame_registries,
                              blame_table, diff_blame, exemplar_order,
                              exemplars_of, folded_blame, summarize_blame)
@@ -182,7 +181,7 @@ def test_window_keeps_top_k_with_deterministic_ties():
         for seq, latency in enumerate([300, 700, 700, 700, 100]):
             yield 1
             blame = RequestBlame(0, seq, seq, sim.now - latency)
-            collector.request_complete(latency, blame=blame)
+            collector.on_request(latency, blame=blame)
         yield 10_000
 
     sim.process(driver(), name="driver")
@@ -208,7 +207,7 @@ def test_exemplar_pool_is_pruned_between_flushes():
         for seq in range(40):
             blame = RequestBlame(0, seq, seq, sim.now)
             yield 10
-            collector.request_complete(10, blame=blame)
+            collector.on_request(10, blame=blame)
 
     sim.process(driver(), name="driver")
     sim.run()
@@ -462,10 +461,9 @@ def test_metrics_export_blame_mode(tmp_path, capsys):
 
 
 def test_obs_disabled_leaves_no_blame_state():
-    assert not _obs.enabled
-    scenario, _fleet = None, None
     from repro.bench.fleet import FleetScenario
     scenario = FleetScenario(2, 2, 2, 2, True, 2, 1000)
+    assert all(not rig.sim.probe.sinks for rig in scenario.rigs)
     scenario.run()
     for rig in scenario.rigs:
         if rig.batchers:

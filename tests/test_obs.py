@@ -247,17 +247,18 @@ class TestOpenMetrics:
 
 class TestTracerLifecycle:
     def test_enabled_flag_tracks_attachment(self, lo):
-        assert obs.enabled is False
+        assert lo.sim.probe.sinks == []
         tracer = Tracer(lo.sim)
-        assert obs.enabled is True
+        assert lo.sim.probe.sinks == [tracer]
+        assert lo.sim.probe.post == (tracer.on_post,)
         tracer.close()
-        assert obs.enabled is False
-        assert lo.sim.tracer is None
+        assert lo.sim.probe.sinks == []
+        assert lo.sim.probe.post == ()
 
     def test_second_tracer_rejected(self, lo):
         tracer = Tracer(lo.sim)
         try:
-            with pytest.raises(ValueError):
+            with pytest.raises(obs.SinkAttachedError):
                 Tracer(lo.sim)
         finally:
             tracer.close()
@@ -266,7 +267,7 @@ class TestTracerLifecycle:
         tracer = Tracer(lo.sim)
         tracer.close()
         tracer.close()
-        assert obs.enabled is False
+        assert lo.sim.probe.sinks == []
 
 
 class TestTracerEvents:

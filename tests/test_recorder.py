@@ -21,6 +21,7 @@ from repro.obs import (
     JournalCorruptError,
     JournalTruncatedError,
     ReplayDivergence,
+    SinkAttachedError,
     load_journal,
     replay_journal,
 )
@@ -51,20 +52,19 @@ def drive_writes(lo, recorder, writes: int = 6):
 class TestRecorderLifecycle:
     def test_one_recorder_per_sim(self, lo):
         recorder = FlightRecorder(lo.sim)
-        with pytest.raises(ValueError):
+        with pytest.raises(SinkAttachedError):
             FlightRecorder(lo.sim)
         recorder.close()
         FlightRecorder(lo.sim).close()
 
     def test_close_detaches_and_clears_flag(self, lo):
-        import repro.obs as obs
         recorder = FlightRecorder(lo.sim)
         drive_writes(lo, recorder, writes=1)
-        assert obs.enabled
+        assert lo.sim.probe.sinks == [recorder]
         before = recorder.seq
         recorder.close()
-        assert not obs.enabled
-        assert lo.sim.recorder is None
+        assert lo.sim.probe.sinks == []
+        assert lo.sim.probe.post == ()
         # Detached: further traffic emits nothing.
         lo.qp_a.post_send(wr_write(0, 0, 0, 0))
         assert recorder.seq == before

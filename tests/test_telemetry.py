@@ -31,10 +31,10 @@ import pytest
 from repro.obs.metrics import (Histogram, HistogramLayoutError,
                                MetricsRegistry, parse_openmetrics,
                                to_openmetrics_multi)
+from repro.obs.probe import Probe, SinkAttachedError
 from repro.obs.telemetry import (BurnAlert, FleetTelemetry, SloRule,
                                  evaluate_slo, load_slo_rules,
                                  metric_value, summarize_records)
-from repro import obs as _obs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TOOLS = str(REPO_ROOT / "tools")
@@ -137,11 +137,11 @@ def test_quantile_within_one_bucket_of_exact(fraction):
 
 
 class _StubSim:
-    """now + metrics + telemetry slot: all a collector reads."""
+    """now + metrics + probe: all a collector reads."""
 
     def __init__(self):
         self.now = 0
-        self.telemetry = None
+        self.probe = Probe(self)
         self.metrics = MetricsRegistry()
 
 
@@ -162,23 +162,32 @@ def fleet():
     fleet = FleetTelemetry(window_ns=1_000)
     yield fleet
     fleet.close()
-    assert not _obs.enabled
+    assert all(not collector.sim.probe.sinks
+               for collector in fleet.collectors)
 
 
 def test_attach_rejects_double_attach(fleet):
     sim = _StubSim()
     fleet.attach(sim, bed="b")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(SinkAttachedError):
         fleet.attach(sim, bed="again")
+
+
+def _post(collector, wq):
+    collector.on_post(wq, 0, 0, 1, None)
+
+
+def _fetch(collector, wq):
+    collector.on_fetch(wq, 0, 0, 1, None, False)
 
 
 def test_windows_sparse_not_zero_filled(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
     sim.now = 100
-    collector.request_complete(40, key="k")
+    collector.on_request(40, key="k")
     sim.now = 5_500  # windows 1-4 idle -> no records for them
-    collector.request_complete(40, key="k")
+    collector.on_request(40, key="k")
     records = fleet.finalize()
     assert [record["window"] for record in records] == [0, 5]
     assert records[0]["keys"] == {"k": 1}
@@ -190,13 +199,14 @@ def test_depth_clamped_and_growth_signed(fleet):
     collector = fleet.attach(sim, bed="b")
     sq = _WQ("b-sq")
     for _ in range(3):
-        collector.on_post(sq)
+        _post(collector, sq)
     # A managed recycled ring can fetch past posted_count: clamp at 0.
-    collector.on_fetch(sq, 5)
+    for _ in range(5):
+        _fetch(collector, sq)
     sim.now = 1_200
-    collector.on_fetch(sq, 1)
+    _fetch(collector, sq)
     sim.now = 2_100
-    collector.on_post(sq)
+    _post(collector, sq)
     records = fleet.finalize()
     w0, w1, w2 = records
     assert w0["queues"] == {
@@ -212,15 +222,15 @@ def test_flush_seals_exactly_below_floor(fleet):
     collector = fleet.attach(sim, bed="b")
     sink = io.StringIO()
     fleet.sink = sink
-    collector.request_complete(10)
+    collector.on_request(10)
     sim.now = 2_500
-    collector.request_complete(10)
+    collector.on_request(10)
     # t_min 2_000 proves windows < 2 final: window 0 emits, the open
     # window 2 must survive (more samples can still land in it).
     emitted = fleet.flush(t_min=2_000)
     assert [record["window"] for record in emitted] == [0]
     sim.now = 2_900
-    collector.request_complete(10)
+    collector.on_request(10)
     fleet.finalize()
     assert [record["window"] for record in fleet.records] == [0, 2]
     assert fleet.records[1]["requests"] == 2
@@ -231,10 +241,10 @@ def test_flush_seals_exactly_below_floor(fleet):
 def test_cqe_and_pu_accounting(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
-    sim.now = 150
-    collector.on_cqe(_CQ("b-cq", entries=2))
-    collector.on_pu(_WQ("b-sq"), 420)
-    collector.on_dma(None, 4096)
+    sim.now = 500
+    collector.on_cqe(_CQ("b-cq", entries=2), None, 0)
+    collector.on_pu(None, _WQ("b-sq"), 0, 80)  # 420 ns busy
+    collector.on_dma(None, 4096, 0)
     (record,) = fleet.finalize()
     assert record["queues"]["cq_depth_max"] == 3  # 2 queued + delivered
     assert record["queues"]["cq_hot"] == "b-cq"
@@ -246,10 +256,10 @@ def test_cqe_and_pu_accounting(fleet):
 def test_summarize_merges_windows(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
-    collector.request_complete(100, key="hot")
+    collector.on_request(100, key="hot")
     sim.now = 1_100
-    collector.request_complete(9_000, key="hot")
-    collector.request_complete(100, key="cold")
+    collector.on_request(9_000, key="hot")
+    collector.on_request(100, key="cold")
     records = fleet.finalize()
     summary = summarize_records(records)["b"]
     assert summary["requests"] == 3
@@ -307,10 +317,10 @@ def test_burn_alert_fires_at_deterministic_timestamp(fleet):
     sq = _WQ("bed-x-sq")
     for window in range(8):
         sim.now = window * 1_000 + 500
-        collector.on_post(sq)
-        collector.on_fetch(sq, 1)
+        _post(collector, sq)
+        _fetch(collector, sq)
         latency = 50 if window < 4 else 5_000  # breach from window 4
-        collector.request_complete(latency)
+        collector.on_request(latency)
     sim.now = 9_000
     records = fleet.finalize()
 
@@ -341,9 +351,9 @@ def test_burn_alert_fires_at_deterministic_timestamp(fleet):
 def test_gap_windows_count_good(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
-    collector.request_complete(5_000)  # bad window 0
+    collector.on_request(5_000)  # bad window 0
     sim.now = 4_500
-    collector.request_complete(5_000)  # bad window 4, gap 1-3 good
+    collector.on_request(5_000)  # bad window 4, gap 1-3 good
     records = fleet.finalize()
     strict = SloRule("strict", "p99_ns", max=100, budget=1.0,
                      long_windows=2, short_windows=2)
@@ -399,6 +409,8 @@ def _drive_cluster(serial, telemetry):
     fleet = scenario.attach_telemetry() if telemetry else None
     fingerprint, measures = scenario.run(serial=serial)
     stream = fleet.to_jsonl() if fleet else None
+    # scenario.run closed the fleet: every bed is back on the obs-off path.
+    assert all(not rig.bed.sim.probe.sinks for rig in scenario.rigs)
     return fingerprint, measures, stream
 
 
@@ -419,7 +431,6 @@ def test_cluster_serial_vs_sharded_stream_byte_identical():
     # The concatenated stream is globally sorted in canonical order.
     keys = [(record["window"], record["shard"]) for record in records]
     assert keys == sorted(keys)
-    assert not _obs.enabled  # scenario.run closed the fleet
 
 
 def test_cluster_tight_slo_breach_is_deterministic():
@@ -497,9 +508,19 @@ def test_fleet_top_error_paths(tmp_path):
         fleet_top.main(["--input", str(empty), "--window", "1000"])
 
 
-def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys):
+def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys, monkeypatch):
     import fleet_top
 
+    from repro.bench.cluster import ClusterScenario
+
+    fleets = []
+    attach = ClusterScenario.attach_telemetry
+
+    def capture(self, *args, **kwargs):
+        fleets.append(attach(self, *args, **kwargs))
+        return fleets[-1]
+
+    monkeypatch.setattr(ClusterScenario, "attach_telemetry", capture)
     out_jsonl = tmp_path / "run.jsonl"
     out_json = tmp_path / "summary.json"
     assert fleet_top.main(["--beds", "4", "--requests", "8", "--quiet",
@@ -510,7 +531,9 @@ def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys):
     assert records and records[0]["bed"] == "bed0"
     summary = json.loads(out_json.read_text())
     assert set(summary["beds"]) == {f"bed{i}" for i in range(4)}
-    assert not _obs.enabled
+    (fleet,) = fleets
+    assert all(not collector.sim.probe.sinks
+               for collector in fleet.collectors)
 
 
 # -- bench_history p99 column (satellite) ---------------------------------
