@@ -45,7 +45,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--telemetry", default=None, metavar="OUT.jsonl",
         help="record windowed fleet telemetry of every simulated bed "
-             "to this JSONL file (see tools/fleet_top.py --input)")
+             "to this JSONL file (see tools/fleet.py top --input)")
 
 
 def pytest_configure(config):

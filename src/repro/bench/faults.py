@@ -237,8 +237,7 @@ def run_triage(scenario: str = "storm", *, serial: bool = False,
                num_shards: int = 4, clients_per_shard: int = 16,
                requests_per_client: int = 16, pool_qps: int = 8,
                window_ns: int = 20_000, exemplars: int = 4,
-               capture: bool = True,
-               sentry_kwargs: Optional[dict] = None) -> TriageRun:
+               capture: bool = True) -> TriageRun:
     """Build the fleet, arm one fault scenario, run, and triage.
 
     Returns a :class:`TriageRun` whose ``report_json`` is the
@@ -274,10 +273,8 @@ def run_triage(scenario: str = "storm", *, serial: bool = False,
                 rig.sim, name=f"{rig.shard.name}-triage",
                 capacity=1 << 15, monitor=False)
 
-    kwargs = dict(skew_min_total=3 * num_shards)
-    kwargs.update(sentry_kwargs or {})
     sentry = FleetSentry(window_ns, recorders=recorders,
-                         **kwargs).subscribe(telemetry)
+                         skew_min_total=3 * num_shards).subscribe(telemetry)
 
     fingerprint, measures = fleet_scenario.run(serial=serial)
     for recorder in recorders.values():

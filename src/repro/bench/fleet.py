@@ -75,8 +75,8 @@ class FleetError(RuntimeError):
     """A fleet run ended with failed or unfinished processes.
 
     Typed (instead of a bare ``AssertionError``) so drivers like
-    ``fleet_top`` and the triage CLI can attribute the failure: which
-    beds were implicated and which simulated processes died there.
+    ``tools/fleet.py`` can attribute the failure: which beds were
+    implicated and which simulated processes died there.
     """
 
     def __init__(self, message: str, beds: List[str],

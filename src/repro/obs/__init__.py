@@ -33,7 +33,7 @@ methods; three ship here:
   windowed counters, queue depths, PU utilization and tail-latency
   digests, merged fleet-wide by :class:`FleetTelemetry` into one
   deterministic JSONL stream with SLO burn-rate alerting — see
-  ``tools/fleet_top.py``.
+  ``tools/fleet.py top``.
 
 Each sink keeps its own output format; none sees another. Separately,
 :class:`MetricsRegistry` (``repro.obs.metrics``) holds named counters,
@@ -53,7 +53,7 @@ attribution *across shards*: a live :class:`RequestBlame` context
 rides the fleet's fabric payloads while the connection plane records
 typed spans into it (``pool_wait``, ``doorbell_batch``, ``cqe_demux``,
 ``link_wire``, ``gw_wait``), so per-phase blame for a cross-shard get
-sums exactly to its end-to-end latency — see ``tools/tail_blame.py``.
+sums exactly to its end-to-end latency — see ``tools/fleet.py blame``.
 
 ``repro.obs.sentry`` closes the loop: a :class:`FleetSentry` folds
 over the sealed telemetry window stream with deterministic anomaly
@@ -63,7 +63,7 @@ throughput collapse), groups time-correlated anomalies into incidents
 with targeted capture (boosted blame-exemplar retention, bounded
 flight-recorder slices, pre/post baselines), and emits a causal
 root-cause report ranking implicated (shard, queue, phase) — see
-``tools/incident_report.py`` and the fault scenarios in
+``tools/fleet.py triage`` and the fault scenarios in
 ``repro.bench.faults``.
 
 Fast path

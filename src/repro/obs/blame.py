@@ -34,7 +34,7 @@ that created it, which is what makes the per-(shard, queue, phase)
 rollup actionable for the adaptive router (ROADMAP item 5).
 
 On top of the per-request records sit the aggregation helpers the
-``tools/tail_blame.py`` CLI renders: :func:`blame_table` (the
+``tools/fleet.py blame`` CLI renders: :func:`blame_table` (the
 per-(shard, queue, phase) decomposition), :func:`summarize_blame`
 (per-phase means over the tail exemplars), :func:`folded_blame`
 (flamegraph folded stacks), :func:`diff_blame` (regression
@@ -194,7 +194,7 @@ def blame_table(records: List[dict]) -> List[Dict[str, Any]]:
 
 
 def summarize_blame(records: List[dict]) -> Dict[str, Any]:
-    """The ``tail_blame --json`` document: phase means over the tail.
+    """The ``fleet.py blame --json`` document: phase means over the tail.
 
     ``phases[phase]`` carries total/mean ns and the share of all
     exemplar latency; ``shards[str(shard)]`` the per-shard blame total.
@@ -258,7 +258,7 @@ def diff_blame(current: Dict[str, Any],
 
     Returns the p99 delta plus per-phase and per-shard mean-ns deltas
     ranked by absolute movement — "the p99 grew 12 us and pool_wait on
-    shard 3 grew 11 us of it" — the ``tail_blame --diff`` payload.
+    shard 3 grew 11 us of it" — the ``fleet.py blame --diff`` payload.
     """
     cur_p99 = current.get("p99_ns")
     base_p99 = baseline.get("p99_ns")

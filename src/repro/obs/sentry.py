@@ -48,26 +48,26 @@ name                 tier  phase       fires when (vs trailing baselines)
 ===================  ====  ==========  ====================================
 flatline               0   flatline    a previously-active shard stops
                                        emitting windows for
-                                       ``flatline_gap`` while the fleet
+                                       ``FLATLINE_GAP`` while the fleet
                                        stays busy
 queue_growth           1   queueing    SQ net growth over a window exceeds
-                                       ``growth_threshold`` (or RQ peak
+                                       ``GROWTH_THRESHOLD`` (or RQ peak
                                        doubles)
 pu_saturation          1   pu_exec     PU busy (incl. PU queueing)
                                        utilization steps past
-                                       ``util_factor`` x baseline
+                                       ``UTIL_FACTOR`` x baseline
 pool_pressure          1   pool_wait   QP-pool lease-wait p99 spikes past
-                                       ``pool_wait_factor`` x baseline
+                                       ``POOL_WAIT_FACTOR`` x baseline
 stale_cqe              1   cqe_demux   the shared-CQ demux quarantines
                                        more stale CQEs than the baseline
 skew_shift             1   skew        a shard's share of fleet requests
-                                       (over a ``skew_span`` rolling
-                                       window) drops by ``skew_drop``
+                                       (over a ``SKEW_SPAN`` rolling
+                                       window) drops by ``SKEW_DROP``
 throughput_collapse    2   throughput  fleet-wide requests/window fall
-                                       under ``collapse_frac`` x the
+                                       under ``COLLAPSE_FRAC`` x the
                                        trailing mean
 tail_step              2   tail        p99/p999 steps past
-                                       ``tail_factor`` x the trailing max
+                                       ``TAIL_FACTOR`` x the trailing max
 ===================  ====  ==========  ====================================
 
 Tier orders cause ranking inside an incident: a shard going dark
@@ -75,11 +75,11 @@ Tier orders cause ranking inside an incident: a shard going dark
 symptoms (tier 2 — the tail itself, the throughput collapse); within a
 tier, larger severity (value / baseline) wins, with deterministic
 ``(shard, detector, queue)`` tie-breaks. Anomalies within
-``merge_gap`` windows of each other merge into one incident, so a
+``MERGE_GAP`` windows of each other merge into one incident, so a
 single fault surfacing through several detectors — including its own
 recovery transient, bridged by ``throughput_collapse`` while a
 closed-loop fleet stalls — yields exactly one incident. The first
-``warmup_windows`` global windows are exempt: a fleet ramping up has
+``WARMUP_WINDOWS`` global windows are exempt: a fleet ramping up has
 no meaningful baseline yet (the trailing histories still accumulate).
 """
 
@@ -94,6 +94,56 @@ __all__ = ["SENTRY_SCHEMA", "DETECTORS", "Anomaly", "Incident",
            "FleetSentry", "triage_verdict"]
 
 SENTRY_SCHEMA = 1
+
+# Detector tuning. Window counts are sealed telemetry windows; factors
+# multiply a trailing baseline.
+
+#: Trailing windows kept per shard (and for fleet totals and shares)
+#: as the baseline, and the fewest a detector needs before it fires.
+BASELINE_WINDOWS = 8
+MIN_BASELINE = 3
+#: Leading global windows exempt from detection: a fleet ramping up
+#: has no meaningful baseline yet.
+WARMUP_WINDOWS = 6
+#: Anomalies within this many windows of an open incident join it.
+MERGE_GAP = 3
+#: tail_step: p99/p999 reaches TAIL_FACTOR x the trailing max and
+#: exceeds it by TAIL_FLOOR_NS, in a window of at least
+#: TAIL_MIN_REQUESTS requests.
+TAIL_FACTOR = 3.0
+TAIL_FLOOR_NS = 20_000
+TAIL_MIN_REQUESTS = 6
+#: queue_growth: SQ net growth (or RQ peak depth) in WRs.
+GROWTH_THRESHOLD = 32
+#: pu_saturation: utilization step factor and absolute floor.
+UTIL_FACTOR = 2.5
+UTIL_FLOOR = 0.6
+#: pool_pressure: lease-wait p99 step factor and absolute floor.
+POOL_WAIT_FACTOR = 3.0
+POOL_WAIT_FLOOR_NS = 3000
+#: stale_cqe: quarantined CQEs in one window.
+STALE_THRESHOLD = 1
+#: skew_shift: fractional share drop, over rolling SKEW_SPAN-window
+#: spans, of a shard holding at least SKEW_FLOOR_SHARE.
+SKEW_DROP = 0.8
+SKEW_SPAN = 4
+SKEW_FLOOR_SHARE = 0.05
+#: throughput_collapse: fleet requests/window under this fraction of
+#: the trailing healthy mean.
+COLLAPSE_FRAC = 0.2
+#: flatline: windows of silence from a previously active shard.
+FLATLINE_GAP = 3
+
+# Targeted capture.
+
+#: Tail exemplars an incident retains.
+MAX_EXEMPLARS = 32
+#: Windows per implicated shard kept as the post-incident baseline.
+POST_WINDOWS = 2
+#: Flight-recorder slice: windows before the incident opens, and the
+#: record cap.
+CAPTURE_PRE_WINDOWS = 2
+CAPTURE_SLICE = 64
 
 #: detector name -> (ranking tier, implicated blame phase).
 DETECTORS = {
@@ -160,9 +210,9 @@ class Incident:
     __slots__ = ("id", "anomalies", "shards", "first_window",
                  "last_window", "exemplars", "baseline_records",
                  "incident_records", "post_records", "closed",
-                 "_post_budget", "_max_exemplars")
+                 "_post_budget")
 
-    def __init__(self, incident_id: int, max_exemplars: int):
+    def __init__(self, incident_id: int):
         self.id = incident_id
         self.anomalies: List[Anomaly] = []
         self.shards: List[int] = []        # insertion order, deduped
@@ -178,7 +228,6 @@ class Incident:
         self.post_records: List[dict] = []
         self.closed = False
         self._post_budget: Dict[int, int] = {}
-        self._max_exemplars = max_exemplars
 
     def __repr__(self) -> str:
         return (f"<Incident #{self.id} shards={self.shards} "
@@ -203,9 +252,9 @@ class Incident:
         if not exemplars:
             return
         self.exemplars.extend(exemplars)
-        if len(self.exemplars) > self._max_exemplars:
+        if len(self.exemplars) > MAX_EXEMPLARS:
             self.exemplars.sort(key=exemplar_order)
-            del self.exemplars[self._max_exemplars:]
+            del self.exemplars[MAX_EXEMPLARS:]
 
     def causes(self) -> List[dict]:
         """Ranked root-cause rows: (shard, queue, phase) by tier/severity."""
@@ -247,61 +296,14 @@ class FleetSentry:
     """
 
     def __init__(self, window_ns: int, *,
-                 baseline_windows: int = 8,
-                 min_baseline: int = 3,
-                 warmup_windows: int = 6,
-                 merge_gap: int = 3,
-                 tail_factor: float = 3.0,
-                 tail_floor_ns: int = 20_000,
-                 tail_min_requests: int = 6,
-                 growth_threshold: int = 32,
-                 util_factor: float = 2.5,
-                 util_floor: float = 0.6,
-                 pool_wait_factor: float = 3.0,
-                 pool_wait_floor_ns: int = 3000,
-                 stale_threshold: int = 1,
-                 skew_drop: float = 0.8,
-                 skew_span: int = 4,
-                 skew_min_total: int = 12,
-                 skew_floor_share: float = 0.05,
-                 collapse_frac: float = 0.2,
-                 flatline_gap: int = 3,
-                 max_exemplars: int = 32,
-                 post_windows: int = 2,
-                 capture_pre_ns: Optional[int] = None,
-                 capture_slice: int = 64,
-                 recorders: Optional[Dict[int, Any]] = None):
+                 recorders: Optional[Dict[int, Any]] = None,
+                 skew_min_total: int = 12):
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
-        if min_baseline < 1 or baseline_windows < min_baseline:
-            raise ValueError("need 1 <= min_baseline <= baseline_windows")
-        if skew_span < 1:
-            raise ValueError(f"skew_span must be positive, got {skew_span}")
         self.window_ns = window_ns
-        self.baseline_windows = baseline_windows
-        self.min_baseline = min_baseline
-        self.warmup_windows = warmup_windows
-        self.merge_gap = merge_gap
-        self.tail_factor = tail_factor
-        self.tail_floor_ns = tail_floor_ns
-        self.tail_min_requests = tail_min_requests
-        self.growth_threshold = growth_threshold
-        self.util_factor = util_factor
-        self.util_floor = util_floor
-        self.pool_wait_factor = pool_wait_factor
-        self.pool_wait_floor_ns = pool_wait_floor_ns
-        self.stale_threshold = stale_threshold
-        self.skew_drop = skew_drop
-        self.skew_span = skew_span
+        #: Fleet requests per window below which the fleet counts as
+        #: idle: the skew, flatline and collapse detectors hold fire.
         self.skew_min_total = skew_min_total
-        self.skew_floor_share = skew_floor_share
-        self.collapse_frac = collapse_frac
-        self.flatline_gap = flatline_gap
-        self.max_exemplars = max_exemplars
-        self.post_windows = post_windows
-        self.capture_pre_ns = (2 * window_ns if capture_pre_ns is None
-                               else capture_pre_ns)
-        self.capture_slice = capture_slice
         #: Optional shard -> FlightRecorder map for slice capture.
         self.recorders = recorders or {}
 
@@ -371,13 +373,13 @@ class FleetSentry:
 
         # Per-record detectors against the shard's trailing baseline.
         history = self._history.setdefault(shard, [])
-        if window >= self.warmup_windows:
+        if window >= WARMUP_WINDOWS:
             fired.extend(self._detect(record, history))
 
         for anomaly in fired:
             self._admit(anomaly)
         if (self._open is not None
-                and window > self._open.last_window + self.merge_gap):
+                and window > self._open.last_window + MERGE_GAP):
             self._close_open()
 
         # Targeted capture for open/just-closed incidents.
@@ -394,8 +396,8 @@ class FleetSentry:
 
         # Trailing-history bookkeeping.
         history.append(record)
-        if len(history) > self.baseline_windows:
-            del history[:len(history) - self.baseline_windows]
+        if len(history) > BASELINE_WINDOWS:
+            del history[:len(history) - BASELINE_WINDOWS]
         self._last_seen[shard] = window
         if record["requests"]:
             self._active[shard] = True
@@ -435,14 +437,14 @@ class FleetSentry:
         window = record["window"]
         queues = record["queues"]
         sq_hot = queues.get("sq_hot")
-        if len(history) < self.min_baseline:
+        if len(history) < MIN_BASELINE:
             return fired
 
         # queue_growth — SQ net growth / RQ peak step.
         growth = queues.get("sq_growth", 0)
         base_growth = max([h["queues"].get("sq_growth", 0)
                            for h in history] + [0])
-        if growth >= self.growth_threshold and growth >= 2 * max(
+        if growth >= GROWTH_THRESHOLD and growth >= 2 * max(
                 base_growth, 1):
             fired.append(self._fire(
                 "queue_growth", shard, window, "sq_growth", growth,
@@ -453,7 +455,7 @@ class FleetSentry:
             rq_max = queues.get("rq_depth_max", 0)
             base_rq = max(h["queues"].get("rq_depth_max", 0)
                           for h in history)
-            if rq_max >= self.growth_threshold and rq_max >= 2 * max(
+            if rq_max >= GROWTH_THRESHOLD and rq_max >= 2 * max(
                     base_rq, 1):
                 fired.append(self._fire(
                     "queue_growth", shard, window, "rq_depth_max",
@@ -465,8 +467,8 @@ class FleetSentry:
         # pu_saturation — utilization (busy incl. PU queueing) step.
         util = record.get("util", 0.0)
         base_util = max(h.get("util", 0.0) for h in history)
-        if (util >= self.util_floor
-                and util >= self.util_factor * max(base_util, 0.01)):
+        if (util >= UTIL_FLOOR
+                and util >= UTIL_FACTOR * max(base_util, 0.01)):
             fired.append(self._fire(
                 "pu_saturation", shard, window, "util", util,
                 round(base_util, 6), util / max(base_util, 0.01),
@@ -477,8 +479,8 @@ class FleetSentry:
         # pool_pressure — QP-pool lease-wait p99 spike.
         wait = _pool_wait_p99(record)
         base_wait = max(_pool_wait_p99(h) for h in history)
-        if (wait >= self.pool_wait_floor_ns
-                and wait >= self.pool_wait_factor * max(base_wait, 1)):
+        if (wait >= POOL_WAIT_FLOOR_NS
+                and wait >= POOL_WAIT_FACTOR * max(base_wait, 1)):
             fired.append(self._fire(
                 "pool_pressure", shard, window, "pool_wait_p99_ns",
                 wait, base_wait, wait / max(base_wait, 1), queue=sq_hot,
@@ -488,7 +490,7 @@ class FleetSentry:
         # stale_cqe — quarantine-rate step.
         stale = record.get("stale_cqes", 0)
         base_stale = max(h.get("stale_cqes", 0) for h in history)
-        if stale >= self.stale_threshold and stale > base_stale:
+        if stale >= STALE_THRESHOLD and stale > base_stale:
             fired.append(self._fire(
                 "stale_cqe", shard, window, "stale_cqes", stale,
                 base_stale, stale / max(base_stale, 1),
@@ -499,7 +501,7 @@ class FleetSentry:
         # tail_step — p99 (falling back to p999) step-change. Gated on
         # a minimum sample count: a near-empty window's p99 is one
         # unlucky request, not a tail.
-        if record["requests"] >= self.tail_min_requests:
+        if record["requests"] >= TAIL_MIN_REQUESTS:
             for metric in ("p99_ns", "p999_ns"):
                 cur = _latency_metric(record, metric)
                 if cur is None:
@@ -508,11 +510,11 @@ class FleetSentry:
                     v for v in
                     (_latency_metric(h, metric) for h in history)
                     if v is not None]
-                if len(base_values) < self.min_baseline:
+                if len(base_values) < MIN_BASELINE:
                     continue
                 base = max(base_values)
-                if (cur >= base + self.tail_floor_ns
-                        and cur >= self.tail_factor * max(base, 1)):
+                if (cur >= base + TAIL_FLOOR_NS
+                        and cur >= TAIL_FACTOR * max(base, 1)):
                     fired.append(self._fire(
                         "tail_step", shard, window, metric, cur, base,
                         cur / max(base, 1), queue=sq_hot,
@@ -532,7 +534,7 @@ class FleetSentry:
         counts = dict(self._skew_counts)
         total = sum(counts.values())
         fired: List[Anomaly] = []
-        warm = window >= self.warmup_windows
+        warm = window >= WARMUP_WINDOWS
 
         # throughput_collapse — fleet-wide requests/window fall off a
         # cliff vs the trailing *healthy* mean (collapsed windows do
@@ -541,10 +543,10 @@ class FleetSentry:
         # what bridges a fault and its backlog-drain transient into
         # one incident).
         collapsed = False
-        if len(self._total_hist) >= self.min_baseline:
+        if len(self._total_hist) >= MIN_BASELINE:
             mean = sum(self._total_hist) / len(self._total_hist)
             if (warm and mean >= self.skew_min_total
-                    and total <= self.collapse_frac * mean):
+                    and total <= COLLAPSE_FRAC * mean):
                 collapsed = True
                 fired.append(self._fire(
                     "throughput_collapse", self._busiest_shard(), window,
@@ -554,9 +556,9 @@ class FleetSentry:
                            f"window vs a trailing mean of {mean:.1f}"))
         if not collapsed:
             self._total_hist.append(total)
-            if len(self._total_hist) > self.baseline_windows:
+            if len(self._total_hist) > BASELINE_WINDOWS:
                 del self._total_hist[:len(self._total_hist)
-                                     - self.baseline_windows]
+                                     - BASELINE_WINDOWS]
 
         # flatline — a previously-active shard stopped emitting windows
         # entirely while the rest of the fleet stayed busy.
@@ -566,7 +568,7 @@ class FleetSentry:
                         or not self._active.get(shard)):
                     continue
                 last = self._last_seen[shard]
-                if window - last >= self.flatline_gap:
+                if window - last >= FLATLINE_GAP:
                     history = self._history.get(shard, [])
                     base_requests = (
                         round(sum(h["requests"] for h in history)
@@ -582,29 +584,29 @@ class FleetSentry:
                                f"requests/window)"))
 
         # skew_shift — per-shard share of fleet requests over a rolling
-        # ``skew_span`` of windows (single fleet windows are too small
+        # ``SKEW_SPAN`` of windows (single fleet windows are too small
         # to make shares meaningful; the span smooths scheduling noise
         # while a re-homed or starved shard still collapses to ~0).
         self._span.append(counts)
-        if len(self._span) > self.skew_span:
-            del self._span[:len(self._span) - self.skew_span]
-        if len(self._span) == self.skew_span:
+        if len(self._span) > SKEW_SPAN:
+            del self._span[:len(self._span) - SKEW_SPAN]
+        if len(self._span) == SKEW_SPAN:
             span_counts: Dict[int, int] = {}
             for window_counts in self._span:
                 for shard, n in window_counts.items():
                     span_counts[shard] = span_counts.get(shard, 0) + n
             span_total = sum(span_counts.values())
-            if span_total >= self.skew_min_total * self.skew_span:
+            if span_total >= self.skew_min_total * SKEW_SPAN:
                 shards = sorted(set(self._share_hist) | set(span_counts))
                 for shard in shards:
                     share = span_counts.get(shard, 0) / span_total
                     hist = self._share_hist.setdefault(shard, [])
-                    if (warm and len(hist) >= self.min_baseline
+                    if (warm and len(hist) >= MIN_BASELINE
                             and shard not in self._flatlined):
                         base = sum(hist) / len(hist)
-                        if (base >= self.skew_floor_share
+                        if (base >= SKEW_FLOOR_SHARE
                                 and share <= base
-                                * (1.0 - self.skew_drop)):
+                                * (1.0 - SKEW_DROP)):
                             fired.append(self._fire(
                                 "skew_shift", shard, window,
                                 "request_share", round(share, 6),
@@ -613,11 +615,11 @@ class FleetSentry:
                                 detail=f"share of fleet requests fell "
                                        f"to {share:.3f} from trailing "
                                        f"mean {base:.3f} (over "
-                                       f"{self.skew_span}-window "
+                                       f"{SKEW_SPAN}-window "
                                        f"spans)"))
                     hist.append(share)
-                    if len(hist) > self.baseline_windows:
-                        del hist[:len(hist) - self.baseline_windows]
+                    if len(hist) > BASELINE_WINDOWS:
+                        del hist[:len(hist) - BASELINE_WINDOWS]
         return fired
 
     def _busiest_shard(self) -> int:
@@ -641,13 +643,12 @@ class FleetSentry:
     def _admit(self, anomaly: Anomaly) -> None:
         if (self._open is not None
                 and anomaly.window <= self._open.last_window
-                + self.merge_gap):
+                + MERGE_GAP):
             incident = self._open
         else:
             if self._open is not None:
                 self._close_open()
-            incident = Incident(len(self.incidents) + 1,
-                                self.max_exemplars)
+            incident = Incident(len(self.incidents) + 1)
             self.incidents.append(incident)
             self._open = incident
         new_shard = anomaly.shard not in incident.shards
@@ -665,11 +666,10 @@ class FleetSentry:
         self._open = None
         incident.closed = True
         incident.exemplars.sort(key=exemplar_order)
-        del incident.exemplars[self.max_exemplars:]
-        if self.post_windows > 0:
-            incident._post_budget = {
-                shard: self.post_windows for shard in incident.shards}
-            self._post_pending.append(incident)
+        del incident.exemplars[MAX_EXEMPLARS:]
+        incident._post_budget = {
+            shard: POST_WINDOWS for shard in incident.shards}
+        self._post_pending.append(incident)
 
     # -- reporting ---------------------------------------------------------
 
@@ -677,7 +677,8 @@ class FleetSentry:
         recorder = self.recorders.get(shard)
         if recorder is None:
             return None
-        from_ns = max(0, incident.open_at_ns - self.capture_pre_ns)
+        from_ns = max(0, incident.open_at_ns
+                      - CAPTURE_PRE_WINDOWS * self.window_ns)
         to_ns = self._end_ns(incident.last_window)
         kept: List[dict] = []
         truncated = False
@@ -685,7 +686,7 @@ class FleetSentry:
             ts = rec.get("ts", 0)
             if ts < from_ns or ts > to_ns:
                 continue
-            if len(kept) >= self.capture_slice:
+            if len(kept) >= CAPTURE_SLICE:
                 truncated = True
                 break
             kept.append(rec)
@@ -775,7 +776,7 @@ class FleetSentry:
             "baseline": self._baseline_summary(incident.baseline_records),
             "post": self._baseline_summary(incident.post_records),
             "blame_diff": self._blame_diff(incident),
-            "exemplars": incident.exemplars[:self.max_exemplars],
+            "exemplars": incident.exemplars[:MAX_EXEMPLARS],
             "capture": (self._capture_slice(incident, top["shard"])
                         if top else None),
         }

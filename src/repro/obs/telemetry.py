@@ -36,7 +36,7 @@ On top of the stream sit derived signals (utilization, queue growth,
 per-window p50/p99/p999), declarative SLO rules with multi-window
 burn-rate alerts (:func:`evaluate_slo`) that fire at a deterministic
 simulated timestamp and name the violating bed and queue, and hot-key
-skew attribution. ``tools/fleet_top.py`` renders all of it.
+skew attribution. ``tools/fleet.py top`` renders all of it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from typing import Any, Dict, List, Optional
 from .metrics import Histogram
 
 __all__ = ["DEFAULT_WINDOW_NS", "TelemetryCollector", "FleetTelemetry",
-           "SloRule", "BurnAlert", "load_slo_rules", "evaluate_slo",
-           "summarize_records"]
+           "METRICS", "SloRule", "BurnAlert", "load_slo_rules",
+           "evaluate_slo", "summarize_records"]
 
 #: Default telemetry window width. 20 us spans hundreds of NIC events
 #: per busy bed yet gives the ~265 us cluster run a dozen-point series.
@@ -411,23 +411,37 @@ class FleetTelemetry:
 # -- stream post-processing -----------------------------------------------
 
 
-def metric_value(record: dict, metric: str):
-    """Extract a named derived signal from one window record.
+#: Every numeric signal :func:`metric_value` can read off a window
+#: record, by where it lives: the latency histogram, the QP-pool wait
+#: histogram, the ``queues`` sub-dict (less the hot-queue names, which
+#: are strings), and the top-level counters and gauges.
+LATENCY_METRICS = ("p50_ns", "p99_ns", "p999_ns", "latency_max_ns")
+POOL_WAIT_METRICS = ("pool_wait_p50_ns", "pool_wait_p99_ns",
+                     "pool_wait_p999_ns", "pool_wait_max_ns")
+QUEUE_METRICS = ("sq_depth_max", "sq_depth_end", "sq_growth",
+                 "rq_depth_max", "cq_depth_max")
+COUNTER_METRICS = ("posts", "doorbells", "fetches", "wrs", "cqes",
+                   "dma_bytes", "requests", "serviced", "pu_busy_ns",
+                   "util", "stale_cqes")
+METRICS = LATENCY_METRICS + POOL_WAIT_METRICS + QUEUE_METRICS \
+    + COUNTER_METRICS
 
-    Latency metrics (``p50_ns``/``p99_ns``/``p999_ns``/
-    ``latency_max_ns``) are ``None`` for windows without requests;
-    queue metrics come from the ``queues`` sub-dict; everything else
-    is a top-level counter or gauge.
+
+def metric_value(record: dict, metric: str):
+    """Extract a named derived signal (one of :data:`METRICS`).
+
+    Latency and pool-wait metrics are ``None`` for windows without
+    samples; queue metrics come from the ``queues`` sub-dict; the rest
+    are top-level counters or gauges.
     """
-    if metric in ("p50_ns", "p99_ns", "p999_ns", "latency_max_ns"):
+    if metric in LATENCY_METRICS:
         latency = record.get("latency")
         if not latency:
             return None
         if metric == "latency_max_ns":
             return latency.get("max")
         return latency.get(metric[:-3])
-    if metric in ("pool_wait_p50_ns", "pool_wait_p99_ns",
-                  "pool_wait_p999_ns", "pool_wait_max_ns"):
+    if metric in POOL_WAIT_METRICS:
         pool_wait = record.get("pool_wait")
         if not pool_wait:
             return None
@@ -441,7 +455,7 @@ def metric_value(record: dict, metric: str):
 
 
 def summarize_records(records: List[dict]) -> Dict[str, dict]:
-    """Whole-run per-bed rollup: the data behind the ``fleet_top`` table.
+    """Whole-run per-bed rollup: the data behind the ``fleet.py top`` table.
 
     Latency histograms merge across windows (the associativity the
     log-bucketed representation guarantees); counters sum; depths max;
@@ -515,9 +529,10 @@ def summarize_records(records: List[dict]) -> Dict[str, dict]:
 class SloRule:
     """One declarative objective over the window stream.
 
-    A window is **bad** for a bed when the rule's metric violates its
-    bound (``max``: value above it; ``min``: value below it); windows
-    with no record, or where the metric is ``None`` (e.g. p99 with no
+    A window is **bad** for a bed when the rule's metric (one of
+    :data:`METRICS`, checked on construction) violates its bound
+    (``max``: value above it; ``min``: value below it); windows with
+    no record, or where the metric is ``None`` (e.g. p99 with no
     requests), are good. The error ``budget`` is the tolerated bad
     fraction; the rule fires when the burn rate — bad fraction divided
     by budget — is at or above ``burn_threshold`` over *both* the
@@ -543,6 +558,11 @@ class SloRule:
         if short_windows < 1 or long_windows < short_windows:
             raise ValueError(f"SLO rule {name!r}: need 1 <= short "
                              f"<= long window spans")
+        if metric not in METRICS:
+            # An unknown metric reads as None in every window, and None
+            # is a good window: the rule could never fire.
+            raise ValueError(f"SLO rule {name!r}: unknown metric "
+                             f"{metric!r}; known: {', '.join(METRICS)}")
         self.name = name
         self.metric = metric
         self.max = max

@@ -4,8 +4,8 @@ Covers the blame plane end to end: the exact-sum priority sweep, the
 :class:`RequestBlame` causal context, fleet-wide capture (sums equal
 latency for every request, both drives byte-identical), the top-k
 exemplar tie-break, the rollup/diff/OpenMetrics helpers, the tracer's
-connection-plane census, and the ``tail_blame`` / ``metrics_export
---blame`` CLIs.
+connection-plane census, and the ``fleet.py top`` / ``fleet.py blame``
+CLIs.
 """
 
 from __future__ import annotations
@@ -248,13 +248,13 @@ def test_pool_wait_histogram_in_stream_and_summary():
 
 
 def test_fleet_top_renders_pool_wait_column(tmp_path, capsys):
-    import fleet_top
+    import fleet
 
-    scenario, fleet = _small_fleet(exemplars=2)
+    scenario, telemetry = _small_fleet(exemplars=2)
     scenario.run()
     path = tmp_path / "stream.jsonl"
-    path.write_text(fleet.to_jsonl())
-    assert fleet_top.main(["--input", str(path)]) == 0
+    path.write_text(telemetry.to_jsonl())
+    assert fleet.main(["top", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "pw p99" in out
 
@@ -369,14 +369,14 @@ def _stream_path(tmp_path, exemplars=8):
 
 
 def test_tail_blame_cli_table_json_flame(tmp_path, capsys):
-    import tail_blame
+    import fleet
 
     path = _stream_path(tmp_path)
     json_path = tmp_path / "summary.json"
     flame_path = tmp_path / "blame.folded"
-    assert tail_blame.main(["--input", str(path),
-                            "--json", str(json_path),
-                            "--flame", str(flame_path)]) == 0
+    assert fleet.main(["blame", "--input", str(path),
+                       "--json", str(json_path),
+                       "--flame", str(flame_path)]) == 0
     out = capsys.readouterr().out
     assert "tail_blame" in out and "pool_wait" in out
     summary = json.loads(json_path.read_text())
@@ -387,36 +387,36 @@ def test_tail_blame_cli_table_json_flame(tmp_path, capsys):
 
 
 def test_tail_blame_cli_gates_and_diff(tmp_path, capsys):
-    import tail_blame
+    import fleet
 
     path = _stream_path(tmp_path)
     json_path = tmp_path / "base.json"
-    assert tail_blame.main(["--input", str(path), "--quiet",
-                            "--json", str(json_path),
-                            "--fail-if", "pool_wait>999999999"]) == 0
-    assert tail_blame.main(["--input", str(path), "--quiet",
-                            "--fail-if", "service>0.001"]) == 1
+    assert fleet.main(["blame", "--input", str(path), "--quiet",
+                       "--json", str(json_path),
+                       "--fail-if", "pool_wait>999999999"]) == 0
+    assert fleet.main(["blame", "--input", str(path), "--quiet",
+                       "--fail-if", "service>0.001"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
-    assert tail_blame.main(["--input", str(path), "--quiet",
-                            "--diff", str(json_path)]) == 0
+    assert fleet.main(["blame", "--input", str(path), "--quiet",
+                       "--diff", str(json_path)]) == 0
     out = capsys.readouterr().out
     assert "+0" in out  # self-diff: every delta is zero
 
     budgets = tmp_path / "budgets.json"
     budgets.write_text(json.dumps(
         {"phase_mean_ns": {"doorbell_batch": 0.0001}}))
-    assert tail_blame.main(["--input", str(path), "--quiet",
-                            "--budgets", str(budgets)]) == 1
+    assert fleet.main(["blame", "--input", str(path), "--quiet",
+                       "--budgets", str(budgets)]) == 1
 
 
 def test_tail_blame_cli_history_and_errors(tmp_path):
-    import tail_blame
+    import fleet
 
     path = _stream_path(tmp_path)
     history = tmp_path / "history.json"
-    assert tail_blame.main(["--input", str(path), "--quiet",
-                            "--history", str(history)]) == 0
+    assert fleet.main(["blame", "--input", str(path), "--quiet",
+                       "--history", str(history)]) == 0
     runs = json.loads(history.read_text())["runs"]
     assert "tail_blame" in runs[0]["figs"]
     assert any(key.endswith("_mean_ns")
@@ -426,35 +426,55 @@ def test_tail_blame_cli_history_and_errors(tmp_path):
     bare_dir = tmp_path / "bare"
     bare_dir.mkdir()
     bare = _stream_path(bare_dir, exemplars=0)
-    assert tail_blame.main(["--input", str(bare), "--quiet"]) == 2
-    assert tail_blame.main(["--input",
-                            str(tmp_path / "missing.jsonl")]) == 2
-    assert tail_blame.main(["--input", str(path),
-                            "--fail-if", "bogus>5"]) == 2
+    assert fleet.main(["blame", "--input", str(bare), "--quiet"]) == 2
+    assert fleet.main(["blame", "--input",
+                       str(tmp_path / "missing.jsonl")]) == 2
+    assert fleet.main(["blame", "--input", str(path),
+                       "--fail-if", "bogus>5"]) == 2
 
 
 def test_tail_blame_ci_budgets_file():
     """The committed CI budget file parses and covers pool_wait."""
-    import tail_blame
+    import fleet
 
-    budgets = tail_blame.load_budgets(
-        str(REPO_ROOT / "ci" / "fleet_blame.json"))
+    budgets = fleet.load_gates(str(REPO_ROOT / "ci" / "fleet_blame.json"))
     assert "pool_wait" in budgets and budgets["pool_wait"] > 0
 
 
 def test_metrics_export_blame_mode(tmp_path, capsys):
-    import metrics_export
+    import fleet
 
     from repro.obs.metrics import parse_openmetrics
 
     path = _stream_path(tmp_path)
-    assert metrics_export.main(["--blame", str(path)]) == 0
+    assert fleet.main(["blame", "--input", str(path), "--quiet",
+                       "--openmetrics", "-"]) == 0
     text = capsys.readouterr().out
     parsed = parse_openmetrics(text, labels={"shard": "shard0"})
     assert "blame_phase_ns" in parsed["counters"]
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert metrics_export.main(["--blame", str(empty)]) == 2
+    assert fleet.main(["blame", "--input", str(empty),
+                       "--openmetrics", "-"]) == 2
+
+
+def test_stream_input_rejects_non_telemetry_jsonl(tmp_path, capsys):
+    """A JSONL that is not a window stream is bad input, exit 2."""
+    import fleet
+
+    path = _stream_path(tmp_path)
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text('{"seq": 0, "ts": 0, "kind": "post"}\n'
+                       '{"seq": 1, "ts": 5, "kind": "cqe"}\n')
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(path.read_text().splitlines()[0] + "\n[1, 2]\n")
+    for bad, line in ((journal, 1), (mixed, 2)):
+        for argv in (["top"], ["blame"], ["blame", "--openmetrics", "-"]):
+            assert fleet.main(argv + ["--input", str(bad), "--quiet"]) == 2
+            captured = capsys.readouterr()
+            assert f"{bad}:{line}: not a telemetry window record" \
+                in captured.err
+            assert captured.out == ""
 
 
 # -- zero-cost guard -------------------------------------------------------

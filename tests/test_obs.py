@@ -606,14 +606,32 @@ class TestCli:
 
 
 class TestMetricsExportCli:
-    def test_export_parses_back(self):
+    def test_export_parses_back(self, tmp_path):
+        out = tmp_path / "metrics.prom"
         result = subprocess.run(
             [sys.executable,
-             str(REPO_ROOT / "tools" / "metrics_export.py"),
-             "--offload", "hash-lookup", "--calls", "2"],
+             str(REPO_ROOT / "tools" / "latency_profile.py"),
+             "--offload", "hash-lookup", "--calls", "2",
+             "--openmetrics", str(out)],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.endswith("# EOF\n")
-        parsed = parse_openmetrics(result.stdout)
+        assert result.stdout == ""
+        text = out.read_text()
+        assert text.endswith("# EOF\n")
+        parsed = parse_openmetrics(text)
         assert parsed["histograms"]["obs_critpath_request_ns"]["count"] == 2
         assert parsed["counters"]["nic_server_nic_wrs"]["total_wrs"] > 0
+
+    def test_labeled_export_to_stdout(self):
+        result = subprocess.run(
+            [sys.executable,
+             str(REPO_ROOT / "tools" / "latency_profile.py"),
+             "--offload", "hash-lookup", "--calls", "2",
+             "--openmetrics", "-", "--label", "bed=server-0"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        parsed = parse_openmetrics(result.stdout,
+                                   labels={"bed": "server-0"})
+        assert parsed["histograms"]["obs_critpath_request_ns"]["count"] == 2
+        assert not parse_openmetrics(result.stdout,
+                                     labels={"bed": "x"})["counters"]

@@ -360,17 +360,17 @@ def test_hash_ring_without_rejects_bad_requests():
         ring.without(0, 1, 2)          # nobody left
 
 
-# -- the incident_report CLI ----------------------------------------------
+# -- fleet.py triage -------------------------------------------------------
 
 
 def test_incident_report_cli_gate_and_json(tmp_path, capsys):
-    import incident_report
+    import fleet
 
     out = tmp_path / "clean.json"
     # One clean run serves both surfaces: the JSON export is written
     # before the gates run, and --expect-incidents 1 must then fail.
-    code = incident_report.main(
-        ["clean", "--json", str(out), "--expect-incidents", "1"])
+    code = fleet.main(
+        ["triage", "clean", "--json", str(out), "--expect-incidents", "1"])
     assert code == 1
     report = json.loads(out.read_text())
     assert report["schema"] == 1

@@ -32,8 +32,8 @@ from repro.obs.metrics import (Histogram, HistogramLayoutError,
                                MetricsRegistry, parse_openmetrics,
                                to_openmetrics_multi)
 from repro.obs.probe import Probe, SinkAttachedError
-from repro.obs.telemetry import (BurnAlert, FleetTelemetry, SloRule,
-                                 evaluate_slo, load_slo_rules,
+from repro.obs.telemetry import (METRICS, BurnAlert, FleetTelemetry,
+                                 SloRule, evaluate_slo, load_slo_rules,
                                  metric_value, summarize_records)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -292,6 +292,14 @@ def test_slo_rule_validation():
         SloRule("r", "p99_ns", max=1, budget=0)
     with pytest.raises(ValueError):
         SloRule("r", "p99_ns", max=1, long_windows=2, short_windows=3)
+    # A misspelled metric would read as None (a good window) forever;
+    # it is rejected up front, naming the metrics a record carries.
+    with pytest.raises(ValueError, match="unknown metric 'p99'.*p99_ns"):
+        SloRule("r", "p99", max=0)
+    with pytest.raises(ValueError, match="known:.*sq_depth_max.*util"):
+        load_slo_rules([{"name": "r", "metric": "sq_hot", "max": 1}])
+    for metric in METRICS:
+        SloRule("r", metric, max=0)
 
 
 def test_load_slo_rules_forms(tmp_path):
@@ -306,6 +314,9 @@ def test_load_slo_rules_forms(tmp_path):
     (rule,) = load_slo_rules(str(path))
     assert rule.name == "tail"
     assert rule.to_dict()["max"] == 100
+    # The committed CI rule files load (every metric they name exists).
+    for name in ("cluster_slo.json", "fleet_slo.json"):
+        assert len(load_slo_rules(str(REPO_ROOT / "ci" / name))) >= 3
 
 
 def test_burn_alert_fires_at_deterministic_timestamp(fleet):
@@ -461,7 +472,7 @@ def test_committed_ci_rules_clean_on_healthy_cluster():
     assert evaluate_slo(records, rules) == []
 
 
-# -- fleet_top CLI (satellite) --------------------------------------------
+# -- fleet.py top ----------------------------------------------------------
 
 
 def _write_stream(tmp_path):
@@ -472,10 +483,10 @@ def _write_stream(tmp_path):
 
 
 def test_fleet_top_offline_render_and_slo(tmp_path, capsys):
-    import fleet_top
+    import fleet
 
     path = _write_stream(tmp_path)
-    assert fleet_top.main(["--input", str(path)]) == 0
+    assert fleet.main(["top", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert "fleet_top" in out and "bed0" in out
 
@@ -484,32 +495,38 @@ def test_fleet_top_offline_render_and_slo(tmp_path, capsys):
                                   "max": 100, "budget": 0.25,
                                   "long_windows": 3,
                                   "short_windows": 1}]))
-    assert fleet_top.main(["--input", str(path), "--quiet",
-                           "--slo", str(rules),
-                           "--fail-on-burn"]) == 1
+    assert fleet.main(["top", "--input", str(path), "--quiet",
+                       "--slo", str(rules), "--fail-on-burn"]) == 1
     out = capsys.readouterr().out
     assert "SLO burn: rule 'tight'" in out
 
     clean = REPO_ROOT / "ci" / "cluster_slo.json"
-    assert fleet_top.main(["--input", str(path), "--quiet",
-                           "--slo", str(clean),
-                           "--fail-on-burn"]) == 0
+    assert fleet.main(["top", "--input", str(path), "--quiet",
+                       "--slo", str(clean), "--fail-on-burn"]) == 0
+
+    # A misspelled metric is bad input (exit 2), not a clean gate.
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps([{"name": "tight", "metric": "p99",
+                                 "max": 0}]))
+    assert fleet.main(["top", "--input", str(path), "--quiet",
+                       "--slo", str(typo), "--fail-on-burn"]) == 2
+    assert "unknown metric 'p99'" in capsys.readouterr().err
 
 
 def test_fleet_top_error_paths(tmp_path):
-    import fleet_top
+    import fleet
 
-    assert fleet_top.main(["--input", str(tmp_path / "missing.jsonl"),
-                           "--quiet"]) == 2
+    assert fleet.main(["top", "--input", str(tmp_path / "missing.jsonl"),
+                       "--quiet"]) == 2
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert fleet_top.main(["--input", str(empty), "--quiet"]) == 2
+    assert fleet.main(["top", "--input", str(empty), "--quiet"]) == 2
     with pytest.raises(SystemExit):
-        fleet_top.main(["--input", str(empty), "--window", "1000"])
+        fleet.main(["top", "--input", str(empty), "--window", "1000"])
 
 
 def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys, monkeypatch):
-    import fleet_top
+    import fleet
 
     from repro.bench.cluster import ClusterScenario
 
@@ -523,17 +540,17 @@ def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ClusterScenario, "attach_telemetry", capture)
     out_jsonl = tmp_path / "run.jsonl"
     out_json = tmp_path / "summary.json"
-    assert fleet_top.main(["--beds", "4", "--requests", "8", "--quiet",
-                           "--jsonl", str(out_jsonl),
-                           "--json", str(out_json)]) == 0
+    assert fleet.main(["top", "cluster", "--beds", "4", "--requests", "8",
+                       "--quiet", "--jsonl", str(out_jsonl),
+                       "--json", str(out_json)]) == 0
     records = [json.loads(line)
                for line in out_jsonl.read_text().splitlines()]
     assert records and records[0]["bed"] == "bed0"
     summary = json.loads(out_json.read_text())
     assert set(summary["beds"]) == {f"bed{i}" for i in range(4)}
-    (fleet,) = fleets
+    (telemetry,) = fleets
     assert all(not collector.sim.probe.sinks
-               for collector in fleet.collectors)
+               for collector in telemetry.collectors)
 
 
 # -- bench_history p99 column (satellite) ---------------------------------

@@ -26,6 +26,15 @@ latency regression gate for CI. ``--selfcheck`` verifies the
 profiler's own invariants: exact phase sums, and measured
 WAIT/ENABLE execution counts consistent with the static
 ``chain_cost`` E-tally of the offload's chain program.
+
+``--openmetrics FILE`` (``--offload`` mode) folds the per-phase
+histograms into the simulator's MetricsRegistry and writes the whole
+registry (kernel gauges, NIC and send-queue counters, histograms) as
+OpenMetrics text. The export is deterministic and parses back with
+``repro.obs.parse_openmetrics``::
+
+    PYTHONPATH=src python tools/latency_profile.py \
+        --offload hash-lookup --calls 4 --openmetrics metrics.prom
 """
 
 from __future__ import annotations
@@ -143,10 +152,28 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", metavar="OUT.json",
                         help="also export the Chrome trace "
                              "(--offload mode only)")
+    parser.add_argument("--openmetrics", metavar="FILE",
+                        help="write the simulator's metrics registry as "
+                             "OpenMetrics text ('-' for stdout; "
+                             "--offload mode only)")
+    parser.add_argument("--label", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="constant label added to every "
+                             "--openmetrics sample (repeatable; e.g. "
+                             "--label bed=server-0 keeps multi-bed "
+                             "exports from colliding)")
     args = parser.parse_args(argv)
 
     if bool(args.trace) == bool(args.offload):
         parser.error("give exactly one of TRACE.json or --offload")
+    if args.label and not args.openmetrics:
+        parser.error("--label needs --openmetrics")
+    labels = {}
+    for item in args.label:
+        key, sep, value = item.partition("=")
+        if not sep or not key:
+            parser.error(f"--label wants KEY=VALUE, got {item!r}")
+        labels[key] = value
 
     from repro.obs import profile_trace, profile_tracer
 
@@ -164,8 +191,8 @@ def main(argv=None) -> int:
         profile = profile_tracer(tracer)
         profile.record_metrics(run["bed"].sim.metrics)
     else:
-        if args.trace_out:
-            parser.error("--trace-out needs --offload")
+        if args.trace_out or args.openmetrics:
+            parser.error("--trace-out and --openmetrics need --offload")
         if args.selfcheck:
             parser.error("--selfcheck needs --offload (it compares "
                          "against the built chain program)")
@@ -197,10 +224,19 @@ def main(argv=None) -> int:
         print(f"wrote {len(lines)} folded stacks to {args.flame}",
               file=sys.stderr)
 
+    if args.openmetrics:
+        text = run["bed"].sim.metrics.to_openmetrics(labels=labels or None)
+        if args.openmetrics == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.openmetrics).write_text(text)
+            print(f"wrote {len(text.splitlines())} lines to "
+                  f"{args.openmetrics}", file=sys.stderr)
+
     if args.json:
         print(profile.to_json())
     elif args.breakdown or not (args.flame or args.fail_if_phase
-                                or args.selfcheck):
+                                or args.selfcheck or args.openmetrics):
         print(profile.render(top=args.top, show_path=args.path))
     elif args.path:
         print(profile.render(top=args.top, show_path=True))
