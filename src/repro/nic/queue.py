@@ -308,9 +308,21 @@ class WorkQueue:
         for managed queues (the paper's "managed flag [...] disables the
         driver from issuing doorbells after a WR is posted", §5).
         """
+        return self.post_bytes(wqe.encode(), ring_doorbell, wqe)
+
+    def post_bytes(self, data, ring_doorbell: Optional[bool] = None,
+                   wqe: Optional[Wqe] = None) -> int:
+        """Write pre-encoded WQE bytes into the ring; returns its WR index.
+
+        The raw post behind :meth:`post` and behind compiled offload
+        templates (:mod:`repro.redn.template`), which stamp instances
+        from byte images: same overflow check, ring wrap, probe ``post``
+        event and doorbell policy. ``wqe`` is the decoded view handed
+        to probe sinks; when omitted it is decoded from ``data`` only
+        if a sink listens.
+        """
         if self.destroyed:
             raise QueueError(f"post to destroyed {self!r}")
-        data = wqe.encode()
         slots = len(data) // WQE_SLOT_SIZE
         if slots > self.num_slots:
             raise QueueError(f"WQE of {slots} slots exceeds ring size")
@@ -321,16 +333,21 @@ class WorkQueue:
                 f"{self.free_slots} slots free")
         slot_index = cursor % self.num_slots
         tail = min(slots, self.num_slots - slot_index)
-        view = memoryview(data)
-        self.memory.write(self.ring.addr + slot_index * WQE_SLOT_SIZE,
-                          view[:tail * WQE_SLOT_SIZE])
         if tail < slots:
             # The WQE wraps the ring edge: one more write for the head.
+            view = memoryview(data)
+            self.memory.write(self.ring.addr + slot_index * WQE_SLOT_SIZE,
+                              view[:tail * WQE_SLOT_SIZE])
             self.memory.write(self.ring.addr, view[tail * WQE_SLOT_SIZE:])
+        else:
+            self.memory.write(self.ring.addr + slot_index * WQE_SLOT_SIZE,
+                              data)
         self._post_slot_cursor = cursor + slots
         wr_index = self.posted_count
         self.posted_count += 1
         if self._probe.post:
+            if wqe is None:
+                wqe = Wqe.decode(data)
             for hook in self._probe.post:
                 hook(self, wr_index, cursor, slots, wqe)
         if ring_doorbell is None:

@@ -30,15 +30,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..datastructs.cuckoo import CuckooTable
-from ..ibv.wr import wr_recv, wr_write_imm
+from ..ibv.wr import wr_write_imm
 from ..memory.layout import pack_uint
 from ..memory.region import MemoryRegion
 from ..nic.opcodes import Opcode
 from ..nic.wqe import Sge, ctrl_word
 from ..redn.builder import ProgramBuilder
-from ..redn.ir import AimEdge, FieldRef, InjectReadOp
+from ..redn.ir import FieldRef, InjectReadOp, InstanceIndex
 from ..redn.offload import OffloadConnection
 from ..redn.program import RednContext, WrRef
+from ..redn.template import InstancePoster
 
 __all__ = ["HashGetOffload", "hash_get_payload"]
 
@@ -80,8 +81,9 @@ class HashGetOffload:
         self.instances_posted = 0
 
         # Ring capacities scale with the instances the host pre-posts:
-        # per instance and bucket, 2 worker slots (READ + CAS) and 5
-        # control WRs (trigger WAIT + ENABLE/WAIT + if's 3 E-verbs).
+        # per instance and bucket, 2 worker WRs (READ + CAS) and 6
+        # control WRs (trigger WAIT, ENABLE + WAIT for the READ, and the
+        # if's 3 E-verbs), with slack on both.
         worker_slots = max(256, 3 * max_instances *
                            (1 if parallel else buckets))
         control_slots = max(256, 7 * max_instances *
@@ -114,18 +116,25 @@ class HashGetOffload:
             self.workers = [worker] * buckets
             self.controls = [control] * buckets
             self.response_lanes = [lane] * buckets
+        self._poster = InstancePoster(ctx, self._build_instance, "get{}")
 
     # -- instance posting (the CPU's setup-time job) ----------------------
 
     def post_instances(self, count: int) -> None:
-        """Pre-post ``count`` request instances + their trigger RECVs."""
-        for _ in range(count):
-            self._post_one()
+        """Pre-post ``count`` request instances + their trigger RECVs.
 
-    def _post_one(self) -> None:
+        Instances 0 and 1 are lowered through the IR; later ones are
+        stamped from the compiled template (:mod:`repro.redn.template`).
+        An instance that does not fit raises
+        :class:`~repro.nic.queue.QueueError` with nothing of it posted.
+        """
+        for _ in range(count):
+            self._poster.post(self.instances_posted)
+            self.instances_posted += 1
+
+    def _build_instance(self, instance: int) -> None:
+        """Lower one request instance through the IR (Fig 9)."""
         builder = self.builder
-        instance = self.instances_posted
-        self.instances_posted += 1
         tag = f"get{instance}"
 
         cas_sinks: List[WrRef] = []
@@ -141,7 +150,8 @@ class HashGetOffload:
                 lane,
                 wr_write_imm(0, 0, self.conn.response_addr,
                              self.conn.response_rkey,
-                             immediate=instance, signaled=True),
+                             immediate=InstanceIndex(instance),
+                             signaled=True),
                 tag=f"{tag}.b{bucket}.resp")
 
             # Bucket READ: raddr injected by the RECV; record bytes land
@@ -154,7 +164,8 @@ class HashGetOffload:
 
             # Control chain for this bucket: trigger -> READ -> if.
             builder.wait(control, self.conn.server_qp.recv_wq.cq,
-                         instance + 1, tag=f"{tag}.b{bucket}.trigger")
+                         InstanceIndex(instance, 1),
+                         tag=f"{tag}.b{bucket}.trigger")
             builder.enable(control, read, tag=f"{tag}.b{bucket}.en-read")
             builder.wait_signals(control, worker,
                                  tag=f"{tag}.b{bucket}.wait-read")
@@ -165,25 +176,14 @@ class HashGetOffload:
             read_sinks.append(read)
 
         # Trigger RECV: scatter [cmp*buckets, addr*buckets] into the
-        # CAS operands and READ raddr fields of this instance. Each
-        # scatter is recorded as an external modification edge so the
-        # verifier sees the runtime injections.
+        # CAS operands and READ raddr fields of this instance.
         targets = ([FieldRef(cas, "operand0") for cas in cas_sinks]
                    + [FieldRef(read, "raddr") for read in read_sinks])
-        sges = [Sge(target.addr, 8) for target in targets]
-        for target in targets:
-            builder.program.add_edge(AimEdge(src=None, dst=target,
-                                             length=8, kind="scatter"))
-        self.conn.server_qp.post_recv(wr_recv(sges=sges))
-        for control in self._unique_controls():
+        builder.post_recv(self.conn.server_qp,
+                          [Sge(target.addr, 8) for target in targets],
+                          scatters=targets)
+        for control in dict.fromkeys(self.controls):
             control.doorbell()
-
-    def _unique_controls(self):
-        seen = []
-        for control in self.controls:
-            if control not in seen:
-                seen.append(control)
-        return seen
 
     # -- client helper ------------------------------------------------------
 

@@ -30,20 +30,27 @@ Fig 13's trade-off reproduces mechanically:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 from ..datastructs.linkedlist import LinkedList
-from ..ibv.wr import wr_noop, wr_read, wr_recv, wr_write_imm
+from ..ibv.wr import wr_noop, wr_read, wr_write_imm
 from ..memory.layout import pack_uint
 from ..memory.region import MemoryRegion
 from ..nic.opcodes import Opcode, WrFlags
-from ..nic.wqe import Sge, WQE_HEADER, ctrl_word
+from ..nic.wqe import Sge, WQE_HEADER, ctrl_word, field_location
 from ..redn.builder import ProgramBuilder
 from ..redn.constructs import BreakImage
-from ..redn.ir import AimEdge, FieldRef, InjectWriteOp
+from ..redn.ir import (
+    AimEdge,
+    FieldRef,
+    HostValue,
+    InjectWriteOp,
+    InstanceIndex,
+)
 from ..redn.linker import aim, aim_sge
 from ..redn.offload import OffloadConnection
 from ..redn.program import RednContext, WrRef
+from ..redn.template import InstancePoster, Stamp
 
 __all__ = ["ListTraversalOffload", "list_get_payload"]
 
@@ -58,13 +65,17 @@ def list_get_payload(head_addr: int, key: int) -> bytes:
 
 
 class _Instance:
-    """Bookkeeping for one posted request instance (break variant)."""
+    """Host bookkeeping for one posted break-variant instance."""
 
-    def __init__(self):
-        self.reads: List[WrRef] = []
-        self.gates: List[WrRef] = []
-        self.one_shot_queues: List = []
-        self.last_lane_index = 0
+    __slots__ = ("queues", "gates", "last_lane_index")
+
+    def __init__(self, queues, gates, last_lane_index: int):
+        self.queues = queues            # the one-shot worker/branch/ctl
+        self.gates = gates              # (lane wr_index, flags address)
+        self.last_lane_index = last_lane_index
+
+
+_FLAGS_OFFSET = field_location("flags")[0]
 
 
 class ListTraversalOffload:
@@ -107,25 +118,45 @@ class ListTraversalOffload:
             8, label=f"{name}-xbuf")
         # Dead-end sink for the final iteration's next-pointer scatter.
         self.sink, _ = ctx.alloc_registered(8, label=f"{name}-sink")
-        self.instances: List[_Instance] = []
+        #: Break-variant instances posted but not yet finished.
+        self.instances: Dict[int, _Instance] = {}
         self.instances_posted = 0
         # Gates killed by break WRITEs never signal; later instances'
         # lane thresholds discount them (updated in finish_request).
         self._lane_killed = 0
+        self._poster = InstancePoster(
+            ctx, self._build_break_instance if use_break
+            else self._build_plain_instance, "trav{}")
 
     # -- instance posting ---------------------------------------------------
 
     def post_instances(self, count: int) -> None:
-        for _ in range(count):
-            if self.use_break:
-                self._post_break_instance()
-            else:
-                self._post_plain_instance()
+        """Post ``count`` request instances + their trigger RECVs.
 
-    def _response_template(self, tag: str, signaled: bool) -> WrRef:
+        Instances 0 and 1 are lowered through the IR; later ones are
+        stamped from the compiled template (:mod:`repro.redn.template`).
+        """
+        for _ in range(count):
+            instance = self.instances_posted
+            posted = self._poster.post(instance)
+            if self.use_break:
+                self._track(instance, posted)
+            self.instances_posted += 1
+
+    def _track(self, instance: int, posted) -> None:
+        """Keep what ``finish_request`` needs of a break instance."""
+        if isinstance(posted, Stamp):
+            posted = _Instance(posted.queues, [
+                (wr_index, slot_addr + _FLAGS_OFFSET)
+                for wr_index, slot_addr in posted.exports["gates"]],
+                self.lane.wq.posted_count)
+        self.instances[instance] = posted
+
+    def _response_template(self, instance: int, tag: str,
+                           signaled: bool) -> WrRef:
         live = wr_write_imm(0, 0, self.conn.response_addr,
                             self.conn.response_rkey,
-                            immediate=self.instances_posted,
+                            immediate=InstanceIndex(instance, 1),
                             signaled=signaled)
         return self.builder.template(self.lane, live, tag=tag)
 
@@ -157,26 +188,26 @@ class ListTraversalOffload:
 
     def _post_trigger_recv(self, first_read: WrRef) -> None:
         target = FieldRef(first_read, "raddr")
-        self.builder.program.add_edge(AimEdge(
-            src=None, dst=target, length=8, kind="scatter"))
-        sges = [Sge(self.xbuf.addr, 8), Sge(target.addr, 8)]
-        self.conn.server_qp.post_recv(wr_recv(sges=sges))
+        self.builder.post_recv(
+            self.conn.server_qp,
+            [Sge(self.xbuf.addr, 8), Sge(target.addr, 8)],
+            scatters=[target])
 
     # -- plain variant ----------------------------------------------------------
 
-    def _post_plain_instance(self) -> None:
+    def _build_plain_instance(self, instance_id: int) -> None:
+        """Lower one plain-variant request instance through the IR."""
         builder = self.builder
-        instance_id = self.instances_posted
-        self.instances_posted += 1
         tag = f"trav{instance_id}"
-        record = _Instance()
 
         builder.wait(self.control, self.conn.server_qp.recv_wq.cq,
-                     instance_id + 1, tag=f"{tag}.trigger")
+                     InstanceIndex(instance_id, 1), tag=f"{tag}.trigger")
 
-        responses = [self._response_template(f"{tag}.s{s}.resp",
+        responses = [self._response_template(instance_id,
+                                             f"{tag}.s{s}.resp",
                                              signaled=False)
                      for s in range(self.max_nodes)]
+        reads = []
         for step in range(self.max_nodes):
             patch = FieldRef(responses[step], "id")
             read = self._emit_read(
@@ -185,25 +216,26 @@ class ListTraversalOffload:
                  Sge(self.sink.addr, 8)],
                 tag=f"{tag}.s{step}.read")
             self._record_scatter(read, patch, _PATCH_LEN)
-            record.reads.append(read)
+            reads.append(read)
             prep = self._emit_prep(self.worker, f"{tag}.s{step}.prep")
             refs = builder.emit_if(self.control, self.worker,
                                    responses[step], compare_id=None,
                                    tag=f"{tag}.s{step}.if")
             aim(builder.program, prep, "raddr",
                 FieldRef(refs.cas, "operand0"))
-        self._chain_next_pointers(record.reads, next_sge_index=1)
-        self._post_trigger_recv(record.reads[0])
-        self.instances.append(record)
+        self._chain_next_pointers(reads, next_sge_index=1)
+        self._post_trigger_recv(reads[0])
 
     # -- break variant -------------------------------------------------------------
 
-    def _post_break_instance(self) -> None:
+    def _lane_signal_base(self) -> int:
+        """Lane gates that will signal, as later WAIT thresholds see it."""
+        return self.lane.signaled_posted - self._lane_killed
+
+    def _build_break_instance(self, instance_id: int) -> _Instance:
+        """Lower one break-variant request instance through the IR."""
         builder = self.builder
-        instance_id = self.instances_posted
-        self.instances_posted += 1
         tag = f"trav{instance_id}"
-        record = _Instance()
 
         # One-shot queues for this request; a hit strands their tails,
         # which are simply never fetched again. Each step needs 4 ring
@@ -214,19 +246,19 @@ class ListTraversalOffload:
                                         name=f"{tag}-b")
         control = builder.control_queue(slots=8 * self.max_nodes + 2,
                                         name=f"{tag}-ctl")
-        record.one_shot_queues = [worker, branches, control]
 
         builder.wait(control, self.conn.server_qp.recv_wq.cq,
-                     instance_id + 1, tag=f"{tag}.trigger")
+                     InstanceIndex(instance_id, 1), tag=f"{tag}.trigger")
 
         # Lane: per step, an (unsignaled) response followed by its gate.
         # Gates are posted in bulk, so per-step WAIT thresholds are
         # computed from this base (discounted by gates that break
         # WRITEs killed), not cumulative bookkeeping.
-        lane_signal_base = self.lane.signaled_posted - self._lane_killed
+        lane_signal_base = HostValue(self._lane_signal_base)
         responses, gates, images = [], [], []
         for step in range(self.max_nodes):
-            response = self._response_template(f"{tag}.s{step}.resp",
+            response = self._response_template(instance_id,
+                                               f"{tag}.s{step}.resp",
                                                signaled=False)
             gate = builder.emit(self.lane, wr_noop(signaled=True),
                                 tag=f"{tag}.s{step}.gate")
@@ -234,8 +266,9 @@ class ListTraversalOffload:
             gates.append(gate)
             images.append(BreakImage(builder, response, gate,
                                      tag=f"{tag}.s{step}.brk"))
-        record.gates = gates
+        self._poster.export("gates", gates)
 
+        reads = []
         for step in range(self.max_nodes):
             image = images[step]
             # Break WR first (on the branch queue) so the CAS can aim
@@ -253,7 +286,7 @@ class ListTraversalOffload:
                  Sge(self.sink.addr, 8)],
                 tag=f"{tag}.s{step}.read")
             self._record_scatter(read, key_sink, 6)
-            record.reads.append(read)
+            reads.append(read)
             prep = self._emit_prep(worker, f"{tag}.s{step}.prep")
             refs = builder.emit_if(control, worker, brk,
                                    compare_id=None,
@@ -268,12 +301,15 @@ class ListTraversalOffload:
             builder.enable(control, gates[step],
                            tag=f"{tag}.s{step}.en-lane")
             builder.wait(control, self.lane.cq,
-                         lane_signal_base + step + 1,
+                         lane_signal_base + (step + 1),
                          tag=f"{tag}.s{step}.wait-gate")
-        self._chain_next_pointers(record.reads, next_sge_index=2)
-        record.last_lane_index = self.lane.wq.posted_count
-        self._post_trigger_recv(record.reads[0])
-        self.instances.append(record)
+        self._chain_next_pointers(reads, next_sge_index=2)
+        last_lane_index = self.lane.wq.posted_count
+        self._post_trigger_recv(reads[0])
+        return _Instance(
+            [worker, branches, control],
+            [(gate.wr_index, gate.field_addr("flags")) for gate in gates],
+            last_lane_index)
 
     # -- break-variant host cleanup between requests -------------------------
 
@@ -295,24 +331,27 @@ class ListTraversalOffload:
            defused) so later instances compute reachable lane WAIT
            thresholds.
 
+        The instance's host record is dropped: a finished request keeps
+        nothing alive but its simulated rings.
+
         This is exactly the per-request CPU involvement the paper
         ascribes to unrolled loops (§3.4); the recycled variant avoids
         it at the cost of Table 2's extra verbs.
         """
         if not self.use_break:
             return
-        record = self.instances[instance_id]
-        for queue in record.one_shot_queues:
+        record = self.instances.pop(instance_id)
+        for queue in record.queues:
             queue.wq.destroy()
         lane_wq = self.lane.wq
-        for gate in record.gates:
-            not_executed = gate.wr_index >= lane_wq.fetched_count
-            if not_executed:
-                gate.poke("flags",
-                          gate.peek("flags") & ~WrFlags.SIGNALED)
+        memory = self.ctx.memory
+        for wr_index, flags_addr in record.gates:
+            if wr_index >= lane_wq.fetched_count:
+                flags = memory.read_uint(flags_addr, 4)
+                memory.write_uint(flags_addr, flags & ~WrFlags.SIGNALED, 4)
         self._lane_killed += sum(
-            1 for gate in record.gates
-            if not gate.peek("flags") & WrFlags.SIGNALED)
+            1 for _wr_index, flags_addr in record.gates
+            if not memory.read_uint(flags_addr, 4) & WrFlags.SIGNALED)
         lane_wq.doorbell(record.last_lane_index)
 
     # -- client helper ----------------------------------------------------------

@@ -30,13 +30,14 @@ hand-counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
-from ..ibv.wr import wr_cas
+from ..ibv.wr import wr_cas, wr_recv
 from ..nic.opcodes import Opcode
 from ..nic.queue import CompletionQueue
-from ..nic.wqe import Wqe, ctrl_word
+from ..nic.wqe import Sge, Wqe, ctrl_word
 from .ir import (
+    AimEdge,
     ArmCasOp,
     ArmWord,
     ChainOp,
@@ -127,6 +128,19 @@ class ProgramBuilder:
         if intended is None:
             raise ProgramError(f"{ref!r} is not a template")
         return ctrl_word(intended, wr_id)
+
+    def post_recv(self, qp, sges: List[Sge],
+                  scatters: Sequence[FieldRef] = ()) -> int:
+        """Post a trigger RECV on ``qp`` scattering into ``sges``.
+
+        ``scatters`` are the WQE fields its entries inject into; each is
+        recorded as an external modification edge so the verifier sees
+        the runtime injection.
+        """
+        for target in scatters:
+            self.program.add_edge(AimEdge(src=None, dst=target, length=8,
+                                          kind="scatter"))
+        return self.ctx.post(qp.recv_wq, wr_recv(sges=sges))
 
     # -- ordering glue -------------------------------------------------------------
 

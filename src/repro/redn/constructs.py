@@ -245,7 +245,6 @@ class BreakImage:
         self.image_len = WQE_SLOT_SIZE * 2
         self._alloc, self._mr = ctx.alloc_registered(
             self.image_len, label=f"{tag}-image")
-        memory = ctx.memory
         armed = bytearray(response.snapshot_bytes(WQE_SLOT_SIZE))
         WQE_HEADER.pack_into(
             armed, 0, "ctrl",
@@ -254,8 +253,9 @@ class BreakImage:
         flags = WQE_HEADER.unpack_field(dead_gate, 0, "flags")
         WQE_HEADER.pack_into(dead_gate, 0, "flags",
                              flags & ~WrFlags.SIGNALED)
-        memory.write(self._alloc.addr, bytes(armed))
-        memory.write(self._alloc.addr + WQE_SLOT_SIZE, bytes(dead_gate))
+        ctx.store_copy(self._alloc.addr, bytes(armed), response.slot_addr)
+        ctx.store_copy(self._alloc.addr + WQE_SLOT_SIZE, bytes(dead_gate),
+                       gate.slot_addr)
 
     @property
     def image_addr(self) -> int:

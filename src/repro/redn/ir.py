@@ -20,7 +20,13 @@ The IR is *symbolic* where the byte format is positional:
   live ctrl word of that template", not a magic integer;
 * WAIT thresholds may be :class:`SignaledCount` — "every signaled WR
   posted on this queue so far", resolved at link time against the
-  queue's monotonic counters (§3.4).
+  queue's monotonic counters (§3.4);
+* operands that change from one offload request instance to the next
+  are :class:`Symbol` values too — :class:`InstanceIndex` (trigger
+  thresholds, response immediates) and :class:`HostValue` (a host
+  counter read per instance). Each symbol tells a compiled template
+  (:mod:`repro.redn.template`) how to relocate the value it resolved
+  to.
 
 Ops record *intent* (arm, inject, restore, count-bump), so the
 verifier distinguishes an arming CAS that must land before its target
@@ -31,7 +37,7 @@ deliberately rewrite upstream, already-executed WRs for the next lap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ibv.wr import (
     wr_cas,
@@ -55,7 +61,11 @@ __all__ = [
     "ChainLintError",
     "FieldRef",
     "ArmWord",
+    "Symbol",
     "SignaledCount",
+    "WrIndex",
+    "InstanceIndex",
+    "HostValue",
     "ChainOp",
     "RawOp",
     "TemplateOp",
@@ -220,7 +230,21 @@ class ArmWord:
         return f"<ArmWord id={self.wr_id:#x} of {wr_name(self.target)}>"
 
 
-class SignaledCount:
+class Symbol:
+    """A WQE operand the linker resolves when the op posts."""
+
+    __slots__ = ()
+
+    def resolve(self) -> int:
+        raise NotImplementedError
+
+
+def resolve(value) -> int:
+    """``value`` itself, or what a :class:`Symbol` resolves to."""
+    return value.resolve() if isinstance(value, Symbol) else value
+
+
+class SignaledCount(Symbol):
     """Symbolic WAIT threshold: a queue's signaled-WR total at link."""
 
     __slots__ = ("queue", "bias")
@@ -234,6 +258,67 @@ class SignaledCount:
 
     def __repr__(self) -> str:
         return f"<SignaledCount of {self.queue.name}{self.bias:+d}>"
+
+
+class WrIndex(Symbol):
+    """Symbolic ENABLE index: "through this WR" (its index + 1)."""
+
+    __slots__ = ("ref",)
+
+    def __init__(self, ref: WrRef):
+        self.ref = ref
+
+    def resolve(self) -> int:
+        return self.ref.wr_index + 1
+
+    def __repr__(self) -> str:
+        return f"<WrIndex through {wr_name(self.ref)}>"
+
+
+class InstanceIndex(Symbol):
+    """An offload request instance's index plus a fixed offset.
+
+    Trigger WAIT thresholds (``instance + 1`` RECV completions) and
+    response immediates grow by one per instance; the symbol keeps
+    that affine law next to the value.
+    """
+
+    __slots__ = ("instance", "offset")
+
+    def __init__(self, instance: int, offset: int = 0):
+        self.instance = instance
+        self.offset = offset
+
+    def resolve(self) -> int:
+        return self.instance + self.offset
+
+    def __repr__(self) -> str:
+        return f"<InstanceIndex {self.instance}{self.offset:+d}>"
+
+
+class HostValue(Symbol):
+    """A host counter read once per instance, plus a fixed offset.
+
+    ``read`` is called when the first symbol of a family is made (and
+    again by a compiled template before each stamped instance);
+    ``+ k`` derives a sibling sharing the same read.
+    """
+
+    __slots__ = ("read", "base", "offset")
+
+    def __init__(self, read, offset: int = 0, base: Optional[int] = None):
+        self.read = read
+        self.base = read() if base is None else base
+        self.offset = offset
+
+    def __add__(self, offset: int) -> "HostValue":
+        return HostValue(self.read, self.offset + offset, self.base)
+
+    def resolve(self) -> int:
+        return self.base + self.offset
+
+    def __repr__(self) -> str:
+        return f"<HostValue {self.base}{self.offset:+d}>"
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +356,10 @@ class ChainOp:
     def intended_opcode(self) -> int:
         """Opcode for Table 2 cost classification."""
         return self.build_wqe().opcode
+
+    def symbols(self) -> Dict[str, Symbol]:
+        """Header fields of the lowered WQE that came from symbols."""
+        return {}
 
     @property
     def wr_name(self) -> str:
@@ -322,13 +411,19 @@ class TemplateOp(ChainOp):
             opcode=Opcode.NOOP, wr_id=live.wr_id,
             laddr=live.laddr, length=live.length,
             raddr=live.raddr, flags=live.flags,
-            operand0=live.operand0, operand1=live.operand1,
+            operand0=resolve(live.operand0), operand1=live.operand1,
             wqe_count=live.wqe_count, target=live.target,
             lkey=live.lkey, rkey=live.rkey, sges=live.sges)
 
     @property
     def intended_opcode(self) -> int:
         return self.intended
+
+    def symbols(self) -> Dict[str, Symbol]:
+        # A response template's immediate (operand0) is its only
+        # per-instance scalar.
+        operand = self.live.operand0
+        return {"operand0": operand} if isinstance(operand, Symbol) else {}
 
 
 class WaitOp(ChainOp):
@@ -345,15 +440,18 @@ class WaitOp(ChainOp):
             threshold if isinstance(threshold, int) else None)
 
     def build_wqe(self) -> Wqe:
-        threshold = self.threshold
-        if isinstance(threshold, SignaledCount):
-            threshold = threshold.resolve()
+        threshold = resolve(self.threshold)
         self.resolved_threshold = threshold
         return wr_wait(self.cq_num, threshold)
 
     @property
     def intended_opcode(self) -> int:
         return Opcode.WAIT
+
+    def symbols(self) -> Dict[str, Symbol]:
+        threshold = self.threshold
+        return ({"wqe_count": threshold}
+                if isinstance(threshold, Symbol) else {})
 
 
 class EnableOp(ChainOp):
@@ -393,6 +491,11 @@ class EnableOp(ChainOp):
     @property
     def intended_opcode(self) -> int:
         return Opcode.ENABLE
+
+    def symbols(self) -> Dict[str, Symbol]:
+        if self.count is not None:
+            return {}
+        return {"wqe_count": WrIndex(ref_of(self.target))}
 
 
 class ArmCasOp(ChainOp):
@@ -654,7 +757,8 @@ class ChainProgram:
         self.ops: List[ChainOp] = []
         self.edges: List[AimEdge] = []
         self.loops: List[LoopInfo] = []
-        self._queues: List[ChainQueue] = []
+        # Insertion-ordered set (ChainQueue hashes by identity).
+        self._queues: Dict[ChainQueue, None] = {}
 
     def __repr__(self) -> str:
         return f"<ChainProgram {self.name} ops={len(self.ops)}>"
@@ -662,8 +766,7 @@ class ChainProgram:
     def append(self, op: ChainOp) -> ChainOp:
         op.index = len(self.ops)
         self.ops.append(op)
-        if op.queue not in self._queues:
-            self._queues.append(op.queue)
+        self._queues[op.queue] = None
         return op
 
     def add_edge(self, edge: AimEdge) -> AimEdge:

@@ -14,6 +14,12 @@ bytes*. The classes here manage exactly that:
 * :class:`WrRef` — a handle to one posted WR: its index, its slot
   address, and per-field addresses. Field addresses are what the rest
   of the program aims CAS/WRITE/READ-scatter operations at.
+
+Every host-side effect a program makes while it is built — posts,
+setup-time pokes and image stores, doorbells, queue and buffer
+creation — goes through the context, so a
+:class:`repro.redn.template.ActionRecorder` installed as
+``ctx.recorder`` sees one offload instance's complete action list.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import itertools
 from typing import Dict, List, Optional
 
 from ..memory.dram import Allocation, HostMemory
+from ..memory.layout import pack_uint
 from ..memory.region import AccessFlags, MemoryRegion, ProtectionDomain
 from ..nic.qp import QueuePair
 from ..nic.queue import CompletionQueue, WorkQueue
@@ -30,6 +37,10 @@ from ..nic.wqe import WQE_SLOT_SIZE, Wqe, field_location
 from ..net.node import OsProcess
 
 __all__ = ["RednContext", "ChainQueue", "WrRef", "ProgramError"]
+
+#: WQE fields holding host addresses (setup-time pokes into them carry
+#: ring or buffer addresses a compiled template must relocate).
+_ADDRESS_FIELDS = frozenset(("laddr", "raddr"))
 
 
 class ProgramError(Exception):
@@ -70,7 +81,8 @@ class WrRef:
 
     def poke(self, field: str, value: int) -> None:
         offset, width = field_location(field)
-        self.queue.memory.write_uint(self.slot_addr + offset, value, width)
+        self.queue.ctx.poke(self.slot_addr + offset, value, width,
+                            address=field in _ADDRESS_FIELDS)
 
     def peek(self, field: str) -> int:
         offset, width = field_location(field)
@@ -99,9 +111,9 @@ class WrRef:
         if index >= len(self.wqe.sges):
             raise ProgramError(f"{self!r} has no SGE {index}")
         location = self.sge_addr_location(index)
-        self.queue.memory.write_uint(location, addr, 8)
+        self.queue.ctx.poke(location, addr, 8, address=True)
         if length is not None:
-            self.queue.memory.write_uint(location + 8, length, 4)
+            self.queue.ctx.poke(location + 8, length, 4)
 
 
 class ChainQueue:
@@ -162,14 +174,18 @@ class ChainQueue:
              ring_doorbell: Optional[bool] = None) -> WrRef:
         """Post a chain WR; managed queues default to no doorbell."""
         slot_cursor = self.wq._post_slot_cursor
-        wr_index = self.wq.post(wqe, ring_doorbell=ring_doorbell)
+        wr_index = self.ctx.post(self.wq, wqe, ring_doorbell, chain=self)
         ref = WrRef(self, wr_index, slot_cursor, wqe, tag=tag)
         self.refs.append(ref)
         if wqe.signaled:
             self.signaled_posted += 1
+        if self.ctx.recorder is not None:
+            self.ctx.recorder.on_ref(ref)
         return ref
 
     def doorbell(self, up_to: Optional[int] = None) -> None:
+        if self.ctx.recorder is not None:
+            self.ctx.recorder.on_doorbell(self.wq, up_to)
         self.wq.doorbell(up_to=up_to)
 
 
@@ -200,6 +216,9 @@ class RednContext:
             self.owner = "redn"
         self.name = name or f"redn{next(self._ids)}"
         self._queue_counter = itertools.count()
+        #: Optional :class:`repro.redn.template.ActionRecorder`: while
+        #: set, every host action below is appended to its action list.
+        self.recorder = None
 
     def __repr__(self) -> str:
         return f"<RednContext {self.name} on {self.nic.name}>"
@@ -232,7 +251,47 @@ class RednContext:
     def alloc_registered(self, size: int, label: str = "",
                          access: int = AccessFlags.ALL):
         allocation = self.alloc(size, label=label)
-        return allocation, self.register(allocation, access=access)
+        region = self.register(allocation, access=access)
+        if self.recorder is not None:
+            self.recorder.on_alloc(allocation, region, label, access)
+        return allocation, region
+
+    # -- host actions (the CPU preparing code) ------------------------------
+
+    def post(self, wq: WorkQueue, wqe: Wqe,
+             ring_doorbell: Optional[bool] = None,
+             chain: Optional["ChainQueue"] = None) -> int:
+        """Post ``wqe`` on ``wq`` (a chain ring or a trigger RECV queue);
+        returns its WR index."""
+        recorder = self.recorder
+        if recorder is None:
+            return wq.post(wqe, ring_doorbell=ring_doorbell)
+        recorder.snapshot(wq, chain)
+        data = wqe.encode()
+        if ring_doorbell is None:
+            ring_doorbell = not wq.managed
+        wr_index = wq.post_bytes(data, ring_doorbell, wqe)
+        recorder.on_post(wq, wqe, data, ring_doorbell)
+        return wr_index
+
+    def poke(self, addr: int, value: int, width: int,
+             address: bool = False) -> None:
+        """Setup-time patch of ``width`` bytes; ``address`` marks the
+        value as a host address (a relocation candidate)."""
+        data = pack_uint(value, width)
+        if self.recorder is not None:
+            self.recorder.on_store(addr, data, address=address)
+        self.memory.write(addr, data)
+
+    def store_copy(self, addr: int, data: bytes, source: int) -> None:
+        """Store ``data``: bytes read from ``source`` and patched (a
+        prepared WQE image). A compiled template re-reads the source
+        when it replays the store."""
+        if self.recorder is not None:
+            self.recorder.on_store(
+                addr, data, source=source,
+                original=self.memory.read(source, len(data)))
+        self.memory.write(addr, data)
 
     # -- queue factories ------------------------------------------------------
 
@@ -240,15 +299,21 @@ class RednContext:
                       port_index: int = 0) -> ChainQueue:
         """Normal-mode queue for the static WAIT/ENABLE skeleton."""
         name = name or f"{self.name}-ctl{next(self._queue_counter)}"
-        return ChainQueue(self, managed=False, slots=slots, name=name,
-                          port_index=port_index)
+        queue = ChainQueue(self, managed=False, slots=slots, name=name,
+                           port_index=port_index)
+        if self.recorder is not None:
+            self.recorder.on_queue(queue, slots, port_index)
+        return queue
 
     def worker_queue(self, slots: int = 256, name: str = "",
                      port_index: int = 0) -> ChainQueue:
         """Managed (doorbell-ordered) queue for modifiable chain WRs."""
         name = name or f"{self.name}-wrk{next(self._queue_counter)}"
-        return ChainQueue(self, managed=True, slots=slots, name=name,
-                          port_index=port_index)
+        queue = ChainQueue(self, managed=True, slots=slots, name=name,
+                           port_index=port_index)
+        if self.recorder is not None:
+            self.recorder.on_queue(queue, slots, port_index)
+        return queue
 
     def adopt_client_queue(self, qp: QueuePair, name: str = "") -> ChainQueue:
         """Wrap a client-facing QP's managed send queue as chain storage.

@@ -1,0 +1,300 @@
+"""Compiled offload templates: stamped instances equal IR-built ones.
+
+Offloads lower their first two request instances through the IR and
+stamp every later one from a compiled byte template
+(:mod:`repro.redn.template`). These tests hold the stamps to the IR
+path: a reference rig lowers *every* instance through the offload's
+private per-instance IR builder, and the two rigs must leave identical
+DRAM (rings included), identical results and identical observability
+output, while the stamping rig's program stays O(1) in requests.
+"""
+
+import weakref
+
+import pytest
+
+from repro.datastructs import (
+    BUCKET_SIZE,
+    CuckooTable,
+    LinkedList,
+    SlabStore,
+)
+from repro.ibv import VerbsContext, wr_noop
+from repro.memory import HostMemory, ProtectionDomain
+from repro.net import Fabric
+from repro.nic import RNIC, QueueError
+from repro.obs import FlightRecorder, Tracer
+from repro.offloads.hash_lookup import HashGetOffload
+from repro.offloads.list_traversal import ListTraversalOffload
+from repro.redn import ProgramBuilder, RednContext
+from repro.redn.ir import HostValue
+from repro.redn.offload import OffloadClient, OffloadConnection
+from repro.redn.program import ProgramError
+from repro.redn.template import InstancePoster
+from repro.sim import Simulator
+
+VARIANTS = ["hash-seq", "hash-par", "list-plain", "list-break"]
+LIST_KEYS = [11, 22, 33]
+HASH_KEYS = [0x30 + index for index in range(8)]
+
+
+class Rig:
+    """One server + client pair running one offload variant.
+
+    Rings are sized small so a few dozen instances wrap every shared
+    ring: the response lane (client-facing send queue), the trigger
+    RECV queue, and the hash worker/control rings.
+    """
+
+    def __init__(self, variant: str, observe: bool = False,
+                 lane_slots: int = 32, recv_slots: int = 32, **kwargs):
+        self.variant = variant
+        self.sim = Simulator()
+        self.server_mem = HostMemory(name="srv", size=64 * 1024 * 1024)
+        self.client_mem = HostMemory(name="cli")
+        self.server_nic = RNIC(self.sim, self.server_mem, name="snic")
+        self.client_nic = RNIC(self.sim, self.client_mem, name="cnic")
+        Fabric(self.sim).connect(self.server_nic, self.client_nic)
+        self.obs = []
+        if observe:
+            tracer, recorder = Tracer(self.sim), FlightRecorder(self.sim)
+            for sink in (tracer, recorder):
+                sink.attach_nic(self.server_nic)
+                sink.attach_nic(self.client_nic)
+            self.obs = [tracer, recorder]
+        server_pd = ProtectionDomain(self.server_mem, name="spd")
+        client_pd = ProtectionDomain(self.client_mem, name="cpd")
+        ctx = RednContext(self.server_nic, server_pd, owner="srv")
+        slab_alloc = ctx.alloc(1024 * 1024, label="slab")
+        slab = SlabStore(self.server_mem, slab_alloc)
+        parallel = variant == "hash-par"
+        conn = OffloadConnection(
+            ctx, self.client_nic, client_pd,
+            num_lanes=2 if parallel else 1, send_slots=lane_slots,
+            recv_slots=recv_slots, name="conn")
+        if variant.startswith("hash"):
+            table_alloc = ctx.alloc(256 * BUCKET_SIZE, label="table")
+            table_mr = server_pd.register(table_alloc)
+            table = CuckooTable(self.server_mem, table_alloc, 256, slab)
+            self.values = {}
+            for key in HASH_KEYS:
+                self.values[key] = f"value-{key:#x}".encode()
+                table.insert(key, self.values[key])
+            self.offload = HashGetOffload(ctx, table, table_mr, conn,
+                                          parallel=parallel, **kwargs)
+        else:
+            node_alloc = ctx.alloc(64 * 1024, label="nodes")
+            data_mr = server_pd.register(node_alloc)
+            linked = LinkedList(self.server_mem, node_alloc, slab)
+            self.values = {}
+            for key in LIST_KEYS:
+                self.values[key] = f"node-{key}".encode()
+                linked.append(key, self.values[key])
+            self.offload = ListTraversalOffload(
+                ctx, linked, data_mr, conn, max_nodes=len(LIST_KEYS),
+                use_break=variant == "list-break")
+        self.client = OffloadClient(conn, VerbsContext(self.sim))
+
+    @property
+    def keys(self):
+        return sorted(self.values)
+
+    def post_ir(self, count: int) -> None:
+        """Lower ``count`` instances through the private IR builder."""
+        offload = self.offload
+        for _ in range(count):
+            instance = offload.instances_posted
+            posted = offload._poster.build(instance)
+            if self.variant == "list-break":
+                offload._track(instance, posted)
+            offload.instances_posted += 1
+
+    def serve(self, count: int, ir: bool = False, post: bool = True):
+        """Post and serve ``count`` requests one at a time."""
+        results = []
+        for index in range(count):
+            if post and ir:
+                self.post_ir(1)
+            elif post:
+                self.offload.post_instances(1)
+            instance = self.offload.instances_posted - 1
+            key = self.keys[index % len(self.keys)]
+
+            def call():
+                result = yield from self.client.call(
+                    self.offload.payload_for(key), timeout_ns=5_000_000)
+                return result
+            result = self.sim.run_process(call())
+            if self.variant == "list-break":
+                self.offload.finish_request(instance)
+            assert result.ok and result.data == self.values[key], \
+                f"{self.variant} request {index} for key {key}"
+            results.append((result.latency_ns, result.immediate))
+        return results
+
+    def dram(self):
+        return (bytes(self.server_mem._bytes[:self.server_mem._next]),
+                bytes(self.client_mem._bytes[:self.client_mem._next]))
+
+
+class _Straddles:
+    """Probe sink noting 2-slot posts that wrap their ring's edge."""
+
+    def __init__(self, sim):
+        self.seen = []
+        sim.probe.attach(self)
+
+    def on_post(self, wq, wr_index, slot_cursor, slots, wqe):
+        if slot_cursor % wq.num_slots + slots > wq.num_slots:
+            self.seen.append((wq.name, wr_index, slots))
+
+
+def _pad_list_worker(rig: Rig) -> None:
+    """Shift the plain variant's worker ring by 3 slots so a 2-slot node
+    READ eventually starts in the ring's last slot."""
+    for _ in range(3):
+        rig.offload.worker.post(wr_noop())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stamps_match_ir_build(variant):
+    """Ring bytes, DRAM images and results equal an all-IR reference,
+    across enough instances to wrap every shared ring."""
+    count = 140 if variant.startswith("hash") else 60
+    rigs = []
+    for ir in (False, True):
+        rig = Rig(variant)
+        straddles = _Straddles(rig.sim)
+        if variant == "list-plain":
+            _pad_list_worker(rig)
+        results = rig.serve(count, ir=ir)
+        rigs.append((rig, results, straddles.seen))
+    (stamped, results, seen), (reference, ref_results, ref_seen) = rigs
+    assert results == ref_results
+    assert seen == ref_seen
+    if variant == "list-plain":
+        assert any(name.endswith("-w-a-sq") for name, _i, _s in seen)
+    assert stamped.sim.now == reference.sim.now
+    assert stamped.dram() == reference.dram()
+    offload = stamped.offload
+    if variant.startswith("hash"):
+        shared = offload.workers + offload.controls + offload.response_lanes
+    else:
+        shared = [offload.lane] + ([] if offload.use_break
+                                   else [offload.worker, offload.control])
+    wqs = [queue.wq for queue in shared]
+    wqs.append(offload.conn.server_qp.recv_wq)
+    for wq in wqs:
+        assert wq._post_slot_cursor > wq.num_slots, f"{wq!r} never wrapped"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_program_size_constant_in_requests(variant):
+    """Soak: program, builder and queue bookkeeping stop growing."""
+    rig = Rig(variant)
+
+    def sizes():
+        offload = rig.offload
+        program = offload.builder.program
+        return (len(program.ops), len(program.edges),
+                len(offload.builder.refs), len(program.queues),
+                len(offload.builder.queues),
+                sum(len(queue.refs) for queue in program.queues),
+                len(getattr(offload, "instances", ())))
+
+    rig.serve(64)
+    after_64 = sizes()
+    rig.serve(512 - 64)
+    assert sizes() == after_64
+    assert rig.offload.instances_posted == 512
+    if variant == "list-break":
+        # A finished request's one-shot queues are dropped with it.
+        rig.offload.post_instances(1)
+        queues = [weakref.ref(queue)
+                  for queue in rig.offload.instances[512].queues]
+        rig.serve(1, post=False)
+        assert [queue() for queue in queues] == [None] * 3
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_observed_stamps_match_ir_build(variant):
+    """Tracer and flight-recorder output of stamped instances equals
+    the IR-built output."""
+    outputs = []
+    for ir in (False, True):
+        rig = Rig(variant, observe=True)
+        rig.serve(12, ir=ir)
+        tracer, recorder = rig.obs
+        outputs.append((tracer.events, recorder.to_jsonl()))
+    assert outputs[0] == outputs[1]
+
+
+def test_hash_overflow_posts_nothing_then_recovers():
+    """The 75th pre-posted instance overflows the 896-slot control ring
+    (74 x 12 WRs fit): it must fail whole, then a drain frees room."""
+    rig = Rig("hash-seq", lane_slots=1024, recv_slots=1024,
+              max_instances=64)
+    offload = rig.offload
+    control = offload.controls[0].wq
+    recv = offload.conn.server_qp.recv_wq
+    posted = 0
+    with pytest.raises(QueueError):
+        while True:
+            offload.post_instances(1)
+            posted += 1
+    assert posted == offload.instances_posted == 74
+    assert recv.posted_count == 74
+    assert control.posted_count == 74 * 12
+    assert offload.workers[0].wq.posted_count == 74 * 4
+    assert offload.response_lanes[0].wq.posted_count == 74 * 2
+    rig.serve(74, post=False)
+    rig.serve(1)
+    assert offload.instances_posted == 75
+
+
+class _Skeleton:
+    """A one-WAIT instance on a bare loopback world: small enough to
+    pin the compiler's relocation rules directly."""
+
+    def __init__(self, build_threshold):
+        sim = Simulator()
+        memory = HostMemory(name="mem")
+        nic = RNIC(sim, memory, name="nic")
+        self.ctx = RednContext(nic, ProtectionDomain(memory), owner="t")
+        self.builder = ProgramBuilder(self.ctx, name="t")
+        self.control = self.builder.control_queue(slots=64, name="ctl")
+        self.killed = 0
+        self.waits = []
+
+        def build(instance):
+            self.waits.append(self.builder.wait(
+                self.control, self.control.cq, build_threshold(self,
+                                                              instance)))
+        self.poster = InstancePoster(self.ctx, build, "t{}")
+
+    def thresholds(self):
+        wq = self.control.wq
+        return [self.ctx.memory.read_uint(wq.slot_addr(index) + 48, 4)
+                for index in range(wq.posted_count)]
+
+
+def test_compile_rejects_an_unrelocated_literal():
+    """A per-instance value built as a plain literal cannot be stamped:
+    the template fails to reproduce instance 1."""
+    rig = _Skeleton(lambda rig, instance: instance + 1)
+    rig.poster.post(0)
+    with pytest.raises(ProgramError, match="does not reproduce"):
+        rig.poster.post(1)
+
+
+def test_host_relocation_reads_state_at_stamp_time():
+    """A host value equal in instances 0 and 1 (so a diff of the two
+    would call it constant) is re-read for every stamp."""
+    rig = _Skeleton(lambda rig, instance:
+                    HostValue(lambda: rig.killed) + 1)
+    for instance in range(4):
+        if instance == 3:
+            rig.killed = 10
+        rig.poster.post(instance)
+    assert rig.thresholds() == [1, 1, 1, 11]
+    assert len(rig.builder.program.ops) == 2

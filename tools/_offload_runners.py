@@ -8,6 +8,12 @@ label)`` callback invoked right after the testbed exists and before
 any offload state is built — attach a Tracer, a FlightRecorder, or
 nothing — and stores its return value under ``"instrument"`` in the
 result dict.
+
+The hash and list offloads lower only their first two instances into
+the chain program and stamp the rest from a compiled template, so their
+results carry ``instances`` (the count posted) and ``instance_tag``
+(the tag prefix of instance 0's ops): static per-request tallies come
+from that one instance.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ def _run_hash(calls: int, parallel: bool, instrument=None):
     client = OffloadClient(conn, bed.client_verbs(0))
     _drive_calls(bed, client, offload, keys)
     return {"bed": bed, "instrument": obs,
-            "program": offload.builder.program, "relation": "exact"}
+            "program": offload.builder.program, "relation": "exact",
+            "instances": offload.instances_posted, "instance_tag": "get0."}
 
 
 def _run_list(calls: int, use_break: bool, instrument=None):
@@ -103,7 +110,8 @@ def _run_list(calls: int, use_break: bool, instrument=None):
                  per_call_post=use_break)
     return {"bed": bed, "instrument": obs,
             "program": offload.builder.program,
-            "relation": "at-most" if use_break else "exact"}
+            "relation": "at-most" if use_break else "exact",
+            "instances": offload.instances_posted, "instance_tag": "trav0."}
 
 
 def _run_recycled(calls: int, instrument=None):

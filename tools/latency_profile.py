@@ -72,7 +72,9 @@ def selfcheck(profile, run) -> list:
       applications) are consistent with the static ``chain_cost``
       E-tally of the chain program: equal for run-to-completion
       offloads, bounded by it for early-``break`` variants, and a
-      whole multiple of the per-lap tally for the recycled ring.
+      whole multiple of the per-lap tally for the recycled ring. For
+      templated offloads the static tally is instance 0's times the
+      instances posted (the program holds only the IR-lowered ones).
     """
     from repro.redn.passes import chain_cost
 
@@ -85,23 +87,29 @@ def selfcheck(profile, run) -> list:
             failures.append(
                 f"{request.label}@{request.start}: phases sum to "
                 f"{phase_sum}ns, end-to-end is {request.total_ns}ns")
-    static = chain_cost(run["program"])
     measured = profile.counts["E"]
     relation = run["relation"]
-    if relation == "exact" and measured != static.ordering:
+    if "instances" in run:
+        per_instance = chain_cost(run["program"],
+                                  run["instance_tag"]).ordering
+        static = per_instance * run["instances"]
+        label = (f"{run['instances']} instances x per-instance static "
+                 f"E={per_instance}")
+    else:
+        static = chain_cost(run["program"]).ordering
+        label = f"static chain_cost E={static}"
+    if relation == "exact" and measured != static:
+        failures.append(f"measured E={measured} != {label}")
+    elif relation == "at-most" and not 0 < measured <= static:
         failures.append(
-            f"measured E={measured} != static chain_cost "
-            f"E={static.ordering}")
-    elif relation == "at-most" and not 0 < measured <= static.ordering:
-        failures.append(
-            f"measured E={measured} not in (0, static "
-            f"E={static.ordering}] for early-break chain")
+            f"measured E={measured} not in (0, {label}] for early-break "
+            f"chain")
     elif relation == "recycled":
         laps = run["offload"].laps
-        if measured != laps * static.ordering:
+        if measured != laps * static:
             failures.append(
                 f"measured E={measured} != {laps} laps x per-lap "
-                f"static E={static.ordering}")
+                f"static E={static}")
     return failures
 
 
