@@ -116,9 +116,11 @@ class SendQueueDriver:
                 for hook in probe.fetch_span:
                     hook(self.nic, wq, fetch_start, 1, True)
             if probe.fetch:
+                image = (wq.slot_state(cursor, slots)
+                         if probe.slot_images else None)
                 for hook in probe.fetch:
                     hook(wq, wr_index, cursor, slots, wqe,
-                         wq._last_decode_cached)
+                         wq._last_decode_cached, image)
             return [(wqe, wr_index)]
 
         count = min(wq.fetchable, timing.prefetch_batch)
@@ -156,8 +158,10 @@ class SendQueueDriver:
         if fetch_meta is not None:
             for (wqe, wr_index), (cursor, slots, cached) in zip(
                     batch, fetch_meta):
+                image = (wq.slot_state(cursor, slots)
+                         if probe.slot_images else None)
                 for hook in probe.fetch:
-                    hook(wq, wr_index, cursor, slots, wqe, cached)
+                    hook(wq, wr_index, cursor, slots, wqe, cached, image)
         return batch
 
     # -- execute path -----------------------------------------------------------

@@ -285,7 +285,10 @@ class WorkQueue:
         """
         gens = self._ring_gens.gens
         ring_slots = self.num_slots
-        return tuple(gens[(slot_cursor + offset) % ring_slots]
+        index = slot_cursor % ring_slots
+        if index + slots <= ring_slots:
+            return tuple(gens[index:index + slots])
+        return tuple(gens[(index + offset) % ring_slots]
                      for offset in range(slots))
 
     def slot_state(self, slot_cursor: int,
@@ -348,8 +351,12 @@ class WorkQueue:
         if self._probe.post:
             if wqe is None:
                 wqe = Wqe.decode(data)
+            # The ring now holds exactly ``data``: the slot image needs
+            # only the generations read back.
+            image = ((self.slot_gens(cursor, slots), bytes(data))
+                     if self._probe.slot_images else None)
             for hook in self._probe.post:
-                hook(self, wr_index, cursor, slots, wqe)
+                hook(self, wr_index, cursor, slots, wqe, image)
         if ring_doorbell is None:
             ring_doorbell = not self.managed
         if ring_doorbell:
@@ -516,6 +523,9 @@ class WorkQueue:
 
     def destroy(self) -> None:
         """Tear the queue down (process death without a hull parent)."""
+        if not self.destroyed and self._probe.wq_destroyed:
+            for hook in self._probe.wq_destroyed:
+                hook(self)
         self.destroyed = True
         self._wake()
         self._wake_recv_waiters()

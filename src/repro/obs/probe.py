@@ -27,14 +27,17 @@ Event kinds and the arguments every ``on_<kind>`` hook receives
 kind                  arguments
 ====================  ==================================================
 ``wq_created``        nic, wq
+``wq_destroyed``      wq — the queue was torn down; its fetched but
+                      unexecuted WQEs never execute
 ``cq_created``        nic, cq
 ``code_region``       memory, addr, size, label — a RedN code ring
-``post``              wq, wr_index, slot_cursor, slots, wqe
+``post``              wq, wr_index, slot_cursor, slots, wqe, image
 ``doorbell``          wq, up_to
 ``doorbell_batch``    wq, count, start_ns, extra_delay_ns
 ``fetch_span``        nic, wq, start_ns, count, managed — one fetch
                       DMA, announced before its WQEs' ``fetch`` events
-``fetch``             wq, wr_index, slot_cursor, slots, wqe, cache_hit
+``fetch``             wq, wr_index, slot_cursor, slots, wqe, cache_hit,
+                      image
 ``recv_fetch``        wq — an inbound SEND consumed one RECV WQE
 ``execute``           wq, wr_index, wqe — a WQE entered execution
 ``pu``                nic, wq, opcode, start_ns — a PU occupancy span
@@ -54,16 +57,26 @@ kind                  arguments
 ``request``           latency_ns, key, blame — a client request done
 ``serviced``          (none) — a frontend served one inbound request
 ====================  ==================================================
+
+``image`` is the WQE's slot image, ``(generations, bytes)``: the write
+generation of each slot and the slots' raw bytes at the event. The site
+reads it once for all sinks, and only when an attached sink sets
+``wants_slot_images``; otherwise it is None.
+
+Stores into annotated DRAM regions reach sinks through
+:class:`StoreWatch`; every watch on one memory shares that memory's
+single store hook and region index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["KINDS", "Probe", "SinkAttachedError", "StoreWatch"]
 
 KINDS = (
-    "wq_created", "cq_created", "code_region",
+    "wq_created", "wq_destroyed", "cq_created", "code_region",
     "post", "doorbell", "doorbell_batch",
     "fetch_span", "fetch", "recv_fetch",
     "execute", "pu", "wait", "enable", "done",
@@ -80,12 +93,16 @@ class SinkAttachedError(ValueError):
 class Probe:
     """Per-simulator fan-out of instrumentation events to sinks."""
 
-    __slots__ = ("sim", "sinks") + KINDS
+    __slots__ = ("sim", "sinks", "slot_images", "_store_indexes") + KINDS
 
     def __init__(self, sim):
         self.sim = sim
         #: Attached sinks, in attach order.
         self.sinks: List[Any] = []
+        #: True when an attached sink wants ``post``/``fetch`` images.
+        self.slot_images = False
+        #: One shared store index per watched memory, by ``id(memory)``.
+        self._store_indexes: Dict[int, _StoreIndex] = {}
         self._bind()
 
     def attach(self, sink) -> None:
@@ -114,6 +131,8 @@ class Probe:
         return None
 
     def _bind(self) -> None:
+        self.slot_images = any(getattr(sink, "wants_slot_images", False)
+                               for sink in self.sinks)
         for kind in KINDS:
             name = "on_" + kind
             setattr(self, kind, tuple(getattr(sink, name)
@@ -121,53 +140,187 @@ class Probe:
                                       if hasattr(sink, name)))
 
 
-class StoreWatch:
-    """Annotated DRAM regions per memory, and the store hooks on them.
 
-    ``on_store(memory, addr, length, label)`` runs for every store that
-    overlaps an annotated region, with the label of the lowest such
-    region. Stores elsewhere are ignored, so a sink's output stays
-    proportional to program activity, not payload volume.
+
+class _StoreIndex:
+    """One memory's annotated regions and its one store hook.
+
+    Every :class:`StoreWatch` on the memory shares it. ``keys`` holds
+    the distinct ``(start, end)`` ranges in sorted order; ``regions[i]``
+    holds, per watch, the ``(start, end, label)`` region that watch
+    annotated at ``keys[i]`` (None where it did not), and ``calls[i]``
+    the ``(on_store, region)`` pairs a store there fans out to.
+    ``reach[i]`` is the largest end among ``keys[:i + 1]``, so it never
+    decreases and the first key a store ``[addr, end)`` overlaps is
+    ``bisect_right(reach, addr)`` when that key starts before ``end``.
     """
 
-    def __init__(self, on_store: Callable[[Any, int, int, str], None]):
+    def __init__(self, memory):
+        self.memory = memory
+        self.watches: List["StoreWatch"] = []
+        self.keys: List[Tuple[int, int]] = []
+        self.regions: List[List[Optional[tuple]]] = []
+        self.calls: List[tuple] = []
+        self.reach: List[int] = []
+        memory.add_store_hook(self.dispatch)
+
+    def dispatch(self, addr: int, length: int) -> None:
+        """The memory's store hook: each watch gets the lowest region
+        it annotated that the store overlaps."""
+        index = bisect_right(self.reach, addr)
+        if index == len(self.reach):
+            return
+        if self.keys[index][0] >= addr + length:
+            return
+        memory = self.memory
+        calls = self.calls[index]
+        for on_store, region in calls:
+            on_store(memory, addr, length, region)
+        if len(calls) < len(self.watches):
+            self._dispatch_rest(index, addr, length)
+
+    def _dispatch_rest(self, index: int, addr: int, length: int) -> None:
+        """Watches that did not annotate the first overlapped key."""
+        end = addr + length
+        for slot, region in enumerate(self.regions[index]):
+            if region is not None:
+                continue
+            for later in range(index + 1, len(self.keys)):
+                start, stop = self.keys[later]
+                if start >= end:
+                    break
+                region = self.regions[later][slot]
+                if stop > addr and region is not None:
+                    self.watches[slot].on_store(self.memory, addr, length,
+                                                region)
+                    break
+
+    def overlapping(self, slot: int, lo: int, hi: int) -> List[tuple]:
+        """Regions watch ``slot`` annotated that overlap ``[lo, hi)``."""
+        found = []
+        keys = self.keys
+        for index in range(bisect_right(self.reach, lo), len(keys)):
+            start, stop = keys[index]
+            if start >= hi:
+                break
+            region = self.regions[index][slot]
+            if stop > lo and region is not None:
+                found.append(region)
+        return found
+
+    def _set_calls(self, index: int) -> None:
+        self.calls[index] = tuple(
+            (watch.on_store, region)
+            for watch, region in zip(self.watches, self.regions[index])
+            if region is not None)
+
+    def annotate(self, slot: int, region: tuple) -> bool:
+        """Add ``region`` for watch ``slot``; False when that watch
+        already had the range (its first label stays)."""
+        start, end, _label = region
+        key = (start, end)
+        keys = self.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            regions = self.regions[index]
+            if regions[slot] is not None:
+                return False
+            regions[slot] = region
+            self._set_calls(index)
+            return True
+        regions = [None] * len(self.watches)
+        regions[slot] = region
+        keys.insert(index, key)
+        self.regions.insert(index, regions)
+        self.calls.insert(index, ())
+        self._set_calls(index)
+        reach = self.reach
+        value = max(reach[index - 1], end) if index else end
+        reach.insert(index, value)
+        for later in range(index + 1, len(reach)):
+            if reach[later] >= value:
+                break
+            reach[later] = value
+        return True
+
+    def join(self, watch: "StoreWatch") -> int:
+        """Subscribe ``watch``; returns its region slot."""
+        self.watches.append(watch)
+        for regions in self.regions:
+            regions.append(None)
+        return len(self.watches) - 1
+
+    def leave(self, watch: "StoreWatch") -> bool:
+        """Unsubscribe ``watch``; True when no watch is left."""
+        self.watches.remove(watch)
+        self.keys, self.regions, self.calls, self.reach = [], [], [], []
+        for slot, other in enumerate(self.watches):
+            for region in other.regions[id(self.memory)]:
+                self.annotate(slot, region)
+        if self.watches:
+            return False
+        self.memory.remove_store_hook(self.dispatch)
+        return True
+
+
+class StoreWatch:
+    """One sink's annotated DRAM regions and the store hook on them.
+
+    ``on_store(memory, addr, length, region)`` runs for every store
+    that overlaps a region this watch annotated, with the lowest such
+    ``(start, end, label)`` region. Stores elsewhere are ignored, so a
+    sink's output stays proportional to program activity, not payload
+    volume. All watches of one simulator share each memory's store hook
+    and bisected region index (:class:`_StoreIndex`), kept on its
+    probe.
+    """
+
+    def __init__(self, probe: Probe,
+                 on_store: Callable[[Any, int, int, tuple], None]):
+        self.probe = probe
         self.on_store = on_store
-        #: (memory, hook) per watched memory, in attach order.
-        self.memories: List[Tuple[Any, Callable]] = []
+        #: Watched memories, in attach order.
+        self.memories: List[Any] = []
         #: Sorted [(start, end, label)] per ``id(memory)``.
         self.regions: Dict[int, List[Tuple[int, int, str]]] = {}
+        self.closed = False
+
+    def _index(self, memory) -> Tuple[_StoreIndex, int]:
+        index = self.probe._store_indexes[id(memory)]
+        return index, index.watches.index(self)
 
     def attach(self, memory) -> None:
-        """Install the store hook on ``memory`` (idempotent)."""
-        if id(memory) in self.regions:
+        """Watch stores into ``memory`` (idempotent; inert once closed)."""
+        if self.closed or id(memory) in self.regions:
             return
-        regions = self.regions[id(memory)] = []
-        on_store = self.on_store
-
-        def hook(addr: int, length: int) -> None:
-            end = addr + length
-            for start, stop, label in regions:
-                if start >= end:
-                    return
-                if stop > addr:
-                    on_store(memory, addr, length, label)
-                    return
-
-        memory.add_store_hook(hook)
-        self.memories.append((memory, hook))
+        indexes = self.probe._store_indexes
+        index = indexes.get(id(memory))
+        if index is None:
+            index = indexes[id(memory)] = _StoreIndex(memory)
+        index.join(self)
+        self.regions[id(memory)] = []
+        self.memories.append(memory)
 
     def annotate(self, memory, addr: int, size: int, label: str) -> None:
         """Watch stores into [addr, addr+size) under ``label``."""
         self.attach(memory)
-        regions = self.regions[id(memory)]
-        for start, end, _ in regions:
-            if start == addr and end == addr + size:
-                return
-        regions.append((addr, addr + size, label))
-        regions.sort()
+        if self.closed:
+            return
+        index, slot = self._index(memory)
+        region = (addr, addr + size, label)
+        if index.annotate(slot, region):
+            insort(self.regions[id(memory)], region)
+
+    def overlapping(self, memory, lo: int, hi: int) -> List[tuple]:
+        """This watch's regions overlapping [lo, hi), lowest first."""
+        index, slot = self._index(memory)
+        return index.overlapping(slot, lo, hi)
 
     def close(self) -> None:
-        """Remove every installed store hook."""
-        for memory, hook in self.memories:
-            memory.remove_store_hook(hook)
+        """Leave every memory's index; the last watch removes its hook."""
+        indexes = self.probe._store_indexes
+        for memory in self.memories:
+            if indexes[id(memory)].leave(self):
+                del indexes[id(memory)]
         self.memories.clear()
+        self.closed = True

@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nic.opcodes import OPCODE_NAMES, Opcode
+from ..nic.wqe import WQE_SLOT_SIZE
 from .probe import StoreWatch
 
 __all__ = [
     "JOURNAL_SCHEMA",
+    "RECORD_SCHEMA",
     "FlightRecorder",
     "InvariantMonitor",
     "Journal",
@@ -91,7 +93,7 @@ class ReplayDivergence(JournalError):
 
 
 def _op_name(opcode: int) -> str:
-    return OPCODE_NAMES.get(opcode, f"OP{opcode:#x}")
+    return OPCODE_NAMES.get(opcode) or f"OP{opcode:#x}"
 
 
 def _digest(data) -> str:
@@ -112,8 +114,11 @@ def record_matches(record: Dict[str, Any],
 class InvariantMonitor:
     """Online invariants over the journal record stream.
 
-    Operates purely on record dicts, so it can be replayed over a
-    loaded journal as easily as it runs inline during recording:
+    One implementation with two entry points: the recorder calls the
+    per-kind methods (:meth:`fetch`, :meth:`exec`, :meth:`wait`,
+    :meth:`enable`, :meth:`done`, :meth:`cqe`) with positional fields
+    as it records, and :meth:`observe` feeds them from a record dict,
+    so the monitor replays over a loaded journal as easily:
 
     * ``wqe_count_monotonic`` — each queue's fetched WR indices advance
       by exactly one (the ConnectX monotonic-counter discipline that WQ
@@ -126,12 +131,17 @@ class InvariantMonitor:
       its WQE declared at execute time; a READ never scatters more.
     * ``wait_threshold`` — a WAIT only ever wakes with the target CQ's
       count at or above its threshold.
+
+    All state is scoped by ``bed`` so the monitor runs unmodified over
+    merged multi-testbed journals (same-named queues exist in every
+    bed); a live recorder is bed 0.
     """
 
     def __init__(self, metrics=None):
         self.violations: List[Dict[str, Any]] = []
-        self._counter = (metrics.counter("obs.invariants")
-                         if metrics is not None else None)
+        #: The ``obs.invariants`` counter family, or None.
+        self.counter = (metrics.counter("obs.invariants")
+                        if metrics is not None else None)
         self._last_fetch_wr: Dict[Tuple, int] = {}
         self._last_wait_threshold: Dict[Tuple, int] = {}
         self._cq_counts: Dict[Tuple, int] = {}
@@ -140,104 +150,193 @@ class InvariantMonitor:
         self._driven: set = set()
         self._exec_len: Dict[Tuple, Tuple[str, int]] = {}
 
-    def _violate(self, name: str, record: Dict[str, Any],
-                 detail: str) -> None:
-        self.violations.append({"name": name,
-                                "seq": record.get("seq"),
-                                "ts": record.get("ts"),
+    def _violate(self, name: str, seq, ts, detail: str) -> None:
+        self.violations.append({"name": name, "seq": seq, "ts": ts,
                                 "detail": detail})
-        if self._counter is not None:
-            self._counter[f"violation:{name}"] += 1
+        if self.counter is not None:
+            self.counter[f"violation:{name}"] += 1
 
     def observe(self, record: Dict[str, Any]) -> None:
-        if self._counter is not None:
-            self._counter["checks"] += 1
+        """Check one record dict (every kind counts as one check)."""
+        if self.counter is not None:
+            self.counter["checks"] += 1
         kind = record["kind"]
-        # All state is scoped by bed so the monitor runs unmodified
-        # over merged multi-testbed journals (same-named queues exist
-        # in every bed).
         bed = record.get("bed", 0)
+        seq = record.get("seq")
+        ts = record.get("ts")
         if kind == "fetch":
-            wq = record["wq"]
-            self._driven.add((bed, record.get("wq_num")))
-            prev = self._last_fetch_wr.get((bed, wq))
-            if prev is not None and record["wr"] != prev + 1:
-                self._violate(
-                    "wqe_count_monotonic", record,
-                    f"wq {wq} fetched wr {record['wr']} after {prev}")
-            self._last_fetch_wr[(bed, wq)] = record["wr"]
+            self.fetch(seq, ts, bed, record["wq"], record.get("wq_num"),
+                       record["wr"])
         elif kind == "exec":
-            self._exec_len[(bed, record["wq"], record["wr"])] = (
-                record["op"], record.get("len", 0))
+            self.exec(bed, record["wq"], record["wr"], record["op"],
+                      record.get("len", 0))
         elif kind == "wait":
-            if record["count"] < record["threshold"]:
-                self._violate(
-                    "wait_threshold", record,
-                    f"WAIT on cq{record['cq']} woke at count "
-                    f"{record['count']} < threshold {record['threshold']}")
-            wq = record["wq"]
-            # Per (wq, target cq): one control queue WAITs on several
-            # CQs with independent threshold ladders, but against any
-            # single monotonic CQ counter thresholds never regress.
-            threshold_key = (bed, wq, record["cq"])
-            prev = self._last_wait_threshold.get(threshold_key)
-            if prev is not None and record["threshold"] < prev:
-                self._violate(
-                    "wqe_count_monotonic", record,
-                    f"wq {wq} WAIT threshold {record['threshold']} on "
-                    f"cq{record['cq']} regressed below {prev}")
-            self._last_wait_threshold[threshold_key] = record["threshold"]
-            self._exec_len.pop((bed, wq, record["wr"]), None)
-            if record.get("signaled"):
-                key = (bed, record.get("wq_num"))
-                self._justified[key] = self._justified.get(key, 0) + 1
+            self.wait(seq, ts, bed, record["wq"], record.get("wq_num"),
+                      record["wr"], record["cq"], record["threshold"],
+                      record["count"], record.get("signaled"))
         elif kind == "enable":
-            self._exec_len.pop((bed, record["wq"], record["wr"]), None)
-            if record.get("signaled"):
-                key = (bed, record.get("wq_num"))
-                self._justified[key] = self._justified.get(key, 0) + 1
+            self.enable(bed, record["wq"], record.get("wq_num"),
+                        record["wr"], record.get("signaled"))
         elif kind == "done":
-            expected = self._exec_len.pop(
-                (bed, record["wq"], record["wr"]), None)
-            if (expected is not None and record["status"] == "OK"
-                    and expected[0] in ("WRITE", "WRITE_IMM", "READ")):
-                op, length = expected
-                moved = record.get("len", 0)
-                bad = (moved != length if op != "READ"
-                       else moved > length)
-                if bad:
-                    self._violate(
-                        "dma_bytes", record,
-                        f"{op} on wq {record['wq']} wr {record['wr']} "
-                        f"moved {moved} bytes, WQE declared {length}")
-            if record.get("signaled") or record["status"] != "OK":
-                key = (bed, record.get("wq_num"))
-                self._justified[key] = self._justified.get(key, 0) + 1
+            self.done(seq, ts, bed, record["wq"], record.get("wq_num"),
+                      record["wr"], record["status"], record.get("len", 0),
+                      record.get("signaled"))
         elif kind == "cqe":
-            cq = record["cq"]
-            prev = self._cq_counts.get((bed, cq))
-            if prev is not None and record["count"] != prev + 1:
+            self.cqe(seq, ts, bed, record["cq"], record["count"],
+                     record.get("wq_num"), record.get("status"))
+
+    def fetch(self, seq, ts, bed, wq: str, wq_num, wr: int) -> None:
+        self._driven.add((bed, wq_num))
+        prev = self._last_fetch_wr.get((bed, wq))
+        if prev is not None and wr != prev + 1:
+            self._violate("wqe_count_monotonic", seq, ts,
+                          f"wq {wq} fetched wr {wr} after {prev}")
+        self._last_fetch_wr[(bed, wq)] = wr
+
+    def exec(self, bed, wq: str, wr: int, op: str, length: int) -> None:
+        self._exec_len[(bed, wq, wr)] = (op, length)
+
+    def wait(self, seq, ts, bed, wq: str, wq_num, wr: int, cq: int,
+             threshold: int, count: int, signaled) -> None:
+        if count < threshold:
+            self._violate(
+                "wait_threshold", seq, ts,
+                f"WAIT on cq{cq} woke at count {count} < threshold "
+                f"{threshold}")
+        # Per (wq, target cq): one control queue WAITs on several CQs
+        # with independent threshold ladders, but against any single
+        # monotonic CQ counter thresholds never regress.
+        threshold_key = (bed, wq, cq)
+        prev = self._last_wait_threshold.get(threshold_key)
+        if prev is not None and threshold < prev:
+            self._violate(
+                "wqe_count_monotonic", seq, ts,
+                f"wq {wq} WAIT threshold {threshold} on cq{cq} regressed "
+                f"below {prev}")
+        self._last_wait_threshold[threshold_key] = threshold
+        self._exec_len.pop((bed, wq, wr), None)
+        if signaled:
+            key = (bed, wq_num)
+            self._justified[key] = self._justified.get(key, 0) + 1
+
+    def enable(self, bed, wq: str, wq_num, wr: int, signaled) -> None:
+        self._exec_len.pop((bed, wq, wr), None)
+        if signaled:
+            key = (bed, wq_num)
+            self._justified[key] = self._justified.get(key, 0) + 1
+
+    def done(self, seq, ts, bed, wq: str, wq_num, wr: int, status: str,
+             moved: int, signaled) -> None:
+        expected = self._exec_len.pop((bed, wq, wr), None)
+        if (expected is not None and status == "OK"
+                and expected[0] in ("WRITE", "WRITE_IMM", "READ")):
+            op, length = expected
+            bad = moved != length if op != "READ" else moved > length
+            if bad:
                 self._violate(
-                    "cqe_conservation", record,
-                    f"cq {cq} count jumped {prev} -> {record['count']}")
-            self._cq_counts[(bed, cq)] = record["count"]
-            key = (bed, record.get("wq_num"))
-            if key in self._driven and record.get("status") == "OK":
-                seen = self._ok_cqes.get(key, 0) + 1
-                self._ok_cqes[key] = seen
-                if seen > self._justified.get(key, 0):
-                    self._violate(
-                        "cqe_conservation", record,
-                        f"wq_num {key[1]} delivered OK CQE #{seen} with "
-                        f"only {self._justified.get(key, 0)} signaled "
-                        f"completions justified")
+                    "dma_bytes", seq, ts,
+                    f"{op} on wq {wq} wr {wr} moved {moved} bytes, WQE "
+                    f"declared {length}")
+        if signaled or status != "OK":
+            key = (bed, wq_num)
+            self._justified[key] = self._justified.get(key, 0) + 1
+
+    def cqe(self, seq, ts, bed, cq: str, count: int, wq_num,
+            status) -> None:
+        prev = self._cq_counts.get((bed, cq))
+        if prev is not None and count != prev + 1:
+            self._violate("cqe_conservation", seq, ts,
+                          f"cq {cq} count jumped {prev} -> {count}")
+        self._cq_counts[(bed, cq)] = count
+        key = (bed, wq_num)
+        if key in self._driven and status == "OK":
+            seen = self._ok_cqes.get(key, 0) + 1
+            self._ok_cqes[key] = seen
+            if seen > self._justified.get(key, 0):
+                self._violate(
+                    "cqe_conservation", seq, ts,
+                    f"wq_num {key[1]} delivered OK CQE #{seen} with only "
+                    f"{self._justified.get(key, 0)} signaled completions "
+                    f"justified")
 
 
 # -- the recorder ---------------------------------------------------------
 
 
+#: One row per journal record layout: ``(kind, fields)``. A recorded
+#: entry is the flat tuple ``(code, seq, ts, *values)``, ``code`` being
+#: the row's index; ``fields`` names the values in journal key order,
+#: and ``field:render`` renders that value when the record is built.
+#: Every record ends with ``seq`` and ``ts``.
+RECORD_SCHEMA = (
+    ("post", "wq wq_num wr slot slots addr op:op wqe:hex gens:list"),
+    ("doorbell", "wq wq_num up_to"),
+    ("fetch",
+     "wq wq_num wr slot slots addr op:op wqe:hex gens:list cache:bool"),
+    ("exec", "wq wq_num wr op len"),
+    ("wait", "wq wq_num wr cq threshold count signaled:bool"),
+    ("enable",
+     "wq wq_num wr target count relative:bool target_name signaled:bool"),
+    ("done", "wq wq_num wr op:op status len signaled:bool"),
+    ("cqe", "cq cq_num count op:op wr_id status wq_num"),
+    ("atomic", "nic src op:op raddr op0 op1 orig swapped"),  # CAS
+    ("atomic", "nic src op:op raddr op0 op1 orig"),
+    ("store", "mem region addr len digest:digest"),
+)
+
+#: Stores up to this many bytes keep their bytes for an export-time
+#: digest; larger ones (a freed or filled ring) are digested at once.
+_STORE_KEEP_BYTES = 512
+
+_RENDER = {
+    "op": _op_name,
+    "hex": bytes.hex,
+    "list": list,
+    "bool": bool,
+    "digest": lambda data: data if isinstance(data, str) else _digest(data),
+}
+
+
+def _compile(row):
+    kind, fields = row
+    keys, renders = [], []
+    for field in fields.split():
+        key, _, render = field.partition(":")
+        keys.append(key)
+        renders.append(_RENDER[render] if render else None)
+    return kind, tuple(keys), tuple(renders)
+
+
+_ROWS = tuple(_compile(row) for row in RECORD_SCHEMA)
+_SIZES = tuple(3 + len(keys) for _kind, keys, _renders in _ROWS)
+#: Records per storage chunk: the recorder's eviction granularity.
+_CHUNK = 512
+(_POST, _DOORBELL, _FETCH, _EXEC, _WAIT, _ENABLE, _DONE, _CQE, _CAS,
+ _ATOMIC, _STORE) = range(len(RECORD_SCHEMA))
+
+
+def _record(raw: tuple) -> Dict[str, Any]:
+    """One recorded tuple as its journal record dict."""
+    kind, keys, renders = _ROWS[raw[0]]
+    record: Dict[str, Any] = {"kind": kind}
+    for key, render, value in zip(keys, renders, raw[3:]):
+        record[key] = value if render is None else render(value)
+    record["seq"] = raw[1]
+    record["ts"] = raw[2]
+    return record
+
+
 class FlightRecorder:
-    """Bounded causal journal of one simulation; one per Simulator."""
+    """Bounded causal journal of one simulation; one per Simulator.
+
+    Each hook records one flat tuple over :data:`RECORD_SCHEMA`; hex
+    strings, op names, store digests and record dicts are built only
+    when the journal is read (:attr:`records`, :meth:`journal_lines`)
+    or when replay verification needs each record as it happens.
+    """
+
+    #: Post and fetch records carry the WQE's slot image.
+    wants_slot_images = True
 
     def __init__(self, sim, name: str = "journal",
                  capacity: int = 1 << 16,
@@ -254,12 +353,23 @@ class FlightRecorder:
         self.name = name
         self.capacity = capacity
         self.checkpoint_interval = checkpoint_interval
-        #: Next sequence number; seq - len(records) entries were evicted.
+        #: Next sequence number; seq - retained entries were evicted.
         self.seq = 0
-        self.records: deque = deque(maxlen=capacity)
+        # Recorded tuples stored back to back in flat chunks of _CHUNK
+        # records, so a stored record leaves no GC-tracked object. The
+        # oldest chunk goes once the newer ones hold ``capacity``;
+        # ``_base`` is the seq of the first stored record and ``_chunk``
+        # the chunk being filled, up to seq ``_chunk_end``.
+        self._chunk: list = []
+        self._chunks: deque = deque([self._chunk])
+        self._base = 0
+        self._chunk_end = _CHUNK
         self.checkpoints: deque = deque(
             maxlen=max(2, capacity // checkpoint_interval + 2))
         self.monitor = InvariantMonitor(sim.metrics) if monitor else None
+        # Every record is one invariant check (a private tally without
+        # a monitor keeps the hooks branch-free).
+        self._checks = self.monitor.counter if monitor else Counter()
         # Replay-verification state.
         self._verify = verify
         self.verified = 0
@@ -267,23 +377,46 @@ class FlightRecorder:
         self._verify_done = verify is None
         # Replay-to-event state.
         self.stop_at = stop_at
+        self._replaying = verify is not None or stop_at is not None
+        #: The seq after which :meth:`_boundary` next has work.
+        self._due = self._next_due()
         self.landed: Optional[Dict[str, Any]] = None
         self.stopped = False
         # Attachment bookkeeping. Stores into annotated (ring) regions
         # are journaled, and the regions' digests join every checkpoint.
         self._nics: List = []
         self._nics_seen: set = set()
-        self._watch = StoreWatch(self._on_store)
+        self._watch = StoreWatch(sim.probe, self._on_store)
+        # Checkpoint digests are cached per annotated ring and re-taken
+        # only for rings a store touched since the last capture
+        # (``_dirty``); every mutation of a watched ring reaches the
+        # store hook, so the cache never goes stale. ``_rings`` maps
+        # each watched ring's (memory, start, end) to its queue.
+        self._rings: Dict[Tuple[Any, int, int], Any] = {}
+        self._dirty: set = set()
+        self._digests: Dict[Tuple[Any, int, int], str] = {}
+        self._mem_states: Dict[Any, Dict[str, str]] = {}
+        self._wq_states: Dict[Any, Tuple] = {}
         sim.probe.attach(self)
 
     def __repr__(self) -> str:
         return (f"<FlightRecorder {self.name} seq={self.seq} "
-                f"retained={len(self.records)}>")
+                f"retained={self.retained}>")
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """The retained journal records, oldest first (built per call)."""
+        return [_record(raw) for raw in self._retained()]
+
+    @property
+    def retained(self) -> int:
+        """Records still in the ring."""
+        return min(self.seq, self.capacity)
 
     @property
     def evicted(self) -> int:
         """Records pushed out of the ring by newer ones."""
-        return self.seq - len(self.records)
+        return self.seq - self.retained
 
     @property
     def violations(self) -> List[Dict[str, Any]]:
@@ -293,6 +426,11 @@ class FlightRecorder:
         """Detach from the simulator and its memories."""
         if self.sim.probe.detach(self):
             self._watch.close()
+            # No store reaches this recorder any more: stop caching.
+            self._rings.clear()
+            self._digests.clear()
+            self._mem_states.clear()
+            self._wq_states.clear()
 
     # -- attachment --------------------------------------------------------
 
@@ -308,129 +446,252 @@ class FlightRecorder:
         self._nics.append(nic)
         self._watch.attach(nic.memory)
         for wq in nic.wqs.values():
-            self._watch.annotate(nic.memory, wq.ring.addr, wq.ring.size,
-                                 f"ring:{wq.name}")
+            self._annotate_ring(nic, wq)
+
+    def _annotate_ring(self, nic, wq) -> None:
+        memory = nic.memory
+        self._watch.annotate(memory, wq.ring.addr, wq.ring.size,
+                             f"ring:{wq.name}")
+        self._rings[(memory, wq.ring.addr, wq.ring.end)] = wq
+        self._mem_states.pop(memory, None)
 
     # -- probe hooks -------------------------------------------------------
 
     def on_wq_created(self, nic, wq) -> None:
         self.attach_nic(nic)
-        self._watch.annotate(nic.memory, wq.ring.addr, wq.ring.size,
-                             f"ring:{wq.name}")
+        self._annotate_ring(nic, wq)
 
     def on_cq_created(self, nic, cq) -> None:
         self.attach_nic(nic)
 
+    # Each hook stores its record, then runs the same tail: advance
+    # seq, count one invariant check, and reach _boundary() when due.
+    # The tail is written out in every hook, not called, because it
+    # runs once per record.
+
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe) -> None:
+                wqe, image) -> None:
         if self.stopped:
             return
-        gens, data = wq.slot_state(slot_cursor, slots)
-        self._emit({"kind": "post", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "slot": slot_cursor % wq.num_slots, "slots": slots,
-                    "addr": wq.slot_addr(slot_cursor),
-                    "op": _op_name(wqe.opcode), "wqe": data.hex(),
-                    "gens": list(gens)})
+        seq = self.seq
+        gens, data = image
+        slot = slot_cursor % wq.num_slots
+        raw = (_POST, seq, self.sim.now, wq.name, wq.wq_num, wr_index, slot,
+               slots, wq.ring.addr + slot * WQE_SLOT_SIZE, wqe.opcode, data,
+               gens)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
 
     def on_doorbell(self, wq, up_to: int) -> None:
         if self.stopped:
             return
-        self._emit({"kind": "doorbell", "wq": wq.name,
-                    "wq_num": wq.wq_num, "up_to": up_to})
+        seq = self.seq
+        raw = (_DOORBELL, seq, self.sim.now, wq.name, wq.wq_num, up_to)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
 
     def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool) -> None:
+                 wqe, cache_hit: bool, image) -> None:
         if self.stopped:
             return
-        gens, data = wq.slot_state(slot_cursor, slots)
-        self._emit({"kind": "fetch", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "slot": slot_cursor % wq.num_slots, "slots": slots,
-                    "addr": wq.slot_addr(slot_cursor),
-                    "op": _op_name(wqe.opcode), "wqe": data.hex(),
-                    "gens": list(gens), "cache": bool(cache_hit)})
+        seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
+        gens, data = image
+        slot = slot_cursor % wq.num_slots
+        raw = (_FETCH, seq, now, name, wq_num, wr_index, slot, slots,
+               wq.ring.addr + slot * WQE_SLOT_SIZE, wqe.opcode, data, gens,
+               cache_hit)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
+        if self.monitor is not None:
+            self.monitor.fetch(seq, now, 0, name, wq_num, wr_index)
 
     def on_execute(self, wq, wr_index: int, wqe) -> None:
         if self.stopped:
             return
-        self._emit({"kind": "exec", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "op": _op_name(wqe.opcode), "len": wqe.length})
+        seq = self.seq
+        opcode = wqe.opcode
+        name, op, length = wq.name, OPCODE_NAMES.get(opcode), wqe.length
+        if op is None:
+            op = _op_name(opcode)
+        raw = (_EXEC, seq, self.sim.now, name, wq.wq_num, wr_index, op,
+               length)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
+        if self.monitor is not None:
+            self.monitor.exec(0, name, wr_index, op, length)
 
     def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
         if self.stopped:
             return
-        self._emit({"kind": "wait", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "cq": wqe.target, "threshold": wqe.wqe_count,
-                    "count": cq.count,
-                    "signaled": bool(wqe.signaled)})
+        seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
+        target, threshold, count = wqe.target, wqe.wqe_count, cq.count
+        signaled = wqe.signaled
+        raw = (_WAIT, seq, now, name, wq_num, wr_index, target, threshold,
+               count, signaled)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
+        if self.monitor is not None:
+            self.monitor.wait(seq, now, 0, name, wq_num, wr_index, target,
+                              threshold, count, signaled)
 
     def on_enable(self, wq, wr_index: int, wqe, relative: bool,
                   target) -> None:
         if self.stopped:
             return
-        self._emit({"kind": "enable", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "target": wqe.target, "count": wqe.wqe_count,
-                    "relative": bool(relative),
-                    "target_name": target.name if target else None,
-                    "signaled": bool(wqe.signaled)})
+        seq = self.seq
+        name, wq_num, signaled = wq.name, wq.wq_num, wqe.signaled
+        raw = (_ENABLE, seq, self.sim.now, name, wq_num, wr_index,
+               wqe.target, wqe.wqe_count, relative,
+               target.name if target else None, signaled)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
+        if self.monitor is not None:
+            self.monitor.enable(0, name, wq_num, wr_index, signaled)
 
     def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
                 start_ns: int) -> None:
         if self.stopped:
             return
-        self._emit({"kind": "done", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "op": _op_name(wqe.opcode), "status": status,
-                    "len": byte_len, "signaled": bool(wqe.signaled)})
+        seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
+        signaled = wqe.signaled
+        raw = (_DONE, seq, now, name, wq_num, wr_index, wqe.opcode, status,
+               byte_len, signaled)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
+        if self.monitor is not None:
+            self.monitor.done(seq, now, 0, name, wq_num, wr_index, status,
+                              byte_len, signaled)
 
     def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
         if self.stopped:
             return
-        self._emit({"kind": "cqe", "cq": cq.name, "cq_num": cq.cq_num,
-                    "count": cq.count, "op": _op_name(cqe.opcode),
-                    "wr_id": cqe.wr_id, "status": cqe.status,
-                    "wq_num": cqe.wq_num})
+        seq, now, name, count = self.seq, self.sim.now, cq.name, cq.count
+        wq_num, status = cqe.wq_num, cqe.status
+        raw = (_CQE, seq, now, name, cq.cq_num, count, cqe.opcode, cqe.wr_id,
+               status, wq_num)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
+        if self.monitor is not None:
+            self.monitor.cqe(seq, now, 0, name, count, wq_num, status)
 
     def on_atomic(self, nic, src_wq_name: str, wqe,
                   original: int) -> None:
         if self.stopped:
             return
-        record = {"kind": "atomic", "nic": nic.name,
-                  "src": src_wq_name, "op": _op_name(wqe.opcode),
-                  "raddr": wqe.raddr, "op0": wqe.operand0,
-                  "op1": wqe.operand1, "orig": original}
+        seq = self.seq
         if wqe.opcode == Opcode.CAS:
-            record["swapped"] = original == wqe.operand0
-        self._emit(record)
+            raw = (_CAS, seq, self.sim.now, nic.name, src_wq_name,
+                   wqe.opcode, wqe.raddr, wqe.operand0, wqe.operand1,
+                   original, original == wqe.operand0)
+        else:
+            raw = (_ATOMIC, seq, self.sim.now, nic.name, src_wq_name,
+                   wqe.opcode, wqe.raddr, wqe.operand0, wqe.operand1,
+                   original)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
 
-    def _on_store(self, memory, addr: int, length: int, label: str) -> None:
+    def _on_store(self, memory, addr: int, length: int,
+                  region: tuple) -> None:
+        start, end, label = region
+        stop = addr + length
+        if start <= addr and stop <= end:
+            # Rings are disjoint allocations: a store inside one touches
+            # no other watched region.
+            self._dirty.add((memory, start, end))
+        else:
+            for start, end, _ in self._watch.overlapping(memory, addr,
+                                                         stop):
+                self._dirty.add((memory, start, end))
         if self.stopped:
             return
-        self._emit({"kind": "store", "mem": memory.name, "region": label,
-                    "addr": addr, "len": length,
-                    "digest": _digest(memory.view(addr, length))})
+        seq = self.seq
+        data = (memory.read(addr, length) if length <= _STORE_KEEP_BYTES
+                else _digest(memory.view(addr, length)))
+        raw = (_STORE, seq, self.sim.now, memory.name, label, addr, length,
+               data)
+        self._chunk += raw
+        self.seq = seq + 1
+        self._checks["checks"] += 1
+        if seq == self._due:
+            self._boundary(raw)
 
     # -- emission core -----------------------------------------------------
 
-    def _emit(self, record: Dict[str, Any]) -> None:
-        record["seq"] = self.seq
-        record["ts"] = self.sim.now
-        if self.monitor is not None:
-            self.monitor.observe(record)
-        self.records.append(record)
-        self.seq += 1
-        if not self._verify_done:
-            self._verify_record(record)
-        if self.seq % self.checkpoint_interval == 0:
+    def _next_due(self) -> int:
+        """The last seq before a chunk fills or a checkpoint falls due;
+        every seq while replaying."""
+        if self._replaying:
+            return self.seq
+        interval = self.checkpoint_interval
+        return min(self._chunk_end, (self.seq // interval + 1) * interval) - 1
+
+    def _boundary(self, raw: tuple) -> None:
+        """Replay checks, chunk rollover and checkpoints, in that order
+        of the original journal semantics: verify, checkpoint, stop."""
+        seq = self.seq
+        record = None
+        if self._replaying:
+            record = _record(raw)
+            if not self._verify_done:
+                self._verify_record(record)
+        if seq == self._chunk_end:
+            self._next_chunk()
+        if seq % self.checkpoint_interval == 0:
             self._checkpoint()
-        if (self.stop_at is not None and self.landed is None
+        if (record is not None and self.stop_at is not None
+                and self.landed is None
                 and record_matches(record, self.stop_at)):
             self.landed = record
             self.stopped = True
+        self._due = self._next_due()
+
+    def _next_chunk(self) -> None:
+        self._chunk = []
+        self._chunks.append(self._chunk)
+        self._chunk_end += _CHUNK
+        while self.seq - (self._base + _CHUNK) >= self.capacity:
+            self._chunks.popleft()
+            self._base += _CHUNK
+
+    def _retained(self):
+        """The retained recorded tuples, oldest first."""
+        skip = self.seq - self._base - self.retained
+        for chunk in self._chunks:
+            index, end = 0, len(chunk)
+            while index < end:
+                size = _SIZES[chunk[index]]
+                if skip:
+                    skip -= 1
+                else:
+                    yield chunk[index:index + size]
+                index += size
 
     def capture_state(self) -> Dict[str, Any]:
         """Sim-visible state of everything attached, all digested.
@@ -440,30 +701,66 @@ class FlightRecorder:
         write generations + decode-cache keys (the prefetch-cache
         state) + PU binding, per-CQ completion counts.
         """
+        dirty, self._dirty = self._dirty, set()
+        for key in dirty:
+            self._digests.pop(key, None)
+            self._mem_states.pop(key[0], None)
+            self._wq_states.pop(self._rings.get(key), None)
         state: Dict[str, Any] = {"mem": {}, "wq": {}, "cq": {}}
-        for memory, _hook in self._watch.memories:
-            regions = self._watch.regions[id(memory)]
-            state["mem"][memory.name] = {
-                label: _digest(memory.view(start, end - start))
-                for start, end, label in regions}
+        for memory in self._watch.memories:
+            mem_state = self._mem_states.get(memory)
+            if mem_state is None:
+                mem_state = self._mem_states[memory] = {
+                    label: self._region_digest(memory, start, end)
+                    for start, end, label
+                    in self._watch.regions[id(memory)]}
+            state["mem"][memory.name] = mem_state
+        wq_states = state["wq"]
         for nic in self._nics:
             for wq in nic.wqs.values():
-                state["wq"][f"{nic.name}/{wq.name}"] = {
-                    "posted": wq.posted_count,
-                    "enabled": wq.enabled_count,
-                    "fetched": wq.fetched_count,
-                    "post_cursor": wq._post_slot_cursor,
-                    "fetch_cursor": wq._fetch_slot_cursor,
-                    "ring": _digest(
-                        wq.memory.view(wq.ring.addr, wq.ring.size)),
-                    "gens": _digest(
-                        ",".join(map(str, wq._ring_gens.gens)).encode()),
-                    "cache": sorted(wq._decode_cache.keys()),
-                    "pu": wq.pu_index,
-                }
+                # Decode-cache keys are only ever added, so the cache's
+                # size versions its key set.
+                version = (wq.posted_count, wq.enabled_count,
+                           wq.fetched_count, wq._post_slot_cursor,
+                           wq._fetch_slot_cursor, len(wq._decode_cache),
+                           wq.pu_index)
+                cached = self._wq_states.get(wq)
+                if cached is None or cached[0] != version:
+                    cached = self._wq_state(nic, wq, version)
+                wq_states[cached[1]] = cached[2]
             for cq in nic.cqs.values():
                 state["cq"][f"{nic.name}/{cq.name}"] = cq.count
         return state
+
+    def _region_digest(self, memory, start: int, end: int) -> str:
+        key = (memory, start, end)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = _digest(memory.view(start, end - start))
+            if key in self._rings:
+                self._digests[key] = digest
+        return digest
+
+    def _wq_state(self, nic, wq, version: tuple) -> Tuple:
+        """``(version, key, entry)`` of one queue's checkpoint entry,
+        kept for reuse while its ring is watched."""
+        ring = wq.ring
+        entry = {
+            "posted": wq.posted_count,
+            "enabled": wq.enabled_count,
+            "fetched": wq.fetched_count,
+            "post_cursor": wq._post_slot_cursor,
+            "fetch_cursor": wq._fetch_slot_cursor,
+            "ring": self._region_digest(wq.memory, ring.addr, ring.end),
+            "gens": _digest(
+                ",".join(map(str, wq._ring_gens.gens)).encode()),
+            "cache": sorted(wq._decode_cache.keys()),
+            "pu": wq.pu_index,
+        }
+        cached = (version, f"{nic.name}/{wq.name}", entry)
+        if (wq.memory, ring.addr, ring.end) in self._rings:
+            self._wq_states[wq] = cached
+        return cached
 
     def _checkpoint(self) -> None:
         checkpoint = {"kind": "checkpoint", "seq": self.seq,
@@ -535,15 +832,17 @@ class FlightRecorder:
         checkpoints = [dict(cp, **extra) if extra else cp
                        for cp in self.checkpoints if cp["seq"] >= first]
         index = 0
-        for record in self.records:
+        for raw in self._retained():
             while (index < len(checkpoints)
-                   and checkpoints[index]["seq"] <= record["seq"]):
+                   and checkpoints[index]["seq"] <= raw[1]):
                 lines.append(json.dumps(checkpoints[index],
                                         sort_keys=True,
                                         separators=(",", ":")))
                 index += 1
-            out = dict(record, **extra) if extra else record
-            lines.append(json.dumps(out, sort_keys=True,
+            record = _record(raw)
+            if extra:
+                record.update(extra)
+            lines.append(json.dumps(record, sort_keys=True,
                                     separators=(",", ":")))
         for checkpoint in checkpoints[index:]:
             lines.append(json.dumps(checkpoint, sort_keys=True,
@@ -557,7 +856,7 @@ class FlightRecorder:
         """Write the JSONL journal; returns the retained record count."""
         with open(path, "w") as handle:
             handle.write(self.to_jsonl())
-        return len(self.records)
+        return self.retained
 
 
 def export_merged_journal(recorders, path) -> int:
@@ -568,7 +867,7 @@ def export_merged_journal(recorders, path) -> int:
         lines.extend(recorder.journal_lines(extra={"bed": index}))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    return sum(len(recorder.records) for recorder in recorders)
+    return sum(recorder.retained for recorder in recorders)
 
 
 # -- journal loading ------------------------------------------------------

@@ -682,7 +682,8 @@ class FleetSentry:
         to_ns = self._end_ns(incident.last_window)
         kept: List[dict] = []
         truncated = False
-        for rec in recorder.records:
+        records = recorder.records
+        for rec in records:
             ts = rec.get("ts", 0)
             if ts < from_ns or ts > to_ns:
                 continue
@@ -695,7 +696,7 @@ class FleetSentry:
             kind = rec.get("kind", "?")
             kinds[kind] = kinds.get(kind, 0) + 1
         if recorder.evicted:
-            oldest = recorder.records[0]["ts"] if recorder.records else None
+            oldest = records[0]["ts"] if records else None
             if oldest is None or oldest > from_ns:
                 truncated = True
         return {

@@ -222,7 +222,7 @@ class TelemetryCollector:
             wmax[name] = depth
 
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe) -> None:
+                wqe, image=None) -> None:
         self._touch()
         self._posts += 1
         self._bump_depth(wq.kind, wq.name, 1)
@@ -232,7 +232,7 @@ class TelemetryCollector:
         self._doorbells += 1
 
     def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool) -> None:
+                 wqe, cache_hit: bool, image=None) -> None:
         self._touch()
         self._fetches += 1
         self._bump_depth(wq.kind, wq.name, -1)

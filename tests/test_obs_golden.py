@@ -1,0 +1,153 @@
+"""Golden byte identity of the tracer and flight-recorder exports.
+
+``tests/data/obs_golden.json`` holds the sha256 of ``Tracer.to_json()``
+and ``FlightRecorder.to_jsonl()`` (plus the invariant monitor's
+violations and ``obs.invariants`` counter, and the legacy tuple view of
+``Tracer.events``) for each scenario below, recorded from sinks that
+formatted every event eagerly. The sinks now store flat per-kind tuples
+and format at export; these digests pin that move to zero changed
+bytes. A change that means to alter an export must regenerate the file
+(``python tests/test_obs_golden.py --write``) and say why.
+
+Scenarios:
+
+* every ``tools/_offload_runners`` offload at ``calls=8`` (instances
+  2-7 of the hash and list offloads are stamped from a template);
+* ``list-traversal-break`` at 32 and 128 calls, where every call
+  creates and destroys one-shot queues;
+* a 2-shard KV fleet with a recorder small enough to evict and
+  checkpoint.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.obs import FlightRecorder, Tracer
+
+TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
+if TOOLS not in sys.path:
+    sys.path.append(TOOLS)
+
+GOLDEN = Path(__file__).parent / "data" / "obs_golden.json"
+
+OFFLOADS = ["hash-lookup", "hash-lookup-par", "list-traversal",
+            "list-traversal-break", "recycled-get"]
+BREAK_CALLS = [32, 128]
+OFFLOAD_CASES = [(name, 8) for name in OFFLOADS] + [
+    ("list-traversal-break", calls) for calls in BREAK_CALLS]
+
+FLEET_RECORDER_CAPACITY = 512
+FLEET_CHECKPOINT_INTERVAL = 128
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _sink_digests(sim, tracer, recorder) -> dict:
+    invariants = sim.metrics.counter("obs.invariants")
+    return {
+        "trace": _sha(tracer.to_json()),
+        "journal": _sha(recorder.to_jsonl()),
+        "events": _sha(repr(list(tracer.events))),
+        "violations": _sha(json.dumps(recorder.violations,
+                                      sort_keys=True)),
+        "invariants": dict(sorted(invariants.items())),
+        "records": recorder.seq,
+    }
+
+
+def offload_digests(name: str, calls: int) -> dict:
+    from _offload_runners import run_offload
+
+    def instrument(bed, label):
+        tracer = Tracer(bed.sim, name=label)
+        recorder = FlightRecorder(bed.sim, name=label)
+        return tracer, recorder
+
+    result = run_offload(name, calls, instrument=instrument)
+    tracer, recorder = result["instrument"]
+    tracer.close()
+    recorder.close()
+    return _sink_digests(result["bed"].sim, tracer, recorder), tracer
+
+
+def fleet_digests() -> list:
+    from repro.bench.fleet import build_fleet
+
+    scenario = build_fleet(num_shards=2, clients_per_shard=8,
+                           requests_per_client=3, pool_qps=4,
+                           gateway_workers=4, telemetry_path="",
+                           exemplars=0)
+    sinks = []
+    for rig in scenario.rigs:
+        tracer = Tracer(rig.sim, name=rig.shard.name)
+        recorder = FlightRecorder(rig.sim, name=rig.shard.name,
+                                  capacity=FLEET_RECORDER_CAPACITY,
+                                  checkpoint_interval=(
+                                      FLEET_CHECKPOINT_INTERVAL))
+        for nic in (rig.bed.server.nic, rig.bed.clients[0].nic):
+            tracer.attach_nic(nic)
+            recorder.attach_nic(nic)
+        sinks.append((rig.sim, tracer, recorder))
+    scenario.run()
+    out = []
+    for sim, tracer, recorder in sinks:
+        tracer.close()
+        recorder.close()
+        out.append(_sink_digests(sim, tracer, recorder))
+    return out
+
+
+def _case_id(name: str, calls: int) -> str:
+    return f"{name}@{calls}"
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", OFFLOADS)
+def test_offload_exports_match_golden(name):
+    digests, _tracer = offload_digests(name, 8)
+    assert digests == _golden()["offloads"][_case_id(name, 8)]
+
+
+@pytest.mark.parametrize("calls", BREAK_CALLS)
+def test_break_offload_keeps_no_destroyed_queue_snapshot(calls):
+    """Early-break calls destroy one-shot queues whose prefetched WQEs
+    never execute: the tracer keeps no fetch snapshot for them, and
+    its trace and journal still match the golden digests."""
+    digests, tracer = offload_digests("list-traversal-break", calls)
+    assert not [(state.wq.name, wr_index)
+                for state in tracer._queues.values() if state.wq.destroyed
+                for wr_index in state.snaps]
+    assert digests == _golden()["offloads"][
+        _case_id("list-traversal-break", calls)]
+
+
+def test_fleet_exports_match_golden():
+    assert fleet_digests() == _golden()["fleet"]
+
+
+def _write() -> None:
+    data = {
+        "offloads": {_case_id(name, calls): offload_digests(name, calls)[0]
+                     for name, calls in OFFLOAD_CASES},
+        "fleet": fleet_digests(),
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_obs_golden.py --write")
+    _write()

@@ -144,7 +144,7 @@ class _Straddles:
         self.seen = []
         sim.probe.attach(self)
 
-    def on_post(self, wq, wr_index, slot_cursor, slots, wqe):
+    def on_post(self, wq, wr_index, slot_cursor, slots, wqe, image):
         if slot_cursor % wq.num_slots + slots > wq.num_slots:
             self.seen.append((wq.name, wr_index, slots))
 

@@ -259,3 +259,62 @@ def test_duplicate_attach_raises_sink_attached_error(lo, make):
     assert lo.sim.probe.sinks == [first]
     lo.sim.probe.detach(first)
     assert _obs_off(lo.sim)
+
+
+def _naive_first_region(regions, addr, length):
+    """Lowest annotated region a store overlaps: the reference scan."""
+    end = addr + length
+    for start, stop, label in sorted(regions):
+        if start >= end:
+            return None
+        if stop > addr:
+            return (start, stop, label)
+    return None
+
+
+def test_shared_store_index_matches_per_watch_scan():
+    """Two watches share one memory's hook and bisected index; each
+    still sees the lowest region it annotated, even when regions nest,
+    overlap, repeat or belong to only one watch."""
+    import random
+
+    from repro.memory import HostMemory
+    from repro.obs.probe import StoreWatch
+
+    sim = Simulator()
+    memory = HostMemory(size=1 << 16, name="m")
+    base = memory.BASE_ADDR
+    memory.register_generation_range(base, 4096)
+    seen = {"a": [], "b": []}
+    watches = {name: StoreWatch(sim.probe,
+                                lambda _m, addr, length, region, name=name:
+                                seen[name].append((addr, length, region)))
+               for name in seen}
+    rng = random.Random(7)
+    annotated = {"a": {}, "b": {}}
+    for step in range(400):
+        name = rng.choice("ab")
+        start = base + rng.randrange(0, 4000)
+        size = rng.choice([8, 64, 64, 256, 1024])
+        label = f"{name}{step}"
+        watches[name].annotate(memory, start, size, label)
+        annotated[name].setdefault((start, start + size), label)
+        addr = base + rng.randrange(0, 4000)
+        length = rng.choice([1, 8, 64, 512])
+        for key in seen:
+            seen[key].clear()
+        memory.write(addr, bytes(length))
+        for key in seen:
+            regions = [(s, e, lab) for (s, e), lab
+                       in annotated[key].items()]
+            want = _naive_first_region(regions, addr, length)
+            assert seen[key] == ([(addr, length, want)] if want else [])
+    assert len(memory._store_hooks) == 1
+    watches["a"].close()
+    before = len(seen["a"])
+    memory.write(base, bytes(4096))
+    assert len(seen["a"]) == before
+    assert seen["b"][-1][2] == min(
+        (s, e, lab) for (s, e), lab in annotated["b"].items())
+    watches["b"].close()
+    assert not memory._store_hooks and not sim.probe._store_indexes
