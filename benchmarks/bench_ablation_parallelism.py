@@ -33,7 +33,7 @@ KEY = 0x42
 
 
 def measure_throughput(conns: int) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server, num_buckets=1024,
                             slab_size=64 * 1024 * 1024)
     store.set(KEY, b"v" * 64, force_bucket=0)

@@ -33,7 +33,7 @@ def _avg(samples):
 
 
 def measure_redn(value_size: int) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server,
                             slab_size=128 * 1024 * 1024)
     store.set(KEY, b"v" * value_size, force_bucket=0)
@@ -56,7 +56,7 @@ def measure_redn(value_size: int) -> float:
 
 
 def measure_one_sided(value_size: int) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     server = OneSidedKvServer(bed.server,
                               slab_size=128 * 1024 * 1024)
     server.set(KEY, b"v" * value_size)
@@ -75,7 +75,7 @@ def measure_one_sided(value_size: int) -> float:
 
 
 def measure_two_sided(value_size: int, mode: str) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server,
                             slab_size=128 * 1024 * 1024)
     store.set(KEY, b"v" * value_size)
@@ -97,7 +97,7 @@ def measure_two_sided(value_size: int, mode: str) -> float:
 
 def measure_ideal(value_size: int) -> float:
     """A single network-round-trip READ of the value (Fig 10 'Ideal')."""
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     proc = bed.server.spawn_process("ideal")
     pd = proc.create_pd()
     value = proc.alloc(value_size, label="value")

@@ -24,7 +24,7 @@ KEY = 0x55
 
 def measure(value_size: int, parallel: bool,
             force_bucket: int = 1) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server, slab_size=128 * 1024 * 1024)
     store.set(KEY, b"v" * value_size, force_bucket=force_bucket)
     offload, conn = store.attach_get_offload(

@@ -30,7 +30,7 @@ KEYS = list(range(0x200, 0x200 + 4))
 
 
 def measure_redn(value_size: int) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server, slab_size=256 * 1024 * 1024)
     for key in KEYS:
         store.set(key, bytes([key & 0xFF]) * value_size, force_bucket=0)
@@ -53,7 +53,7 @@ def measure_redn(value_size: int) -> float:
 
 
 def measure_one_sided(value_size: int) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     server = OneSidedKvServer(bed.server, slab_size=256 * 1024 * 1024)
     for key in KEYS:
         server.set(key, bytes([key & 0xFF]) * value_size)
@@ -70,7 +70,7 @@ def measure_one_sided(value_size: int) -> float:
 
 
 def measure_vma(value_size: int) -> float:
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server, slab_size=256 * 1024 * 1024)
     for key in KEYS:
         store.set(key, bytes([key & 0xFF]) * value_size)

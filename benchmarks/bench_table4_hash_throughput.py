@@ -32,8 +32,7 @@ def _measure(value_size: int, ports: int, lookups_per_conn: int,
     """Open-loop flood from several client connections per port —
     single chains are latency-bound; the port resources only saturate
     with concurrent chains, as in any real throughput test."""
-    bed = Testbed(num_clients=1, nic_ports=ports,
-                  server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1, nic_ports=ports)
     store = MemcachedServer(bed.server, num_buckets=1024,
                             slab_size=128 * 1024 * 1024)
     key = 0x42

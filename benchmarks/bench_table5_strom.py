@@ -40,7 +40,7 @@ KEY = 0x10
 
 
 def measure(value_size: int):
-    bed = Testbed(num_clients=1, server_memory=512 * 1024 * 1024)
+    bed = Testbed(num_clients=1)
     store = MemcachedServer(bed.server, slab_size=128 * 1024 * 1024)
     store.set(KEY, b"z" * value_size, force_bucket=0)
     offload, conn = store.attach_get_offload(

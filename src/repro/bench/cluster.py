@@ -46,8 +46,6 @@ THINK_NS = 2000
 #: Unsignaled WRITEs per RPC before the signaled CAS.
 WRITES_PER_REQUEST = 8
 
-_BED_MEMORY = 4 * 1024 * 1024
-
 #: Hot-key skew for telemetry attribution: 16 logical keys with a
 #: zipf-ish mass concentration on key 0 — a pure function of
 #: (bed, client, seq), so the key stream is deterministic and
@@ -162,9 +160,7 @@ class ClusterScenario:
         self.rigs: List[_BedRig] = []
         for index in range(num_beds):
             shard = self.sharded.add_shard(f"bed{index}")
-            bed = Testbed(num_clients=1, sim=shard.sim,
-                          server_memory=_BED_MEMORY,
-                          client_memory=_BED_MEMORY)
+            bed = Testbed(num_clients=1, sim=shard.sim)
             self.rigs.append(_BedRig(bed, shard))
         # Bidirectional ring: requests go forward, replies backward.
         self._forward: List[ShardChannel] = []

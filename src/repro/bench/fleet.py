@@ -67,9 +67,6 @@ NUM_KEYS = 128
 
 VALUE_SIZE = 64
 
-_SHARD_MEMORY = 8 * 1024 * 1024
-_GATEWAY_MEMORY = 4 * 1024 * 1024
-
 
 class FleetError(RuntimeError):
     """A fleet run ended with failed or unfinished processes.
@@ -369,9 +366,7 @@ class FleetScenario:
         self.rigs: List[_ShardRig] = []
         for index in range(num_shards):
             shard = self.sharded.add_shard(f"shard{index}")
-            bed = Testbed(num_clients=1, sim=shard.sim,
-                          server_memory=_SHARD_MEMORY,
-                          client_memory=_GATEWAY_MEMORY)
+            bed = Testbed(num_clients=1, sim=shard.sim)
             self.rigs.append(_ShardRig(bed, shard, owned[index],
                                        pool_qps, batch_doorbells))
         # Full mesh: requests to any owner, replies straight back.

@@ -28,8 +28,6 @@ class Testbed:
 
     def __init__(self, num_clients: int = 2, seed: int = DEFAULT_SEED,
                  model: DeviceModel = CONNECTX5, num_cores: int = 16,
-                 server_memory: int = 256 * 1024 * 1024,
-                 client_memory: Optional[int] = None,
                  nic_ports: int = 1, sim: Optional[Simulator] = None):
         # A bed normally owns its simulator; pass ``sim`` to mount the
         # bed on an existing one — e.g. a shard of a
@@ -38,19 +36,12 @@ class Testbed:
         self.streams = SeededStreams(seed)
         self.server = Host(self.sim, "server", model=model,
                            num_cores=num_cores,
-                           memory_size=server_memory,
                            nic_ports=nic_ports, streams=self.streams)
         self.clients: List[Host] = []
         self.fabric = Fabric(self.sim)
-        # ``client_memory`` matters when many beds share one process
-        # (the cluster benchmark): the default 256 MB per client host
-        # is real allocated memory, not simulated bookkeeping.
-        client_kwargs = {} if client_memory is None else {
-            "memory_size": client_memory}
         for index in range(num_clients):
             client = Host(self.sim, f"client{index}", model=model,
-                          num_cores=num_cores, streams=self.streams,
-                          **client_kwargs)
+                          num_cores=num_cores, streams=self.streams)
             self.fabric.connect(self.server.nic, client.nic)
             self.clients.append(client)
         self._client_pds = {}

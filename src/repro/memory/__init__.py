@@ -3,6 +3,7 @@
 from .dram import (
     NULL_ADDR,
     Allocation,
+    DramExhausted,
     GenerationRange,
     HostMemory,
     MemoryError_,
@@ -18,6 +19,7 @@ from .region import (
 __all__ = [
     "AccessFlags",
     "Allocation",
+    "DramExhausted",
     "Field",
     "GenerationRange",
     "HostMemory",

@@ -1,14 +1,24 @@
 """Simulated host DRAM.
 
-A :class:`HostMemory` is a flat byte-addressable space backed by a
-``bytearray``, with a bump allocator for carving out buffers (work
-queues, hash tables, slabs). Addresses start at a non-zero base so that
-address 0 can serve as a null pointer for linked data structures.
+A :class:`HostMemory` is a flat byte-addressable space with an
+allocator for carving out buffers (work queues, hash tables, slabs).
+Addresses start at a non-zero base so that address 0 can serve as a
+null pointer for linked data structures.
+
+Backing: the space is one anonymous private ``mmap``, so a host costs
+only the pages its allocations touch; ``size`` is the capacity bound,
+not a reservation. Untouched pages read as zeros, like fresh DRAM.
+
+Allocation: a bump pointer over the space, plus per-size free lists of
+freed blocks. ``alloc`` takes the most recently freed block of the
+exact size (and alignment) first, so block reuse follows the order of
+the frees and every run of a simulation repeats exactly. A reused block
+is zeroed, so every allocation reads as fresh memory.
 
 Ownership: every allocation is tagged with an *owner* string (process
 name). When a process crashes, the OS reclaims its allocations — unless
 they were transferred to a "hull parent" (see :mod:`repro.net.failures`
-and paper §5.6). Reclaimed ranges are poisoned with 0xDE bytes so that
+and paper §5.6). Freed ranges are poisoned with 0xDE bytes so that
 use-after-free by a still-running RNIC program is loudly wrong rather
 than silently stale, mirroring what happens on real hardware when the
 OS frees pinned pages.
@@ -16,13 +26,14 @@ OS frees pinned pages.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Dict, List, Optional, Tuple
+import mmap
+from bisect import bisect_left, bisect_right
+from typing import Dict, List
 
 from .layout import pack_uint, unpack_uint
 
 __all__ = ["HostMemory", "Allocation", "GenerationRange", "MemoryError_",
-           "NULL_ADDR"]
+           "DramExhausted", "NULL_ADDR"]
 
 NULL_ADDR = 0
 
@@ -31,6 +42,23 @@ _POISON = 0xDE
 
 class MemoryError_(Exception):
     """Access outside an allocation or other memory misuse."""
+
+
+class DramExhausted(MemoryError_):
+    """An allocation that does not fit in the memory's capacity."""
+
+    def __init__(self, memory: "HostMemory", size: int, owner: str,
+                 label: str):
+        self.memory = memory.name
+        self.size = size
+        self.owner = owner
+        self.label = label
+        self.capacity = memory.size
+        self.live_bytes = memory.live_bytes
+        super().__init__(
+            f"out of simulated DRAM on {memory.name}: {owner} asked "
+            f"{size} bytes for {label!r}; capacity {memory.size}, "
+            f"{memory.live_bytes} bytes live")
 
 
 class Allocation:
@@ -101,12 +129,17 @@ class HostMemory:
     def __init__(self, size: int = 64 * 1024 * 1024, name: str = "dram"):
         self.name = name
         self.size = size
-        self._bytes = bytearray(size)
+        # Pages are committed on first touch: capacity costs nothing.
+        self._bytes = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._view = memoryview(self._bytes)
         self._next = self.BASE_ADDR
-        self._allocations: List[Allocation] = []
-        # Registered generation ranges, sorted by start (disjoint: they
-        # come from disjoint allocations).
+        #: Live allocations by address, in allocation order.
+        self._live: Dict[int, Allocation] = {}
+        #: Freed blocks by exact size; the last freed is reused first.
+        self._free: Dict[int, List[int]] = {}
+        self.live_bytes = 0
+        # Registered generation ranges, sorted by start (disjoint:
+        # registration rejects an overlap).
         self._gen_starts: List[int] = []
         self._gen_ranges: List[GenerationRange] = []
         #: Store observers installed by attached repro.obs consumers
@@ -150,6 +183,15 @@ class HostMemory:
         return (f"<HostMemory {self.name} used="
                 f"{self._next - self.BASE_ADDR}/{self.size}>")
 
+    @property
+    def high_water(self) -> int:
+        """Bytes of address space ever handed out (the bump pointer)."""
+        return self._next - self.BASE_ADDR
+
+    @property
+    def live_allocations(self) -> int:
+        return len(self._live)
+
     # -- allocation ------------------------------------------------------
 
     def alloc(self, size: int, owner: str = "kernel", label: str = "",
@@ -159,30 +201,58 @@ class HostMemory:
             raise MemoryError_(f"bad allocation size {size}")
         if align & (align - 1):
             raise MemoryError_(f"alignment {align} is not a power of two")
-        addr = (self._next + align - 1) & ~(align - 1)
-        if addr + size > self.size:
-            raise MemoryError_(
-                f"out of simulated DRAM: need {size} at {addr:#x}")
-        self._next = addr + size
+        addr = self._reuse(size, align)
+        if addr is None:
+            addr = (self._next + align - 1) & ~(align - 1)
+            if addr + size > self.size:
+                raise DramExhausted(self, size, owner,
+                                    label or f"alloc{addr:#x}")
+            self._next = addr + size
         allocation = Allocation(addr, size, owner, label or f"alloc{addr:#x}")
-        self._allocations.append(allocation)
+        self._live[addr] = allocation
+        self.live_bytes += size
         return allocation
 
+    def _reuse(self, size: int, align: int):
+        """Take the last freed ``size``-byte block aligned to ``align``
+        and zero it; None when there is none."""
+        blocks = self._free.get(size)
+        if not blocks:
+            return None
+        for index in range(len(blocks) - 1, -1, -1):
+            addr = blocks[index]
+            if not addr & (align - 1):
+                del blocks[index]
+                # No generation range covers a free block, so zeroing
+                # it is invisible to decode caches and store observers.
+                self._bytes[addr:addr + size] = bytes(size)
+                return addr
+        return None
+
     def free(self, allocation: Allocation) -> None:
-        """Release and poison an allocation (bump allocator: no reuse)."""
+        """Poison an allocation and return its block for reuse.
+
+        Generation ranges inside the block are bumped (invalidating any
+        decode cached from it), then unregistered with the block.
+        """
         if allocation.freed:
             raise MemoryError_(f"double free of {allocation!r}")
+        addr, end = allocation.addr, allocation.end
+        if self._live.get(addr) is not allocation:
+            raise MemoryError_(f"{allocation!r} is not live in {self.name}")
         allocation.freed = True
-        self._bytes[allocation.addr:allocation.end] = bytes(
-            [_POISON]) * allocation.size
+        del self._live[addr]
+        self.live_bytes -= allocation.size
+        self._bytes[addr:end] = bytes([_POISON]) * allocation.size
         if self._gen_starts:
-            self._bump_gens(allocation.addr, allocation.end)
+            self._bump_gens(addr, end)
             if self._trace_hook is not None:
-                self._trace_hook(allocation.addr, allocation.size)
+                self._trace_hook(addr, allocation.size)
+            self._drop_gen_ranges(addr, end)
+        self._free.setdefault(allocation.size, []).append(addr)
 
     def allocations_owned_by(self, owner: str) -> List[Allocation]:
-        return [a for a in self._allocations
-                if a.owner == owner and not a.freed]
+        return [a for a in self._live.values() if a.owner == owner]
 
     def transfer_ownership(self, allocation: Allocation,
                            new_owner: str) -> None:
@@ -208,11 +278,26 @@ class HostMemory:
         decoded memory contents.
         """
         self._check(addr, length)
+        starts = self._gen_starts
+        index = bisect_right(starts, addr)
+        end = addr + length
+        if (index and self._gen_ranges[index - 1].end > addr) or (
+                index < len(starts) and starts[index] < end):
+            raise MemoryError_(
+                f"generation range [{addr:#x},{end:#x}) overlaps a "
+                f"registered range in {self.name}")
         gen_range = GenerationRange(addr, length, granularity)
-        index = bisect_right(self._gen_starts, addr)
-        self._gen_starts.insert(index, addr)
+        starts.insert(index, addr)
         self._gen_ranges.insert(index, gen_range)
         return gen_range
+
+    def _drop_gen_ranges(self, lo: int, hi: int) -> None:
+        """Unregister every generation range starting in [lo, hi)."""
+        starts = self._gen_starts
+        first = bisect_left(starts, lo)
+        last = bisect_left(starts, hi, first)
+        del starts[first:last]
+        del self._gen_ranges[first:last]
 
     def _bump_gens(self, lo: int, hi: int) -> None:
         """Bump generations of registered chunks overlapping [lo, hi)."""

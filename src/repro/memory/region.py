@@ -16,7 +16,7 @@ the server's own posted program (which holds the keys) touches data.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, List
 
 from .dram import Allocation, HostMemory
 
@@ -89,6 +89,7 @@ class ProtectionDomain:
         self.pd_id = next(self._pd_ids)
         self.name = name or f"pd{self.pd_id}"
         self._regions_by_rkey: Dict[int, MemoryRegion] = {}
+        self._regions_by_allocation: Dict[Allocation, List[MemoryRegion]] = {}
         self._key_counter = itertools.count(0x100)
 
     def __repr__(self) -> str:
@@ -100,11 +101,21 @@ class ProtectionDomain:
         key = next(self._key_counter)
         region = MemoryRegion(self, allocation, access, lkey=key, rkey=key)
         self._regions_by_rkey[region.rkey] = region
+        self._regions_by_allocation.setdefault(allocation, []).append(region)
         return region
 
     def deregister(self, region: MemoryRegion) -> None:
         region.invalidated = True
-        self._regions_by_rkey.pop(region.rkey, None)
+        if self._regions_by_rkey.pop(region.rkey, None) is not None:
+            regions = self._regions_by_allocation[region.allocation]
+            regions.remove(region)
+            if not regions:
+                del self._regions_by_allocation[region.allocation]
+
+    def deregister_allocation(self, allocation: Allocation) -> None:
+        """Deregister every region over ``allocation`` (before a free)."""
+        for region in list(self._regions_by_allocation.get(allocation, ())):
+            self.deregister(region)
 
     def lookup_rkey(self, rkey: int) -> MemoryRegion:
         region = self._regions_by_rkey.get(rkey)

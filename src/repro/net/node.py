@@ -19,19 +19,22 @@ failure-resiliency use case (§5.6) hinges on:
 from __future__ import annotations
 
 import itertools
-from typing import Generator, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 from ..memory.dram import HostMemory
-from ..memory.region import ProtectionDomain
+from ..memory.region import MemoryRegion, ProtectionDomain
 from ..nic.models import CONNECTX5, DeviceModel
 from ..nic.qp import QueuePair
-from ..nic.queue import WorkQueue
 from ..nic.rnic import RNIC
 from ..sim.core import Process, Simulator
 from ..sim.rand import SeededStreams
 from .cpu import CpuScheduler
 
-__all__ = ["Host", "OsProcess"]
+__all__ = ["DRAM_CAPACITY", "Host", "OsProcess"]
+
+#: Every host's simulated DRAM capacity. Pages are committed on first
+#: touch, so capacity a run does not use costs nothing.
+DRAM_CAPACITY = 512 * 1024 * 1024
 
 
 class OsProcess:
@@ -51,7 +54,6 @@ class OsProcess:
         self.alive = True
         self.pds: List[ProtectionDomain] = []
         self.qps: List[QueuePair] = []
-        self.wqs: List[WorkQueue] = []
         self.threads: List[Process] = []
 
     def __repr__(self) -> str:
@@ -74,16 +76,21 @@ class OsProcess:
         kwargs.setdefault("owner", self.owner_tag)
         qp = self.host.nic.create_qp(pd, **kwargs)
         self.qps.append(qp)
-        self.wqs.extend([qp.send_wq, qp.recv_wq])
         return qp
 
     def create_loopback_pair(self, pd: ProtectionDomain, **kwargs):
         kwargs.setdefault("owner", self.owner_tag)
         pair = self.host.nic.create_loopback_pair(pd, **kwargs)
-        for qp in pair:
-            self.qps.append(qp)
-            self.wqs.extend([qp.send_wq, qp.recv_wq])
+        self.qps.extend(pair)
         return pair
+
+    def destroy_qps(self, qps: Iterable[QueuePair],
+                    buffers: Iterable[MemoryRegion] = ()) -> None:
+        """Destroy some of this process's QPs (see ``RNIC.destroy_qps``)."""
+        qps = list(qps)
+        dead = set(map(id, qps))
+        self.qps = [qp for qp in self.qps if id(qp) not in dead]
+        self.host.nic.destroy_qps(qps, buffers)
 
     def alloc(self, size: int, label: str = "", align: int = 8):
         return self.host.memory.alloc(
@@ -97,8 +104,7 @@ class OsProcess:
                 allocation, new_owner.owner_tag)
         new_owner.pds.extend(self.pds)
         new_owner.qps.extend(self.qps)
-        new_owner.wqs.extend(self.wqs)
-        self.pds, self.qps, self.wqs = [], [], []
+        self.pds, self.qps = [], []
 
     # -- threads -----------------------------------------------------------
 
@@ -114,12 +120,11 @@ class Host:
 
     def __init__(self, sim: Simulator, name: str,
                  model: DeviceModel = CONNECTX5, num_cores: int = 16,
-                 memory_size: int = 256 * 1024 * 1024,
                  nic_ports: int = 1,
                  streams: Optional[SeededStreams] = None):
         self.sim = sim
         self.name = name
-        self.memory = HostMemory(size=memory_size, name=f"{name}-dram")
+        self.memory = HostMemory(size=DRAM_CAPACITY, name=f"{name}-dram")
         self.nic = RNIC(sim, self.memory, model=model,
                         name=f"{name}-nic", active_ports=nic_ports)
         self.cpu = CpuScheduler(sim, num_cores=num_cores, name=f"{name}-cpu")
@@ -141,20 +146,19 @@ class Host:
     def crash_process(self, process: OsProcess) -> None:
         """Kill a process; the OS reclaims whatever it still owns.
 
-        Freed queue rings are poisoned and their WQs destroyed — any
-        RDMA program running out of them terminates, exactly the
-        failure mode §5.6 describes for un-hulled Memcached. Resources
-        previously transferred to a live parent are untouched.
+        Its QPs are destroyed — any RDMA program running out of them
+        terminates, exactly the failure mode §5.6 describes for
+        un-hulled Memcached — and everything else it owns is freed and
+        poisoned at once. The queue rings follow once the destroyed
+        queues are quiescent. Resources previously transferred to a
+        live parent are untouched.
         """
         if not process.alive:
             return
         process.alive = False
         for thread in process.threads:
             thread.interrupt("process crash")
-        for wq in process.wqs:
-            wq.destroy()
-            if wq.cq is not None:
-                wq.cq.destroy()
+        process.destroy_qps(process.qps)
         for pd in process.pds:
             pd.invalidate_all()
         self.memory.reclaim_owner(process.owner_tag)

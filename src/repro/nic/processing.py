@@ -52,6 +52,16 @@ class SendQueueDriver:
         self._prev_completion: Event = nic.sim.event()
         self._prev_completion.trigger(None)
         self.process = None
+        #: Work that may still touch queue memory: the fetch/execute
+        #: loop plus one per WR whose data path is in flight. Zero
+        #: means quiescent: the loop exited and every fetched WR
+        #: retired.
+        self.busy = 1
+        #: True while blocked in a WAIT verb.
+        self.waiting = False
+        #: The pending :meth:`RNIC.destroy_qps` teardown told when this
+        #: driver goes quiescent.
+        self.teardown = None
         # Port-derived lookups are fixed once the RNIC adopts the queue;
         # resolved lazily on first use and cached for the hot loop.
         self._pu = None
@@ -60,6 +70,21 @@ class SendQueueDriver:
     def start(self) -> None:
         self.process = self.nic.sim.process(
             self._run(), name=f"driver:{self.wq.name}")
+
+    def retire(self) -> None:
+        """End a loop still parked in its first wait for work.
+
+        For a queue that never fetched anything: the loop is dropped
+        where it waits instead of woken to notice the destroy, so
+        nothing is scheduled.
+        """
+        self.process.abandon()
+        self._release()
+
+    def _release(self) -> None:
+        self.busy -= 1
+        if not self.busy and self.teardown is not None:
+            self.teardown.quiet()
 
     # -- main loop ---------------------------------------------------------
 
@@ -72,8 +97,9 @@ class SendQueueDriver:
             batch = yield from self._fetch()
             for wqe, wr_index in batch:
                 if wq.destroyed or not self.nic.alive:
-                    return
+                    break
                 yield from self._execute(wqe, wr_index)
+        self._release()
 
     # -- fetch path ----------------------------------------------------------
 
@@ -194,7 +220,9 @@ class SendQueueDriver:
             if cq is None:
                 self._signal(wqe, wr_index, status="BAD_WAIT_TARGET")
                 return
+            self.waiting = True
             yield cq.wait_for_count(wqe.wqe_count)
+            self.waiting = False
             yield timing.wait_check_ns
             if probe.wait:
                 for hook in probe.wait:
@@ -231,6 +259,7 @@ class SendQueueDriver:
         prev = self._prev_completion
         done = sim.event()
         self._prev_completion = done
+        self.busy += 1
         if wq.managed:
             # Doorbell ordering executes run-to-completion: the fetch
             # context is held until the WR finishes, so the next WQE is
@@ -267,6 +296,7 @@ class SendQueueDriver:
             self._signal(wqe, wr_index, status=status, byte_len=byte_len,
                          immediate=immediate)
         done.trigger(None)
+        self._release()
 
     # -- completion helpers ---------------------------------------------------
 

@@ -102,7 +102,3 @@ class QueuePair:
         ``False`` force it.
         """
         return self.recv_wq.post(wqe, ring_doorbell=ring_doorbell)
-
-    def destroy(self) -> None:
-        self.send_wq.destroy()
-        self.recv_wq.destroy()

@@ -18,15 +18,20 @@ process: the PU-context that fetches WQE bytes from host memory and
 executes them. Work queues are statically assigned to PUs round-robin
 ("each WQ is allocated a single RNIC PU", §3.5) — RedN-Parallel's
 speedup comes from spreading chains across WQs, hence PUs.
+
+:meth:`RNIC.destroy_qps` is the one teardown (``ibv_destroy_qp``): the
+QPs' queues leave every registry at once, but their memory is freed
+only once nothing can still reach it (see :class:`_Teardown`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterable, List, Optional
 
-from ..memory.dram import HostMemory
-from ..memory.region import ProtectionDomain
+from ..memory.dram import Allocation, HostMemory
+from ..memory.region import MemoryRegion, ProtectionDomain
 from ..sim.core import Simulator
 from ..sim.resources import Resource
 from .models import CONNECTX5, DeviceModel
@@ -35,8 +40,82 @@ from .qp import QueuePair
 from .queue import CompletionQueue, QueueError, WorkQueue
 from .timing import TimingModel
 from .verbs import VerbExecutor
+from .wqe import WQE_HEADER
 
 __all__ = ["RNIC", "Port"]
+
+
+class _QueueNumbers:
+    """WQ or CQ numbers: handed out in order, never reused while the
+    WAIT/ENABLE ``target`` field has room for a fresh one; past that,
+    the lowest number a finished teardown released is reused."""
+
+    __slots__ = ("_next", "_released")
+
+    LIMIT = 1 << (8 * WQE_HEADER.field_width("target"))
+
+    def __init__(self):
+        self._next = 1
+        self._released: List[int] = []
+
+    def take(self) -> int:
+        number = self._next
+        if number < self.LIMIT:
+            self._next = number + 1
+            return number
+        if not self._released:
+            raise QueueError(f"all {self.LIMIT - 1} queue numbers in use")
+        return heappop(self._released)
+
+    def release(self, number: int) -> None:
+        heappush(self._released, number)
+
+
+class _Teardown:
+    """Memory of destroyed QPs, freed once nothing can still reach it.
+
+    A completion does not mean a queue's memory is quiet: a destroyed
+    queue's driver may still be fetching, and a fetched WR's data path
+    may still be moving bytes into a ring or reading a buffer. The
+    rings and buffers stay allocated (held under the NIC's name, so an
+    OS reclaim of their owner cannot free them early) until every
+    driver of the destroyed queues has exited with no WR in flight.
+
+    One wait is skipped: a driver whose only unfinished WR is a WAIT
+    counts as quiet at once. When that WAIT wakes, its queue is
+    destroyed, so the driver exits without fetching, and its
+    completion goes to a destroyed CQ: it reaches no memory. (A
+    stranded early-break chain's WAIT may only wake requests later.)
+
+    Freeing schedules nothing, so when it happens cannot move
+    simulated time.
+    """
+
+    __slots__ = ("memory", "allocations", "numbers", "pending")
+
+    def __init__(self, memory: HostMemory):
+        self.memory = memory
+        self.allocations: List[Allocation] = []
+        #: (pool, number) of every destroyed queue, released last.
+        self.numbers: List[tuple] = []
+        # One count held while drivers register; the last quiet() frees.
+        self.pending = 1
+
+    def hold(self, allocation: Allocation, holder: str) -> None:
+        self.memory.transfer_ownership(allocation, holder)
+        self.allocations.append(allocation)
+
+    def wait_for(self, driver: SendQueueDriver) -> None:
+        driver.teardown = self
+        self.pending += 1
+
+    def quiet(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            for allocation in self.allocations:
+                self.memory.free(allocation)
+            for pool, number in self.numbers:
+                pool.release(number)
 
 
 class Port:
@@ -85,8 +164,8 @@ class RNIC:
         self.cqs: Dict[int, CompletionQueue] = {}
         self.wqs: Dict[int, WorkQueue] = {}
         self.qps: List[QueuePair] = []
-        self._cq_nums = itertools.count(1)
-        self._wq_nums = itertools.count(1)
+        self._cq_nums = _QueueNumbers()
+        self._wq_nums = _QueueNumbers()
         self._drivers: Dict[int, SendQueueDriver] = {}
         self.executor = VerbExecutor(self)
         # A hook the fabric layer installs: (other_nic) -> one-way ns.
@@ -105,7 +184,7 @@ class RNIC:
     # -- object creation ---------------------------------------------------
 
     def create_cq(self, name: str = "") -> CompletionQueue:
-        cq = CompletionQueue(self.sim, next(self._cq_nums), name=name)
+        cq = CompletionQueue(self.sim, self._cq_nums.take(), name=name)
         self.cqs[cq.cq_num] = cq
         if self.sim.probe.cq_created:
             for hook in self.sim.probe.cq_created:
@@ -117,7 +196,7 @@ class RNIC:
                   port_index: int = 0, name: str = "") -> WorkQueue:
         if cq.cq_num not in self.cqs:
             raise QueueError(f"{cq!r} does not belong to {self!r}")
-        wq = WorkQueue(self.sim, self.memory, next(self._wq_nums), kind,
+        wq = WorkQueue(self.sim, self.memory, self._wq_nums.take(), kind,
                        num_slots, cq, managed=managed, owner=owner,
                        name=name)
         wq.port_index = port_index
@@ -182,8 +261,53 @@ class RNIC:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def destroy_qp(self, qp: QueuePair) -> None:
-        qp.destroy()
+    def destroy_qps(self, qps: Iterable[QueuePair],
+                    buffers: Iterable[MemoryRegion] = ()) -> None:
+        """Destroy QPs, as ``ibv_destroy_qp`` does, as one teardown.
+
+        Each QP's send and receive queues and their CQs are destroyed
+        and dropped from :attr:`wqs`, :attr:`cqs`, :attr:`qps` and the
+        driver table; every MR over a ring, and each of ``buffers``
+        (one-shot registered buffers the QPs' WRs use), is deregistered,
+        so a late remote access fails with ``ProtectionError``. The
+        rings and buffers are freed together once the queues are
+        quiescent (:class:`_Teardown`). Keys are never reused; WQ and
+        CQ numbers only once fresh ones no longer fit a WAIT/ENABLE
+        target (:class:`_QueueNumbers`).
+        """
+        teardown = _Teardown(self.memory)
+        qps = list(qps)
+        dead = set(map(id, qps))
+        self.qps = [qp for qp in self.qps if id(qp) not in dead]
+        fetch_stats = self.sim.metrics.counter(
+            f"nic.{self.name}.retired.fetch")
+        for qp in qps:
+            for wq in (qp.send_wq, qp.recv_wq):
+                driver = self._drivers.pop(wq.wq_num, None)
+                if driver is not None:
+                    if driver.busy and not (driver.waiting
+                                            and driver.busy == 1):
+                        teardown.wait_for(driver)
+                        if not wq.fetched_count and not wq.fetchable:
+                            # Parked since creation: nothing to flush.
+                            driver.retire()
+                    # Fold the queue's fetch counts into the NIC-wide
+                    # family: totals stay, per-queue entries do not pile up.
+                    fetch_stats.update(driver.stats)
+                    self.sim.metrics.discard(
+                        f"nic.{self.name}.wq.{wq.name}.fetch")
+                wq.destroy()
+                wq.cq.destroy()
+                if self.wqs.pop(wq.wq_num, None) is not None:
+                    teardown.numbers.append((self._wq_nums, wq.wq_num))
+                if self.cqs.pop(wq.cq.cq_num, None) is not None:
+                    teardown.numbers.append((self._cq_nums, wq.cq.cq_num))
+                qp.pd.deregister_allocation(wq.ring)
+                teardown.hold(wq.ring, self.name)
+        for region in buffers:
+            region.pd.deregister_allocation(region.allocation)
+            teardown.hold(region.allocation, self.name)
+        teardown.quiet()
 
     def shutdown(self) -> None:
         """Stop the device (used only by tests; NICs outlive OS crashes)."""

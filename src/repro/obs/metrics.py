@@ -209,6 +209,10 @@ class MetricsRegistry:
             counter = self._counters[name] = Counter()
         return counter
 
+    def discard(self, name: str) -> None:
+        """Drop a counter family (its owner was destroyed)."""
+        self._counters.pop(name, None)
+
     def gauge(self, name: str, fn: Callable[[], Any]) -> None:
         """Register a zero-argument callable sampled at snapshot time."""
         self._gauges[name] = fn

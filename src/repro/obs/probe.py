@@ -243,6 +243,31 @@ class _StoreIndex:
             reach[later] = value
         return True
 
+    def forget(self, slot: int, start: int, end: int) -> bool:
+        """Drop watch ``slot``'s region at [start, end); False when it
+        had none there."""
+        keys = self.keys
+        index = bisect_left(keys, (start, end))
+        if index == len(keys) or keys[index] != (start, end):
+            return False
+        regions = self.regions[index]
+        if regions[slot] is None:
+            return False
+        regions[slot] = None
+        if any(region is not None for region in regions):
+            self._set_calls(index)
+            return True
+        del keys[index], self.regions[index], self.calls[index]
+        del self.reach[index]
+        reach = self.reach
+        for later in range(index, len(reach)):
+            value = max(reach[later - 1], keys[later][1]) if later else (
+                keys[later][1])
+            if reach[later] == value:
+                break
+            reach[later] = value
+        return True
+
     def join(self, watch: "StoreWatch") -> int:
         """Subscribe ``watch``; returns its region slot."""
         self.watches.append(watch)
@@ -310,6 +335,17 @@ class StoreWatch:
         region = (addr, addr + size, label)
         if index.annotate(slot, region):
             insort(self.regions[id(memory)], region)
+
+    def forget(self, memory, addr: int, size: int) -> None:
+        """Stop watching [addr, addr+size) (its memory is being torn
+        down, and a later owner of the range is not this region)."""
+        if self.closed or id(memory) not in self.regions:
+            return
+        index, slot = self._index(memory)
+        if index.forget(slot, addr, addr + size):
+            regions = self.regions[id(memory)]
+            position = bisect_left(regions, (addr, addr + size))
+            del regions[position]
 
     def overlapping(self, memory, lo: int, hi: int) -> List[tuple]:
         """This watch's regions overlapping [lo, hi), lowest first."""

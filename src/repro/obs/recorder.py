@@ -464,6 +464,19 @@ class FlightRecorder:
     def on_cq_created(self, nic, cq) -> None:
         self.attach_nic(nic)
 
+    def on_wq_destroyed(self, wq) -> None:
+        """Stop journaling and checkpointing a torn-down queue's ring:
+        its memory is freed once quiescent and may be reused."""
+        memory, ring = wq.memory, wq.ring
+        key = (memory, ring.addr, ring.end)
+        if self._rings.pop(key, None) is None:
+            return
+        self._watch.forget(memory, ring.addr, ring.size)
+        self._dirty.discard(key)
+        self._digests.pop(key, None)
+        self._mem_states.pop(memory, None)
+        self._wq_states.pop(wq, None)
+
     # Each hook stores its record, then runs the same tail: advance
     # seq, count one invariant check, and reach _boundary() when due.
     # The tail is written out in every hook, not called, because it

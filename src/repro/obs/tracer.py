@@ -351,8 +351,9 @@ class Tracer:
     def _register_wq(self, nic, wq) -> _Queue:
         pid = self.attach_nic(nic)
         tid = self._tid(pid, f"wq:{wq.name}")
-        self._watch.annotate(wq.memory, wq.ring.addr, wq.ring.size,
-                             f"ring:{wq.name}")
+        if not wq.destroyed:
+            self._watch.annotate(wq.memory, wq.ring.addr, wq.ring.size,
+                                 f"ring:{wq.name}")
         state = self._queues.get(wq)
         if state is None:
             state = _Queue(wq, pid, tid)
@@ -400,8 +401,10 @@ class Tracer:
 
     def on_wq_destroyed(self, wq) -> None:
         """A torn-down queue never fetches or executes again: drop its
-        slot images and unexecuted fetch snapshots."""
+        slot images and unexecuted fetch snapshots, and stop tracing
+        stores into its ring, which a later allocation may reuse."""
         self._queues.pop(wq, None)
+        self._watch.forget(wq.memory, wq.ring.addr, wq.ring.size)
 
     def on_cq_created(self, nic, cq) -> None:
         pid = self.attach_nic(nic)

@@ -25,7 +25,8 @@ Fig 13's trade-off reproduces mechanically:
   chain's WAIT so no later iteration runs. Stopping the chain mid-way
   leaves un-executed WRs behind, so the host performs a small
   ``finish_request`` cleanup between requests (the CPU-assisted
-  reposting the paper attributes to unrolled loops, §3.4).
+  reposting the paper attributes to unrolled loops, §3.4), which also
+  destroys the request's one-shot queues and frees their memory.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ def list_get_payload(head_addr: int, key: int) -> bytes:
 class _Instance:
     """Host bookkeeping for one posted break-variant instance."""
 
-    __slots__ = ("queues", "gates", "last_lane_index")
+    __slots__ = ("queues", "buffers", "gates", "last_lane_index")
 
-    def __init__(self, queues, gates, last_lane_index: int):
+    def __init__(self, queues, buffers, gates, last_lane_index: int):
         self.queues = queues            # the one-shot worker/branch/ctl
+        self.buffers = buffers          # regions of the break images
         self.gates = gates              # (lane wr_index, flags address)
         self.last_lane_index = last_lane_index
 
@@ -101,8 +103,8 @@ class ListTraversalOffload:
         if use_break:
             # Break chains are one-shot: a hit strands the unexecuted
             # tail, so each request gets fresh worker/branch/control
-            # queues (the CPU re-posting of §3.4) and the strands are
-            # simply abandoned. Queues are created per instance.
+            # queues (the CPU re-posting of §3.4), destroyed with their
+            # strands by finish_request. Queues are created per instance.
             self.worker = None
             self.control = None
             self.branches = None
@@ -146,7 +148,7 @@ class ListTraversalOffload:
     def _track(self, instance: int, posted) -> None:
         """Keep what ``finish_request`` needs of a break instance."""
         if isinstance(posted, Stamp):
-            posted = _Instance(posted.queues, [
+            posted = _Instance(posted.queues, posted.buffers, [
                 (wr_index, slot_addr + _FLAGS_OFFSET)
                 for wr_index, slot_addr in posted.exports["gates"]],
                 self.lane.wq.posted_count)
@@ -238,8 +240,8 @@ class ListTraversalOffload:
         tag = f"trav{instance_id}"
 
         # One-shot queues for this request; a hit strands their tails,
-        # which are simply never fetched again. Each step needs 4 ring
-        # slots: a 2-slot READ (3 SGEs), the prep WRITE, and the CAS.
+        # which finish_request destroys. Each step needs 4 ring slots:
+        # a 2-slot READ (3 SGEs), the prep WRITE, and the CAS.
         worker = builder.worker_queue(slots=4 * self.max_nodes + 2,
                                       name=f"{tag}-w")
         branches = builder.worker_queue(slots=self.max_nodes + 1,
@@ -308,6 +310,7 @@ class ListTraversalOffload:
         self._post_trigger_recv(reads[0])
         return _Instance(
             [worker, branches, control],
+            [image.region for image in images],
             [(gate.wr_index, gate.field_addr("flags")) for gate in gates],
             last_lane_index)
 
@@ -317,12 +320,14 @@ class ListTraversalOffload:
         """Host-side cleanup after a break-variant request completed.
 
         A hit stops the chain mid-way: the one-shot worker/branch/
-        control queues are abandoned with their unexecuted tails (the
-        starved control WAIT simply never fires again). Only the
-        *shared* response lane needs care:
+        control queues are left with their unexecuted tails (the
+        starved control WAIT only wakes once a later request's lane
+        gate signals). Only the *shared* response lane needs care:
 
-        1. destroy the request's one-shot queues (ibv_destroy_qp-style
-           teardown), so nothing can ever revive the stranded tail;
+        1. destroy the request's one-shot queues and break images
+           (``ibv_destroy_qp``, :meth:`RNIC.destroy_qps`), so nothing
+           can ever revive the stranded tail; their memory is freed,
+           for reuse by later requests, once the queues are quiescent;
         2. defuse the leftover gates (clear SIGNALED), then release the
            lane through this instance's end — leftover templates and
            defused gates execute as silent NOOPs, advancing the shared
@@ -331,8 +336,8 @@ class ListTraversalOffload:
            defused) so later instances compute reachable lane WAIT
            thresholds.
 
-        The instance's host record is dropped: a finished request keeps
-        nothing alive but its simulated rings.
+        The instance's host record is dropped: a finished request
+        keeps nothing alive.
 
         This is exactly the per-request CPU involvement the paper
         ascribes to unrolled loops (§3.4); the recycled variant avoids
@@ -341,8 +346,7 @@ class ListTraversalOffload:
         if not self.use_break:
             return
         record = self.instances.pop(instance_id)
-        for queue in record.queues:
-            queue.wq.destroy()
+        self.ctx.destroy_queues(record.queues, record.buffers)
         lane_wq = self.lane.wq
         memory = self.ctx.memory
         for wr_index, flags_addr in record.gates:

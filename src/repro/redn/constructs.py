@@ -243,7 +243,7 @@ class BreakImage:
         ctx = builder.ctx
         # Image = armed response WQE + gate WQE with SIGNALED cleared.
         self.image_len = WQE_SLOT_SIZE * 2
-        self._alloc, self._mr = ctx.alloc_registered(
+        self._alloc, self.region = ctx.alloc_registered(
             self.image_len, label=f"{tag}-image")
         armed = bytearray(response.snapshot_bytes(WQE_SLOT_SIZE))
         WQE_HEADER.pack_into(

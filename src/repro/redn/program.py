@@ -25,7 +25,7 @@ creation — goes through the context, so a
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..memory.dram import Allocation, HostMemory
 from ..memory.layout import pack_uint
@@ -130,8 +130,11 @@ class ChainQueue:
                 managed_send=managed, send_slots=slots, name=name,
                 port_index=port_index)
             self._peer = peer
+            #: QPs this queue created, torn down with it.
+            self.owned_qps = [qp, peer]
         else:
             self._peer = qp.peer
+            self.owned_qps = []
         self.qp = qp
         self.wq: WorkQueue = qp.send_wq
         # Register the ring as a code region so chain verbs (running on
@@ -238,6 +241,16 @@ class RednContext:
             return self.process.create_loopback_pair(self.pd, **kwargs)
         kwargs.setdefault("owner", self.owner)
         return self.nic.create_loopback_pair(self.pd, **kwargs)
+
+    def destroy_queues(self, queues: Iterable["ChainQueue"],
+                       buffers: Iterable[MemoryRegion] = ()) -> None:
+        """Destroy one-shot chain queues and their registered buffers
+        as one teardown (``ibv_destroy_qp``; see ``RNIC.destroy_qps``)."""
+        qps = [qp for queue in queues for qp in queue.owned_qps]
+        if self.process is not None:
+            self.process.destroy_qps(qps, buffers)
+        else:
+            self.nic.destroy_qps(qps, buffers)
 
     def alloc(self, size: int, label: str = "") -> Allocation:
         if self.process is not None:

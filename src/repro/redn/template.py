@@ -402,13 +402,15 @@ class _NewBuffer:
 
 
 class Stamp:
-    """What one stamped instance created: its one-shot queues and the
-    ``(wr_index, slot_addr)`` of every exported post."""
+    """What one stamped instance created: its one-shot queues, its
+    one-shot buffers' regions, and the ``(wr_index, slot_addr)`` of
+    every exported post."""
 
-    __slots__ = ("queues", "exports")
+    __slots__ = ("queues", "buffers", "exports")
 
-    def __init__(self, queues, exports):
+    def __init__(self, queues, buffers, exports):
         self.queues = queues
+        self.buffers = buffers
         self.exports = exports
 
 
@@ -677,7 +679,8 @@ class InstanceTemplate:
                     placed[ordinal][0].slot_addr(placed[ordinal][2]))
                    for ordinal in ordinals]
             for name, ordinals in self.exports.items()}
-        return Stamp(queues, exports)
+        return Stamp(queues, [region for _alloc, region in env.allocs],
+                     exports)
 
     def verify(self, recorder: ActionRecorder, host: List[int]) -> None:
         """Require the template to reproduce ``recorder``'s instance.

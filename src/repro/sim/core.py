@@ -356,6 +356,19 @@ class Process(Event):
             return
         self.sim._immediate.append((self._resume, (None, Interrupt(cause))))
 
+    def abandon(self) -> None:
+        """Drop a process parked on an event that will never matter.
+
+        Unlike :meth:`interrupt`, nothing is scheduled: the process
+        detaches from the event it waits on and its generator closes in
+        place, so it never runs again.
+        """
+        waiting = self._waiting_on
+        if waiting is not None:
+            waiting._discard_callback(self._on_event)
+            self._waiting_on = None
+        self._generator.close()
+
     def _resume(self, payload) -> None:
         if self.triggered:
             return

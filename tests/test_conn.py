@@ -19,15 +19,11 @@ from repro.net.conn import (
 from repro.nic import CONNECTX5_TIMING, DoorbellBatcher
 
 
-MEM = 2 * 1024 * 1024
-
-
 class _Rig:
     """Testbed + server sink + a client-side QP pool."""
 
     def __init__(self, capacity=3, **pool_kwargs):
-        self.bed = Testbed(num_clients=1, server_memory=MEM,
-                           client_memory=MEM)
+        self.bed = Testbed(num_clients=1)
         self.sim = self.bed.sim
         proc = self.bed.server.spawn_process("sink")
         pd = proc.create_pd()
@@ -203,8 +199,7 @@ class TestSharedCqDemux:
                     ["sim.events_executed"])
 
         def drive_manual():
-            bed = Testbed(num_clients=1, server_memory=MEM,
-                          client_memory=MEM)
+            bed = Testbed(num_clients=1)
             proc = bed.server.spawn_process("sink")
             pd = proc.create_pd()
             sink = proc.alloc(4096, label="sink")

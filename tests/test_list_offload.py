@@ -1,10 +1,12 @@
 """End-to-end tests: the Fig 12 list-traversal offload."""
 
+import hashlib
+
 import pytest
 
 from repro.datastructs import LinkedList, SlabStore
 from repro.ibv import VerbsContext
-from repro.memory import HostMemory, ProtectionDomain
+from repro.memory import HostMemory, ProtectionDomain, ProtectionError
 from repro.net import Fabric
 from repro.nic import Opcode, RNIC
 from repro.offloads.list_traversal import (
@@ -152,6 +154,87 @@ class TestBreakTraversal:
         # No gate was killed on a miss.
         rig.offload.post_instances(1)
         assert rig.get(22).ok
+
+
+def _serve_break_calls(calls):
+    """``calls`` early-break requests, one posted and finished per call."""
+    rig = ListRig(KEYS, use_break=True)
+    latencies = []
+    for index in range(calls):
+        rig.offload.post_instances(1)
+        result = rig.get(KEYS[index % len(KEYS)])
+        assert result.ok
+        latencies.append(result.latency_ns)
+        rig.offload.finish_request(index)
+    return rig, latencies
+
+
+class TestBreakTeardown:
+    """finish_request frees what each request allocated."""
+
+    #: sha256 of repr((per-call latencies, final sim.now, WRs executed))
+    #: for 128 calls, recorded before one-shot memory was reused: reuse
+    #: may move addresses, never a simulated number.
+    LATENCY_DIGEST_128 = (
+        "093c19b858be7305439dff58e30b08cfa2f1590a864fc84052c782e49115ee63")
+
+    @staticmethod
+    def _footprint(rig):
+        memory, nic = rig.server_mem, rig.server_nic
+        return {
+            "high_water": memory.high_water,
+            "wqs": len(nic.wqs),
+            "cqs": len(nic.cqs),
+            "qps": len(nic.qps),
+            "drivers": len(nic._drivers),
+            "pd_regions": len(rig.server_pd._regions_by_rkey),
+            "live_allocations": memory.live_allocations,
+            "gen_ranges": len(memory._gen_ranges),
+            "metric_families": len(rig.sim.metrics.snapshot()["counters"]),
+        }
+
+    def test_footprint_is_flat_in_call_count(self):
+        few, _ = _serve_break_calls(64)
+        many, _ = _serve_break_calls(512)
+        assert self._footprint(many) == self._footprint(few)
+
+    def test_reuse_moves_no_simulated_number(self):
+        rig, latencies = _serve_break_calls(128)
+        identity = repr((latencies, rig.sim.now, rig.wr_count()))
+        assert hashlib.sha256(identity.encode()).hexdigest() == (
+            self.LATENCY_DIGEST_128)
+
+    def test_teardown_deregisters_and_frees_one_shot_memory(self):
+        rig = ListRig(KEYS, use_break=True)
+        rig.offload.post_instances(1)
+        record = rig.offload.instances[0]
+        rings = [qp.send_wq.ring for queue in record.queues
+                 for qp in queue.owned_qps]
+        rkeys = [queue.code_mr.rkey for queue in record.queues] + [
+            region.rkey for region in record.buffers]
+        assert rig.get(KEYS[3]).ok
+        rig.offload.finish_request(0)
+        for rkey in rkeys:
+            with pytest.raises(ProtectionError):
+                rig.server_pd.lookup_rkey(rkey)
+        # Freed only once the destroyed queues' drivers have exited:
+        # the woken worker and branch drivers have not run yet.
+        assert not any(ring.freed for ring in rings)
+        rig.sim.run(until=rig.sim.now + 1_000)
+        assert all(ring.freed for ring in rings)
+        assert all(region.allocation.freed for region in record.buffers)
+
+    def test_queue_numbers_recycle_once_target_field_is_full(self):
+        """Past the 16-bit WAIT/ENABLE target space, destroyed queues'
+        numbers are reused, so calls keep being served."""
+        rig = ListRig(KEYS, use_break=True)
+        numbers = rig.server_nic._wq_nums
+        numbers._next = numbers.LIMIT - 40
+        for index in range(8):
+            rig.offload.post_instances(1)
+            assert rig.get(KEYS[index]).ok
+            rig.offload.finish_request(index)
+        assert max(rig.server_nic.wqs) < numbers.LIMIT
 
 
 class TestPayload:

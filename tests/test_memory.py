@@ -4,6 +4,7 @@ import pytest
 
 from repro.memory import (
     AccessFlags,
+    DramExhausted,
     HostMemory,
     MemoryError_,
     ProtectionDomain,
@@ -185,6 +186,131 @@ class TestHostMemory:
         memory.transfer_ownership(allocation, "hull-parent")
         assert memory.reclaim_owner("child") == []
         assert not allocation.freed
+
+
+class TestAllocatorReuse:
+    def test_reused_block_reads_zeros(self):
+        memory = HostMemory(size=1 << 20)
+        first = memory.alloc(256, label="a")
+        memory.write(first.addr, b"\xab" * 256)
+        memory.free(first)
+        again = memory.alloc(256, label="b")
+        assert again.addr == first.addr
+        assert memory.read(again.addr, 256) == bytes(256)
+
+    def test_free_keeps_poison_generation_bump_and_store_hook(self):
+        memory = HostMemory(size=1 << 20)
+        allocation = memory.alloc(128, align=64)
+        gens = memory.register_generation_range(allocation.addr, 128)
+        stores = []
+        memory.add_store_hook(lambda addr, length: stores.append(
+            (addr, length)))
+        memory.free(allocation)
+        assert memory.read(allocation.addr, 128) == b"\xde" * 128
+        assert gens.gens == [1, 1]
+        assert stores == [(allocation.addr, 128)]
+        # The range left with its block: a later write there bumps
+        # nothing, and the range may be registered afresh.
+        assert memory._gen_ranges == []
+        reused = memory.alloc(128, align=64)
+        memory.write(reused.addr, b"x")
+        assert gens.gens == [1, 1]
+        memory.register_generation_range(reused.addr, 128)
+
+    def test_double_free_after_reuse_raises(self):
+        memory = HostMemory(size=1 << 20)
+        first = memory.alloc(64)
+        memory.free(first)
+        second = memory.alloc(64)
+        assert second.addr == first.addr
+        with pytest.raises(MemoryError_, match="double free"):
+            memory.free(first)
+        assert not second.freed
+        assert memory.read(second.addr, 64) == bytes(64)
+
+    def test_reuse_order_is_deterministic(self):
+        def run():
+            memory = HostMemory(size=1 << 20)
+            blocks = [memory.alloc(size, label=f"b{index}")
+                      for index, size in enumerate([64, 128, 64, 64, 128])]
+            for index in (3, 0, 4, 2):
+                memory.free(blocks[index])
+            return [memory.alloc(size).addr for size in (64, 64, 128, 64)]
+
+        first = run()
+        assert first == run()
+        # The last block freed of a size is reused first.
+        memory = HostMemory(size=1 << 20)
+        a, b = memory.alloc(64), memory.alloc(64)
+        memory.free(a)
+        memory.free(b)
+        assert memory.alloc(64).addr == b.addr
+        assert memory.alloc(64).addr == a.addr
+
+    def test_reused_blocks_keep_wqe_slot_alignment(self):
+        memory = HostMemory(size=1 << 20)
+        # An 8-aligned block of a ring's size must not serve a ring.
+        memory.alloc(8)
+        unaligned = memory.alloc(128, align=8)
+        assert unaligned.addr % 64
+        memory.free(unaligned)
+        ring = memory.alloc(128, align=64)
+        assert ring.addr % 64 == 0 and ring.addr != unaligned.addr
+        memory.free(ring)
+        again = memory.alloc(128, align=64)
+        assert again.addr == ring.addr and again.addr % 64 == 0
+
+    def test_live_record_holds_live_blocks_only(self):
+        memory = HostMemory(size=1 << 20)
+        for _ in range(100):
+            memory.free(memory.alloc(64, owner="req"))
+        kept = memory.alloc(32, owner="req")
+        assert memory.live_allocations == 1
+        assert memory.live_bytes == 32
+        assert memory.high_water <= 64 + 32 + 8
+        assert memory.allocations_owned_by("req") == [kept]
+        assert memory.reclaim_owner("req") == [kept]
+        assert memory.live_allocations == 0
+
+
+class TestMemoryMisuse:
+    def test_exhaustion_is_typed_and_names_its_cause(self):
+        memory = HostMemory(size=8192, name="srv-dram")
+        memory.alloc(1024, owner="proc#7", label="slab")
+        with pytest.raises(DramExhausted) as info:
+            memory.alloc(1 << 20, owner="proc#7", label="ring")
+        error = info.value
+        assert isinstance(error, MemoryError_)
+        assert (error.memory, error.owner, error.label) == (
+            "srv-dram", "proc#7", "ring")
+        assert (error.size, error.capacity, error.live_bytes) == (
+            1 << 20, 8192, 1024)
+        for part in ("srv-dram", "proc#7", "'ring'", str(1 << 20), "8192",
+                     "1024 bytes live"):
+            assert part in str(error)
+
+    def test_free_of_foreign_allocation_rejected(self):
+        memory = HostMemory(size=1 << 20, name="a")
+        other = HostMemory(size=1 << 20, name="b")
+        mine = memory.alloc(64)
+        foreign = other.alloc(64)
+        assert foreign.addr == mine.addr
+        with pytest.raises(MemoryError_, match="not live in a"):
+            memory.free(foreign)
+        assert not mine.freed and not foreign.freed
+
+    def test_overlapping_generation_range_rejected(self):
+        memory = HostMemory(size=1 << 20)
+        allocation = memory.alloc(512, align=64)
+        memory.register_generation_range(allocation.addr + 128, 128)
+        for addr, length in ((allocation.addr, 192),
+                             (allocation.addr + 192, 128),
+                             (allocation.addr + 128, 64),
+                             (allocation.addr + 64, 256)):
+            with pytest.raises(MemoryError_, match="overlaps"):
+                memory.register_generation_range(addr, length)
+        memory.register_generation_range(allocation.addr, 128)
+        memory.register_generation_range(allocation.addr + 256, 256)
 
 
 class TestProtection:

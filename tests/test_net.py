@@ -185,6 +185,19 @@ class TestHostProcesses:
         sim.run(until=10_000)
         assert thread.triggered
 
+    def test_crash_frees_rings_for_reuse_once_queues_quiesce(self, sim):
+        host = Host(sim, "h")
+        proc = host.spawn_process("victim")
+        pd = proc.create_pd()
+        qp = proc.create_qp(pd)
+        rings = [qp.send_wq.ring, qp.recv_wq.ring]
+        host.crash_process(proc)
+        sim.run(until=10_000)
+        assert all(ring.freed for ring in rings)
+        assert not host.nic.qps and not host.nic.wqs and not host.nic.cqs
+        assert host.memory.alloc(rings[0].size).addr in {
+            ring.addr for ring in rings}
+
     def test_double_crash_is_noop(self, sim):
         host = Host(sim, "h")
         proc = host.spawn_process("victim")

@@ -17,6 +17,11 @@ Scenarios:
   creates and destroys one-shot queues;
 * a 2-shard KV fleet with a recorder small enough to evict and
   checkpoint.
+
+The ``list-traversal-break`` digests were regenerated when early-break
+requests began freeing and reusing their one-shot queue memory: a
+causal diff of the old and new journals shows only address fields of
+reused blocks, with the same records at the same simulated times.
 """
 
 from __future__ import annotations

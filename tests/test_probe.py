@@ -318,3 +318,48 @@ def test_shared_store_index_matches_per_watch_scan():
         (s, e, lab) for (s, e), lab in annotated["b"].items())
     watches["b"].close()
     assert not memory._store_hooks and not sim.probe._store_indexes
+
+
+def test_shared_store_index_forgets_torn_down_regions():
+    """Regions dropped with ``forget`` (a destroyed queue's ring) stop
+    matching stores; the other watch's regions, nested or overlapping
+    ones included, still resolve to the lowest remaining region."""
+    import random
+
+    from repro.memory import HostMemory
+    from repro.obs.probe import StoreWatch
+
+    sim = Simulator()
+    memory = HostMemory(size=1 << 16, name="m")
+    base = memory.BASE_ADDR
+    memory.register_generation_range(base, 4096)
+    seen = {"a": [], "b": []}
+    watches = {name: StoreWatch(sim.probe,
+                                lambda _m, addr, length, region, name=name:
+                                seen[name].append((addr, length, region)))
+               for name in seen}
+    rng = random.Random(11)
+    annotated = {"a": {}, "b": {}}
+    for step in range(600):
+        name = rng.choice("ab")
+        if annotated[name] and rng.random() < 0.4:
+            start, end = rng.choice(sorted(annotated[name]))
+            watches[name].forget(memory, start, end - start)
+            del annotated[name][(start, end)]
+        else:
+            start = base + rng.randrange(0, 4000)
+            size = rng.choice([8, 64, 64, 256, 1024])
+            watches[name].annotate(memory, start, size, f"{name}{step}")
+            annotated[name].setdefault((start, start + size),
+                                       f"{name}{step}")
+        addr = base + rng.randrange(0, 4000)
+        length = rng.choice([1, 8, 64, 512])
+        for key in seen:
+            seen[key].clear()
+        memory.write(addr, bytes(length))
+        for key in seen:
+            regions = [(s, e, lab) for (s, e), lab
+                       in annotated[key].items()]
+            want = _naive_first_region(regions, addr, length)
+            assert seen[key] == ([(addr, length, want)] if want else [])
+            assert watches[key].regions.get(id(memory), []) == sorted(regions)

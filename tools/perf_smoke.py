@@ -22,10 +22,9 @@ many kernel events per CPU-second the simulator sustains:
   dual-drive bit-identity contract and speedup measurement as the
   cluster workload, plus an ``aggregate_mops`` figure.
 
-Methodology: the testbed build (allocating the 256 MB simulated DRAM
-dominates setup) is excluded; only the simulation run phase is timed,
-with the GC disabled, using ``time.process_time`` so a loaded machine
-does not skew results. Each workload runs ``--reps`` times and the best
+Methodology: the testbed build is excluded; only the simulation run
+phase is timed, with the GC disabled, using ``time.process_time`` so a
+loaded machine does not skew results. Each workload runs ``--reps`` times and the best
 rep counts.
 
 Usage:
