@@ -13,7 +13,6 @@ Every benchmark follows the same pattern:
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench import Testbed as _BaseTestbed
@@ -21,8 +20,7 @@ from repro.bench import render_table
 
 __all__ = ["run_once", "print_comparison", "Testbed", "within_factor",
            "set_trace_output", "set_breakdown_output", "flush_trace",
-           "set_journal_output", "set_history_output", "flush_history",
-           "set_telemetry_output", "mark_request"]
+           "set_journal_output", "set_telemetry_output", "mark_request"]
 
 # -- optional tracing (pytest --trace OUT.json / REPRO_TRACE=OUT.json) ----
 
@@ -36,12 +34,9 @@ JOURNAL_PATH: Optional[str] = os.environ.get("REPRO_JOURNAL") or None
 #: Where to write the merged fleet telemetry JSONL stream, or None
 #: (pytest ``--telemetry OUT.jsonl`` / env ``REPRO_TELEMETRY``).
 TELEMETRY_PATH: Optional[str] = os.environ.get("REPRO_TELEMETRY") or None
-#: Where to append this run's results (tools/bench_history.py format).
-HISTORY_PATH: Optional[str] = None
 _tracers: List = []
 _recorders: List = []
 _fleet = None  # session-wide repro.obs.telemetry.FleetTelemetry
-_history_samples: Dict[str, Dict] = {}
 
 
 def set_trace_output(path: Optional[str]) -> None:
@@ -68,13 +63,6 @@ def set_telemetry_output(path: Optional[str]) -> None:
     this call (pytest ``--telemetry OUT.jsonl``)."""
     global TELEMETRY_PATH
     TELEMETRY_PATH = path
-
-
-def set_history_output(path: Optional[str]) -> None:
-    """Record this session's benchmark results into a history file
-    (pytest ``--history [FILE]``, tools/bench_history.py format)."""
-    global HISTORY_PATH
-    HISTORY_PATH = path
 
 
 def mark_request(bed, label: str, start_ns: int) -> None:
@@ -151,23 +139,6 @@ def flush_trace() -> Optional[str]:
     return written
 
 
-def flush_history() -> None:
-    """Append the session's collected benchmark results to the
-    history file, if ``--history`` was given."""
-    global _history_samples
-    if not HISTORY_PATH or not _history_samples:
-        return
-    import sys as _sys
-    tools = str(Path(__file__).resolve().parent.parent / "tools")
-    if tools not in _sys.path:
-        _sys.path.insert(0, tools)
-    from bench_history import append_entry
-    entry = append_entry(HISTORY_PATH, figs=_history_samples)
-    print(f"\n[history] recorded {entry['sha']} "
-          f"({len(_history_samples)} benchmark(s)) in {HISTORY_PATH}")
-    _history_samples = {}
-
-
 class Testbed(_BaseTestbed):
     """The paper testbed, plus a per-bed tracer when --trace-out or
     --breakdown is on and a flight recorder when --journal is on."""
@@ -213,10 +184,6 @@ def run_once(benchmark, fn: Callable[[], Dict]) -> Dict:
     for key, value in result.items():
         if isinstance(value, (int, float, str)):
             benchmark.extra_info[key] = value
-    if HISTORY_PATH:
-        _history_samples[benchmark.name] = {
-            key: value for key, value in result.items()
-            if isinstance(value, (int, float))}
     return result
 
 

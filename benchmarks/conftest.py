@@ -38,11 +38,6 @@ def pytest_addoption(parser):
         help="record a flight-recorder journal of every simulated "
              "NIC to this file (see tools/trace_diff.py)")
     parser.addoption(
-        "--history", nargs="?", const="BENCH_history.json",
-        default=None, metavar="FILE",
-        help="append this run's benchmark results to a history file "
-             "(default BENCH_history.json, see tools/bench_history.py)")
-    parser.addoption(
         "--telemetry", default=None, metavar="OUT.jsonl",
         help="record windowed fleet telemetry of every simulated bed "
              "to this JSONL file (see tools/fleet.py top --input)")
@@ -58,9 +53,6 @@ def pytest_configure(config):
     journal = config.getoption("--journal", default=None)
     if journal:
         _common.set_journal_output(journal)
-    history = config.getoption("--history", default=None)
-    if history:
-        _common.set_history_output(history)
     telemetry = config.getoption("--telemetry", default=None)
     if telemetry:
         _common.set_telemetry_output(telemetry)
@@ -68,4 +60,3 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     _common.flush_trace()
-    _common.flush_history()

@@ -10,13 +10,13 @@ of unsignaled WRITEs capped by a signaled CAS over its own
 client->server connection, the Table 3 idiom) and sends the reply back
 over the reverse channel.
 
-This is the ``cluster_simspeed`` workload in ``tools/perf_smoke.py``:
-the same scenario is driven once by the conservative sharded
-synchronizer (:meth:`ShardedSimulation.run`) and once by the
-one-timestamp-window serial merge (:meth:`ShardedSimulation.run_serial`);
-both must produce bit-identical results (the :meth:`ClusterScenario.run`
-fingerprint includes per-bed event counts), and the events/sec ratio
-between the two is the reported speedup.
+This is the ``cluster_simspeed`` scenario of
+``tests/test_sim_fingerprints.py``: the same scenario is driven once by
+the conservative sharded synchronizer (:meth:`ShardedSimulation.run`)
+and once by the one-timestamp-window serial merge
+(:meth:`ShardedSimulation.run_serial`); both must produce bit-identical
+results (the :meth:`ClusterScenario.run` fingerprint includes per-bed
+event counts), and the test pins each drive's synchronizer rounds.
 
 The inter-bed link latency doubles as the synchronizer's lookahead, so
 it is deliberately the widest latency in the system: with ~1 µs links

@@ -25,7 +25,7 @@ The ROADMAP item-1 scenario, mounted on the connection plane
 * Like the cluster scenario, the same built fleet runs under the
   conservative sharded synchronizer or the serial merge, and both
   drives must be bit-identical; this is the ``fleet_simspeed``
-  workload in ``tools/perf_smoke.py``.
+  scenario of ``tests/test_sim_fingerprints.py``.
 
 Every stochastic-looking choice (zipf draw, start skew, think dither)
 is a pure integer function of ``(shard, client, seq)``, so the
@@ -424,7 +424,7 @@ class FleetScenario:
 
         The fingerprint is a pure function of the simulated system —
         identical for sharded and serial drives (and that identity is
-        asserted by the ``fleet_simspeed`` workload every run).
+        pinned by ``tests/test_sim_fingerprints.py``).
         ``measures`` carries driver observables and derived reporting
         (aggregate Mops, per-shard isolation).
         """

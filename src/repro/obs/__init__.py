@@ -77,8 +77,8 @@ hooks, so a site reads::
             hook(wq, wr_index, slot_cursor, slots, wqe, cache_hit)
 
 With no sink on a simulator the tuple is empty and the whole cost of
-a site is one attribute load and a branch — the BENCH_simspeed perf
-gate runs with every sink off and is unaffected. Attachment is per
+a site is one attribute load and a branch — the pinned fingerprints in
+``tests/test_sim_fingerprints.py`` run with every sink off. Attachment is per
 simulator: a sink on one simulator never puts another on the observed
 path, and ``close()`` on a sink takes it off the probe again.
 """

@@ -5,8 +5,8 @@ Three pillars:
 * **Differential lowering** — constructs built through the IR pipeline
   must land byte-identical WQE rings to the pre-refactor direct
   assembly, hand-replicated here as the golden reference. (The offload
-  programs are covered end-to-end by ``tools/perf_smoke.py --check``'s
-  result fingerprints.)
+  programs are covered end-to-end by the pinned result fingerprints in
+  ``tests/test_sim_fingerprints.py``.)
 * **Table 2 costs** — the cost pass must reproduce the paper's C/A/E
   rows exactly: ``1C + 1A + 3E`` for if, ``3C + 2A + 4E`` for the
   recycled while (with both the response and trigger rearms).

@@ -27,8 +27,8 @@ class TestFleetIdentity:
         fp_serial, m_serial = _small().run(serial=True)
         assert fp_sharded == fp_serial
         # Driver observables legitimately differ; the simulated system
-        # must not.
-        assert m_sharded["rounds"] != m_serial["rounds"] or True
+        # must not. The sharded drive visits the synchronizer less.
+        assert m_sharded["rounds"] < m_serial["rounds"]
         assert fp_sharded["requests"] == 3 * 4 * 2
 
     def test_rerun_is_deterministic(self):

@@ -551,22 +551,3 @@ def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys, monkeypatch):
     (telemetry,) = fleets
     assert all(not collector.sim.probe.sinks
                for collector in telemetry.collectors)
-
-
-# -- bench_history p99 column (satellite) ---------------------------------
-
-
-def test_bench_history_records_p99(tmp_path):
-    from bench_history import append_entry, load_history, render_history
-
-    path = tmp_path / "history.json"
-    append_entry(path, events_per_sec={"cluster": 1_000_000},
-                 p99_ns={"cluster": 8191}, sha="aaaa", when="t0")
-    append_entry(path, events_per_sec={"cluster": 1_100_000},
-                 sha="bbbb", when="t1")  # schema-1 entry, no tails
-    history = load_history(path)
-    assert history["runs"][0]["p99_ns"] == {"cluster": 8191}
-    assert "p99_ns" not in history["runs"][1]
-    table = render_history(history)
-    assert "cluster p99" in table
-    assert "8,191ns" in table

@@ -363,19 +363,6 @@ def blame(args) -> int:
             raise CliError(f"bad baseline {args.diff}: {exc}")
         print(render_diff(diff))
 
-    if args.history:
-        from bench_history import append_entry
-        phases = summary["phases"]
-        # "tail_blame" is the figure name existing history files use.
-        figs = {"tail_blame": {f"{phase}_mean_ns": phases[phase]["mean_ns"]
-                               for phase in phases
-                               if phases[phase]["total_ns"]}}
-        p99 = summary["p99_ns"]
-        append_entry(args.history, figs=figs,
-                     p99_ns={"tail_blame": p99} if p99 else None)
-        print(f"appended tail_blame figures to {args.history}",
-              file=sys.stderr)
-
     failed = False
     for phase in sorted(gates):
         mean = summary["phases"][phase]["mean_ns"]
@@ -585,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     blame_parser.add_argument("--budgets", metavar="BUDGETS.json",
                               help="phase_mean_ns budgets file; each "
                                    "entry acts like a --fail-if gate")
-    blame_parser.add_argument("--history", metavar="FILE.json",
-                              help="append phase means to a "
-                                   "bench_history file")
     blame_parser.set_defaults(scenario="fleet")
 
     triage_parser = commands.add_parser(
