@@ -12,7 +12,6 @@ Every benchmark follows the same pattern:
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench import Testbed as _BaseTestbed
@@ -22,18 +21,16 @@ __all__ = ["run_once", "print_comparison", "Testbed", "within_factor",
            "set_trace_output", "set_breakdown_output", "flush_trace",
            "set_journal_output", "set_telemetry_output", "mark_request"]
 
-# -- optional tracing (pytest --trace OUT.json / REPRO_TRACE=OUT.json) ----
+# -- optional outputs, switched on by the pytest flags in conftest.py ------
 
 #: Where to write the merged Chrome trace, or None for tracing off.
-TRACE_PATH: Optional[str] = os.environ.get("REPRO_TRACE") or None
+TRACE_PATH: Optional[str] = None
 #: Where to write the per-phase latency breakdown JSON, or None.
-BREAKDOWN_PATH: Optional[str] = \
-    os.environ.get("REPRO_BREAKDOWN") or None
+BREAKDOWN_PATH: Optional[str] = None
 #: Where to write the merged flight-recorder journal, or None.
-JOURNAL_PATH: Optional[str] = os.environ.get("REPRO_JOURNAL") or None
-#: Where to write the merged fleet telemetry JSONL stream, or None
-#: (pytest ``--telemetry OUT.jsonl`` / env ``REPRO_TELEMETRY``).
-TELEMETRY_PATH: Optional[str] = os.environ.get("REPRO_TELEMETRY") or None
+JOURNAL_PATH: Optional[str] = None
+#: Where to write the merged fleet telemetry JSONL stream, or None.
+TELEMETRY_PATH: Optional[str] = None
 _tracers: List = []
 _recorders: List = []
 _fleet = None  # session-wide repro.obs.telemetry.FleetTelemetry

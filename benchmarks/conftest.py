@@ -1,18 +1,18 @@
-"""Benchmark-suite options: ``--trace-out OUT.json`` / ``--breakdown``.
+"""Benchmark-suite options: ``--trace-out``, ``--breakdown``,
+``--journal`` and ``--telemetry``.
 
-Running any benchmark with ``--trace-out`` attaches a
+Running any benchmark with ``--trace-out OUT.json`` attaches a
 :class:`repro.obs.Tracer` to every :class:`Testbed` the benchmark
 builds and writes one merged Chrome trace-event JSON at session end —
 load it at https://ui.perfetto.dev or feed it to
-``tools/trace_inspect.py``. The ``REPRO_TRACE`` environment variable
-is an equivalent knob for non-pytest entry points. (The bare
-``--trace`` spelling is taken by pytest's built-in debugger hook.)
+``tools/trace.py inspect``. (The bare ``--trace`` spelling is taken by
+pytest's built-in debugger hook.)
 
-``--breakdown [OUT.json]`` (default ``BENCH_breakdown.json``, env
-``REPRO_BREAKDOWN``) additionally runs the critical-path profiler over
-every recorded request window (offload ``call:`` spans and the
-``mark_request`` samples benchmarks emit) and writes the per-phase
-latency attributions — what CI gates per-component regressions on.
+``--breakdown [OUT.json]`` (default ``BENCH_breakdown.json``)
+additionally runs the critical-path profiler over every recorded
+request window (offload ``call:`` spans and the ``mark_request``
+samples benchmarks emit) and writes the per-phase latency
+attributions — what CI gates per-component regressions on.
 """
 
 import sys
@@ -36,7 +36,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--journal", default=None, metavar="OUT.jsonl",
         help="record a flight-recorder journal of every simulated "
-             "NIC to this file (see tools/trace_diff.py)")
+             "NIC to this file (see tools/trace.py diff)")
     parser.addoption(
         "--telemetry", default=None, metavar="OUT.jsonl",
         help="record windowed fleet telemetry of every simulated bed "

@@ -27,7 +27,6 @@ while the serial merge pays one visit per distinct timestamp.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..ibv import wr_cas, wr_write
@@ -263,14 +262,11 @@ def build_cluster(num_beds: int = 16, clients_per_bed: int = 1,
                   ) -> ClusterScenario:
     """The canonical ``cluster_simspeed`` configuration.
 
-    ``telemetry_path`` (default: the ``REPRO_TELEMETRY`` environment
-    variable) attaches the telemetry fleet and writes the merged JSONL
-    stream there after the run.
+    ``telemetry_path`` attaches the telemetry fleet and writes the
+    merged JSONL stream there after the run.
     """
     scenario = ClusterScenario(num_beds, clients_per_bed,
                                requests_per_client, link_ns)
-    if telemetry_path is None:
-        telemetry_path = os.environ.get("REPRO_TELEMETRY") or None
     if telemetry_path:
         scenario.attach_telemetry(path=telemetry_path)
     return scenario

@@ -252,8 +252,7 @@ def run_triage(scenario: str = "storm", *, serial: bool = False,
                          f"pick one of {SCENARIOS}")
     fleet_scenario = build_fleet(
         num_shards=num_shards, clients_per_shard=clients_per_shard,
-        requests_per_client=requests_per_client, pool_qps=pool_qps,
-        telemetry_path="", exemplars=0)
+        requests_per_client=requests_per_client, pool_qps=pool_qps)
     telemetry = fleet_scenario.attach_telemetry(
         window_ns=window_ns, exemplars=exemplars)
 

@@ -37,7 +37,6 @@ fingerprint records via ``doorbell_rings``.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.memcached import MemcachedServer
@@ -526,23 +525,18 @@ def build_fleet(num_shards: int = 8, clients_per_shard: int = 128,
                 batch_doorbells: bool = True, gateway_workers: int = 8,
                 link_ns: int = FLEET_LINK_NS,
                 telemetry_path: Optional[str] = None,
-                exemplars: Optional[int] = None) -> FleetScenario:
+                exemplars: int = 0) -> FleetScenario:
     """The canonical ``fleet_simspeed`` configuration.
 
     Defaults drive 1024 logical client connections (8 shards x 128)
     over 64 pooled QPs and 16 shared CQs total, with doorbell batching
-    on. ``telemetry_path`` (default: the ``REPRO_TELEMETRY``
-    environment variable) attaches the telemetry fleet and writes the
-    merged JSONL stream there after the run; ``exemplars`` (default:
-    ``REPRO_EXEMPLARS``) sets the per-window tail-exemplar count.
+    on. ``telemetry_path`` attaches the telemetry fleet and writes the
+    merged JSONL stream there after the run; ``exemplars`` sets the
+    per-window tail-exemplar count.
     """
     scenario = FleetScenario(num_shards, clients_per_shard,
                              requests_per_client, pool_qps,
                              batch_doorbells, gateway_workers, link_ns)
-    if telemetry_path is None:
-        telemetry_path = os.environ.get("REPRO_TELEMETRY") or None
-    if exemplars is None:
-        exemplars = int(os.environ.get("REPRO_EXEMPLARS", "0") or 0)
     if telemetry_path:
         scenario.attach_telemetry(path=telemetry_path,
                                   exemplars=exemplars)

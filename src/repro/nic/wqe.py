@@ -28,7 +28,7 @@ in follow-on slots, four 16-byte SGEs per slot, at most 16 SGEs — the
 from __future__ import annotations
 
 import struct as _struct
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..memory.layout import Struct, mask
 from .opcodes import OPCODE_NAMES, Opcode, WrFlags
@@ -42,7 +42,9 @@ __all__ = [
     "Wqe",
     "ctrl_word",
     "field_location",
+    "format_field_diff",
     "split_ctrl",
+    "wqe_field_diff",
     "wqe_slots_needed",
     "FIELD_CTRL",
     "FIELD_ID",
@@ -133,6 +135,37 @@ def field_location(name: str) -> Tuple[int, int]:
         return _VIRTUAL_FIELDS[name]
     field = WQE_HEADER.fields[name]
     return field.offset, field.width
+
+
+def wqe_field_diff(old: bytes, new: bytes) -> List[Dict[str, Any]]:
+    """Field-level diff between two WQE byte images.
+
+    Slot 0 resolves to :data:`WQE_HEADER` field names with both values
+    as integers; follow-on (SGE) slots are reported coarsely with
+    ``None`` values. The tracer's race reports and the trace-diff
+    engine's typed divergences are both built on this.
+    """
+    diffs: List[Dict[str, Any]] = []
+    for name, field in WQE_HEADER.fields.items():
+        lo, hi = field.offset, field.offset + field.width
+        before = old[lo:hi]
+        after = new[lo:hi]
+        if before != after:
+            diffs.append({"field": name,
+                          "a": int.from_bytes(before, "big"),
+                          "b": int.from_bytes(after, "big")})
+    for slot in range(1, len(new) // WQE_SLOT_SIZE):
+        lo, hi = slot * WQE_SLOT_SIZE, (slot + 1) * WQE_SLOT_SIZE
+        if old[lo:hi] != new[lo:hi]:
+            diffs.append({"field": f"slot[{slot}]", "a": None, "b": None})
+    return diffs
+
+
+def format_field_diff(diff: Dict[str, Any]) -> str:
+    """``operand1: 0xdead -> 0xbeef`` (or ``slot[1] bytes changed``)."""
+    if diff["a"] is None:
+        return f"{diff['field']} bytes changed"
+    return f"{diff['field']}: {diff['a']:#x} -> {diff['b']:#x}"
 
 
 def ctrl_word(opcode: int, wr_id: int = 0) -> int:

@@ -27,7 +27,7 @@ methods; three ship here:
   trace-diff engine (``repro.obs.tracediff``) aligns two journals on
   causal keys and reports the *first* divergence with a typed
   explanation and an upstream causal slice — see
-  ``tools/trace_diff.py``.
+  ``tools/trace.py diff``.
 
 * :class:`TelemetryCollector` (``repro.obs.telemetry``) — per-bed
   windowed counters, queue depths, PU utilization and tail-latency
@@ -48,7 +48,7 @@ rebuilds the causal DAG over a recorded trace's events per request,
 computes the critical path, and attributes every nanosecond of a
 request to exactly one typed phase (``queueing``/``fetch``/
 ``wait_blocked``/``pu_exec``/``dma``/``wire``/``cqe``) — see
-``tools/latency_profile.py``. ``repro.obs.blame`` extends that
+``tools/trace.py profile``. ``repro.obs.blame`` extends that
 attribution *across shards*: a live :class:`RequestBlame` context
 rides the fleet's fabric payloads while the connection plane records
 typed spans into it (``pool_wait``, ``doorbell_batch``, ``cqe_demux``,
@@ -84,76 +84,6 @@ path, and ``close()`` on a sink takes it off the probe again.
 """
 
 from __future__ import annotations
-
-__all__ = [
-    "Probe",
-    "SinkAttachedError",
-    "Tracer",
-    "export_merged_chrome",
-    "MetricsRegistry",
-    "Histogram",
-    "HistogramLayoutError",
-    "parse_openmetrics",
-    "to_openmetrics_multi",
-    "SENTRY_SCHEMA",
-    "DETECTORS",
-    "Anomaly",
-    "Incident",
-    "FleetSentry",
-    "triage_verdict",
-    "DEFAULT_WINDOW_NS",
-    "TelemetryCollector",
-    "FleetTelemetry",
-    "SloRule",
-    "BurnAlert",
-    "load_slo_rules",
-    "evaluate_slo",
-    "summarize_records",
-    "TraceData",
-    "load_trace",
-    "summarize_trace",
-    "race_report",
-    "wq_timeline",
-    "track_summary",
-    "PHASES",
-    "CritPathProfile",
-    "RequestProfile",
-    "profile_tracer",
-    "profile_trace",
-    "sync_counts",
-    "attribute_spans",
-    "BLAME_PHASES",
-    "RequestBlame",
-    "blame_table",
-    "summarize_blame",
-    "folded_blame",
-    "diff_blame",
-    "blame_registries",
-    "exemplar_order",
-    "exemplars_of",
-    "NormalizedEvent",
-    "events_from_tracer",
-    "events_from_trace",
-    "events_from_journal",
-    "wqe_field_diff",
-    "format_field_diff",
-    "FlightRecorder",
-    "InvariantMonitor",
-    "Journal",
-    "JournalError",
-    "JournalCorruptError",
-    "JournalTruncatedError",
-    "ReplayDivergence",
-    "ReplayResult",
-    "load_journal",
-    "replay_journal",
-    "export_merged_journal",
-    "Divergence",
-    "DiffReport",
-    "diff_journals",
-    "causal_slice",
-    "records_from_trace",
-]
 
 # Submodules are imported lazily: the simulator kernel imports
 # ``repro.obs.probe`` and must not pull in the sinks (or their
@@ -204,12 +134,6 @@ _LAZY = {
     "blame_registries": "blame",
     "exemplar_order": "blame",
     "exemplars_of": "blame",
-    "NormalizedEvent": "events",
-    "events_from_tracer": "events",
-    "events_from_trace": "events",
-    "events_from_journal": "events",
-    "wqe_field_diff": "events",
-    "format_field_diff": "events",
     "FlightRecorder": "recorder",
     "InvariantMonitor": "recorder",
     "Journal": "recorder",
@@ -225,8 +149,9 @@ _LAZY = {
     "DiffReport": "tracediff",
     "diff_journals": "tracediff",
     "causal_slice": "tracediff",
-    "records_from_trace": "tracediff",
 }
+
+__all__ = list(_LAZY)
 
 
 def __getattr__(name: str):

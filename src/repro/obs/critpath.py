@@ -42,22 +42,13 @@ import json
 from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-# Event normalization is shared with the trace inspector and the
-# trace-diff engine; re-exported here for backwards compatibility.
-from .events import (
-    NormalizedEvent,
-    events_from_trace,
-    events_from_tracer,
-)
+from .inspect import TraceData, load_trace
 
 __all__ = [
     "PHASES",
-    "NormalizedEvent",
     "RequestProfile",
     "CritPathProfile",
     "attribute_spans",
-    "events_from_tracer",
-    "events_from_trace",
     "profile_events",
     "profile_tracer",
     "profile_trace",
@@ -71,6 +62,45 @@ PHASES = ("pu_exec", "dma", "wire", "fetch", "cqe", "wait_blocked",
 
 _PRIORITY = {phase: len(PHASES) - index
              for index, phase in enumerate(PHASES)}
+
+
+class NormalizedEvent:
+    """One trace event in integer nanoseconds with a resolved track."""
+
+    __slots__ = ("ph", "cat", "name", "track", "ts", "dur", "args")
+
+    def __init__(self, ph: str, cat: str, name: str, track: str,
+                 ts: int, dur: int, args: Optional[Dict[str, Any]]):
+        self.ph = ph
+        self.cat = cat
+        self.name = name
+        self.track = track          # "<process>/<thread>", e.g. "nic/wq:ctl"
+        self.ts = ts
+        self.dur = dur
+        self.args = args or {}
+
+    @property
+    def end(self) -> int:
+        return self.ts + self.dur
+
+    def __repr__(self) -> str:
+        return (f"<Ev {self.ph} {self.name} @{self.ts}"
+                f"{f'+{self.dur}' if self.dur else ''} {self.track}>")
+
+
+def _events(data: TraceData) -> List[NormalizedEvent]:
+    """A parsed Chrome trace's events, counters dropped, in integer ns."""
+    out: List[NormalizedEvent] = []
+    for event in data.events:
+        ph = event.get("ph")
+        if ph == "C":
+            continue
+        ts = round(event.get("ts", 0) * 1000)
+        dur = round(event.get("dur", 0) * 1000)
+        out.append(NormalizedEvent(
+            ph, event.get("cat", ""), event.get("name", ""),
+            data.track_name(event), ts, dur, event.get("args")))
+    return out
 
 
 # -- phase classification ------------------------------------------------
@@ -481,12 +511,11 @@ def profile_events(events: List[NormalizedEvent]) -> CritPathProfile:
 
 
 def profile_tracer(tracer) -> CritPathProfile:
-    """Profile a live tracer (exact integer-ns path)."""
-    return profile_events(events_from_tracer(tracer))
+    """Profile a live tracer through its Chrome events."""
+    return profile_events(_events(TraceData(tracer.chrome_events())))
 
 
 def profile_trace(source) -> CritPathProfile:
     """Profile a Chrome trace (path, file object, JSON text or dict)."""
-    from .inspect import TraceData, load_trace
     data = source if isinstance(source, TraceData) else load_trace(source)
-    return profile_events(events_from_trace(data))
+    return profile_events(_events(data))

@@ -2,7 +2,7 @@
 
 Consumes the Chrome trace-event JSON written by
 :meth:`repro.obs.tracer.Tracer.export_chrome` (or the merged variant).
-Shared by ``tools/trace_inspect.py`` and the test suite so the CLI is a
+Shared by ``tools/trace.py inspect`` and the test suite so the CLI is a
 thin argument parser around these functions.
 """
 

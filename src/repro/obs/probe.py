@@ -30,7 +30,6 @@ kind                  arguments
 ``wq_destroyed``      wq — the queue was torn down; its fetched but
                       unexecuted WQEs never execute
 ``cq_created``        nic, cq
-``code_region``       memory, addr, size, label — a RedN code ring
 ``post``              wq, wr_index, slot_cursor, slots, wqe, image
 ``doorbell``          wq, up_to
 ``doorbell_batch``    wq, count, start_ns, extra_delay_ns
@@ -76,7 +75,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 __all__ = ["KINDS", "Probe", "SinkAttachedError", "StoreWatch"]
 
 KINDS = (
-    "wq_created", "wq_destroyed", "cq_created", "code_region",
+    "wq_created", "wq_destroyed", "cq_created",
     "post", "doorbell", "doorbell_batch",
     "fetch_span", "fetch", "recv_fetch",
     "execute", "pu", "wait", "enable", "done",

@@ -89,6 +89,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from .blame import exemplar_order, summarize_blame, diff_blame
+from .telemetry import metric_value
 
 __all__ = ["SENTRY_SCHEMA", "DETECTORS", "Anomaly", "Incident",
            "FleetSentry", "triage_verdict"]
@@ -477,8 +478,9 @@ class FleetSentry:
                        f"trailing max {base_util:.2f}"))
 
         # pool_pressure — QP-pool lease-wait p99 spike.
-        wait = _pool_wait_p99(record)
-        base_wait = max(_pool_wait_p99(h) for h in history)
+        wait = metric_value(record, "pool_wait_p99_ns") or 0
+        base_wait = max(metric_value(h, "pool_wait_p99_ns") or 0
+                        for h in history)
         if (wait >= POOL_WAIT_FLOOR_NS
                 and wait >= POOL_WAIT_FACTOR * max(base_wait, 1)):
             fired.append(self._fire(
@@ -503,12 +505,12 @@ class FleetSentry:
         # unlucky request, not a tail.
         if record["requests"] >= TAIL_MIN_REQUESTS:
             for metric in ("p99_ns", "p999_ns"):
-                cur = _latency_metric(record, metric)
+                cur = metric_value(record, metric)
                 if cur is None:
                     continue
                 base_values = [
                     v for v in
-                    (_latency_metric(h, metric) for h in history)
+                    (metric_value(h, metric) for h in history)
                     if v is not None]
                 if len(base_values) < MIN_BASELINE:
                     continue
@@ -874,19 +876,3 @@ def triage_verdict(report: dict) -> dict:
                   / len(explained), 1) if explained else None),
     }
 
-
-# -- small record accessors ------------------------------------------------
-
-
-def _latency_metric(record: dict, metric: str):
-    latency = record.get("latency")
-    if not latency:
-        return None
-    return latency.get(metric[:-3])
-
-
-def _pool_wait_p99(record: dict) -> int:
-    pool_wait = record.get("pool_wait")
-    if not pool_wait:
-        return 0
-    return pool_wait.get("p99") or 0

@@ -17,7 +17,7 @@ every difference is typed:
 
 ``wqe_bytes``
     The same WR's slot image differs: resolved to chain-IR field names
-    via :func:`repro.obs.events.wqe_field_diff` ("``operand1: 0x42 ->
+    via :func:`repro.nic.wqe.wqe_field_diff` ("``operand1: 0x42 ->
     0x43``"), the signature of a perturbed or mis-armed chain.
 ``field``
     Any other payload mismatch (status, store digest, CAS original...).
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .events import format_field_diff, wqe_field_diff
+from ..nic.wqe import format_field_diff, wqe_field_diff
 from .recorder import Journal
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "causal_key",
     "causal_slice",
     "diff_journals",
-    "records_from_trace",
     "render_report",
 ]
 
@@ -370,68 +369,6 @@ def causal_slice(journal: Journal, record: Dict[str, Any],
                 focus_spans.append(candidate_span)
             slice_reversed.append(candidate)
     return list(reversed(slice_reversed))
-
-
-# -- Chrome-trace adapter -------------------------------------------------
-
-
-def records_from_trace(data) -> List[Dict[str, Any]]:
-    """Journal-shaped records from an exported Chrome trace.
-
-    Only events carrying causal identity in their args survive (WQE
-    lifecycle instants, CQEs, atomics); spans and counters are dropped.
-    No slot byte images exist in a Chrome trace, so diffs over these
-    records type as ``field``, never ``wqe_bytes``.
-    """
-    from .events import events_from_trace
-    records: List[Dict[str, Any]] = []
-    for event in events_from_trace(data):
-        args = event.args or {}
-        record: Optional[Dict[str, Any]] = None
-        if event.cat == "queue" and event.name.startswith("post:"):
-            record = {"kind": "post",
-                      "wq": event.track.split("wq:", 1)[-1],
-                      "wr": args["wr_index"],
-                      "op": event.name.split(":", 1)[1]}
-        elif event.cat == "queue" and event.name == "doorbell":
-            record = {"kind": "doorbell",
-                      "wq": event.track.split("wq:", 1)[-1],
-                      "up_to": args.get("up_to")}
-        elif event.cat == "fetch" and event.name.startswith("wqe:"):
-            record = {"kind": "fetch",
-                      "wq": event.track.split("wq:", 1)[-1],
-                      "wr": args["wr_index"],
-                      "op": event.name.split(":", 1)[1]}
-        elif (event.cat == "exec" and event.name.startswith("op:")
-                and "wr_index" in args):
-            record = {"kind": "done",
-                      "wq": event.track.split("wq:", 1)[-1],
-                      "wr": args["wr_index"],
-                      "op": event.name.split(":", 1)[1]}
-            if "status" in args:
-                record["status"] = args["status"]
-        elif (event.cat == "cqe" and event.name.startswith("cqe:")
-                and "count" in args):
-            record = {"kind": "cqe",
-                      "cq": event.track.split("cq:", 1)[-1],
-                      "count": args["count"],
-                      "op": event.name.split(":", 1)[1]}
-            for field in ("status", "wr_id"):
-                if field in args:
-                    record[field] = args[field]
-        elif event.cat == "atomic":
-            record = {"kind": "atomic",
-                      "nic": event.track.split("/")[0],
-                      "op": event.name}
-            for field in ("raddr", "expected", "desired",
-                          "original", "delta", "swapped"):
-                if field in args:
-                    record[field] = args[field]
-        if record is not None:
-            record["ts"] = event.ts
-            record["seq"] = len(records)
-            records.append(record)
-    return records
 
 
 # -- rendering ------------------------------------------------------------

@@ -13,8 +13,9 @@ layout:
   completion queue (``cq:name`` — CQE instants plus a completion
   counter track);
 * one process per host DRAM for stores into *annotated* regions (WQE
-  rings and RedN code regions) — everything else is ignored so traces
-  stay proportional to program activity, not payload volume.
+  rings, which hold every RedN code region) — everything else is
+  ignored so traces stay proportional to program activity, not payload
+  volume.
 
 Race inspection happens online, because only the tracer sees both
 sides of the join: at **post** time it snapshots each WQE's slot bytes
@@ -47,7 +48,7 @@ from collections.abc import Sequence
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nic.opcodes import OPCODE_NAMES, Opcode
-from .events import format_field_diff, wqe_field_diff
+from ..nic.wqe import format_field_diff, wqe_field_diff
 from .probe import StoreWatch
 
 __all__ = ["EVENT_SCHEMA", "Tracer", "export_merged_chrome",
@@ -59,7 +60,7 @@ def diff_wqe_bytes(old: bytes, new: bytes) -> List[str]:
 
     Slot 0 is diffed per header field; follow-on (SGE) slots are
     reported coarsely. Used for ``self_mod`` / ``stale_wqe`` args.
-    The field resolution itself lives in ``obs.events.wqe_field_diff``
+    The field resolution itself lives in ``nic.wqe.wqe_field_diff``
     (shared with the trace-diff engine); this wrapper only renders.
     """
     return [format_field_diff(diff)
@@ -289,7 +290,7 @@ class Tracer:
         self._cqs: Dict[Any, Tuple[int, int]] = {}
         # (pid, tid) per NIC-, pool- or memory-level track key.
         self._tracks: Dict[tuple, Tuple[int, int]] = {}
-        # Stores into WQE rings and RedN code regions become events.
+        # Stores into WQE rings (RedN code regions included) become events.
         self._watch = StoreWatch(sim.probe, self._on_store)
         self.self_mod_count = 0
         self.stale_count = 0
@@ -409,11 +410,6 @@ class Tracer:
     def on_cq_created(self, nic, cq) -> None:
         pid = self.attach_nic(nic)
         self._cqs[cq] = (pid, self._tid(pid, f"cq:{cq.name}"))
-
-    def on_code_region(self, memory, addr: int, size: int,
-                       label: str) -> None:
-        """A RedN code region: stores into it get traced."""
-        self._watch.annotate(memory, addr, size, label)
 
     # -- queue-side events ----------------------------------------------------
 

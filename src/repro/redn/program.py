@@ -141,10 +141,6 @@ class ChainQueue:
         # loopback QPs in the same PD) may rewrite it.
         self.code_mr: MemoryRegion = ctx.pd.register(
             self.wq.ring, access=AccessFlags.ALL)
-        if ctx.nic.sim.probe.code_region:
-            for hook in ctx.nic.sim.probe.code_region:
-                hook(ctx.memory, self.wq.ring.addr, self.wq.ring.size,
-                     f"code:{name}")
         self.refs: List[WrRef] = []
         #: Signaled completions expected on this queue's CQ after each
         #: posted WR — the numbers WAIT thresholds are computed from.

@@ -21,16 +21,17 @@ from repro.obs import (
     Tracer,
     profile_trace,
     profile_tracer,
-    sync_counts,
 )
 from repro.obs.critpath import (
     NormalizedEvent,
     _attribute,
-    events_from_tracer,
     profile_events,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+TOOLS = str(REPO_ROOT / "tools")
+if TOOLS not in sys.path:
+    sys.path.append(TOOLS)
 
 
 def ev(ph, cat, name, ts, dur=0, track="nic/t", args=None):
@@ -184,7 +185,7 @@ class TestLiveProfile:
     def test_sync_counts_zero_for_plain_chain(self, traced):
         lo, tracer = traced
         drive_marked_writes(lo, tracer, count=2)
-        counts = sync_counts(events_from_tracer(tracer))
+        counts = profile_tracer(tracer).counts
         assert counts["E"] == counts["WAIT"] == counts["ENABLE"] == 0
         assert counts["ops"]["WRITE"] == 2
 
@@ -240,8 +241,8 @@ class TestOffloadSelfcheck:
 
     def _run(self, *argv):
         return subprocess.run(
-            [sys.executable,
-             str(REPO_ROOT / "tools" / "latency_profile.py"), *argv],
+            [sys.executable, str(REPO_ROOT / "tools" / "trace.py"),
+             "profile", *argv],
             capture_output=True, text=True)
 
     @pytest.mark.parametrize("offload", [
@@ -259,14 +260,31 @@ class TestOffloadSelfcheck:
         assert payload["counts"]["E"] > 0
 
 
+@pytest.mark.parametrize("offload", [
+    "hash-lookup", "hash-lookup-par", "list-traversal",
+    "list-traversal-break", "recycled-get"])
+def test_live_profile_equals_exported_trace_profile(offload):
+    """A live tracer is profiled through its Chrome events, so it
+    profiles exactly like its own export."""
+    from _offload_runners import run_offload
+
+    run = run_offload(offload, 3,
+                      instrument=lambda bed, label: Tracer(bed.sim,
+                                                           name=label))
+    tracer = run["instrument"]
+    live = profile_tracer(tracer)
+    assert live.requests
+    assert live.to_dict() == profile_trace(tracer.to_json()).to_dict()
+
+
 # -- CLI -------------------------------------------------------------------
 
 
 class TestCli:
     def _run(self, *argv):
         return subprocess.run(
-            [sys.executable,
-             str(REPO_ROOT / "tools" / "latency_profile.py"), *argv],
+            [sys.executable, str(REPO_ROOT / "tools" / "trace.py"),
+             "profile", *argv],
             capture_output=True, text=True)
 
     def test_breakdown_and_flame_on_trace_file(self, lo, tmp_path):
@@ -302,7 +320,10 @@ class TestCli:
     def test_bad_phase_bound_rejected(self):
         result = self._run("--offload", "hash-lookup",
                            "--fail-if-phase", "nonsense>10")
-        assert result.returncode != 0
+        assert result.returncode == 2
 
     def test_requires_exactly_one_source(self):
-        assert self._run().returncode != 0
+        result = self._run()
+        assert result.returncode == 2
+        assert result.stderr == ("error: give exactly one of TRACE.json "
+                                 "or --offload\n")

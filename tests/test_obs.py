@@ -549,8 +549,8 @@ class TestInspector:
 class TestCli:
     def _run(self, *argv):
         return subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "trace_inspect.py"),
-             *argv],
+            [sys.executable, str(REPO_ROOT / "tools" / "trace.py"),
+             "inspect", *argv],
             capture_output=True, text=True)
 
     def _export(self, traced, tmp_path, scenario):
@@ -595,10 +595,10 @@ class TestCli:
     def test_summary_flag(self, traced, tmp_path):
         path = self._export(traced, tmp_path,
                             lambda lo: drive_write_chain(lo, count=2))
-        result = self._run(str(path), "--summary")
+        result = self._run(str(path), "--tracks")
         assert result.returncode == 0, result.stderr
         assert "wq:" in result.stdout
-        as_json = self._run(str(path), "--summary", "--json")
+        as_json = self._run(str(path), "--tracks", "--json")
         assert as_json.returncode == 0
         rows = json.loads(as_json.stdout)
         assert rows and all("track" in row and "events" in row
@@ -609,9 +609,8 @@ class TestMetricsExportCli:
     def test_export_parses_back(self, tmp_path):
         out = tmp_path / "metrics.prom"
         result = subprocess.run(
-            [sys.executable,
-             str(REPO_ROOT / "tools" / "latency_profile.py"),
-             "--offload", "hash-lookup", "--calls", "2",
+            [sys.executable, str(REPO_ROOT / "tools" / "trace.py"),
+             "profile", "--offload", "hash-lookup", "--calls", "2",
              "--openmetrics", str(out)],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -624,9 +623,8 @@ class TestMetricsExportCli:
 
     def test_labeled_export_to_stdout(self):
         result = subprocess.run(
-            [sys.executable,
-             str(REPO_ROOT / "tools" / "latency_profile.py"),
-             "--offload", "hash-lookup", "--calls", "2",
+            [sys.executable, str(REPO_ROOT / "tools" / "trace.py"),
+             "profile", "--offload", "hash-lookup", "--calls", "2",
              "--openmetrics", "-", "--label", "bed=server-0"],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -635,3 +633,11 @@ class TestMetricsExportCli:
         assert parsed["histograms"]["obs_critpath_request_ns"]["count"] == 2
         assert not parse_openmetrics(result.stdout,
                                      labels={"bed": "x"})["counters"]
+
+
+def test_every_public_name_resolves():
+    """``repro.obs.__all__`` is the lazy table's keys, and each one
+    imports: no stale entry survives a deleted module."""
+    assert obs.__all__ == list(obs._LAZY)
+    for name in obs.__all__:
+        assert getattr(obs, name) is not None, name

@@ -174,7 +174,7 @@ def test_counting_sink_matches_sinks_on_offload_runs(offload):
     _check_sinks(tracer, recorder, records, sink)
     _check_once(sink, attached["nics"])
     assert sink.counts["offload_call"] == 3
-    assert sink.counts["wait"] and sink.counts["code_region"]
+    assert sink.counts["wait"]
     tracer.close()
     recorder.close()
     fleet.close()

@@ -204,44 +204,11 @@ class TestCausalKeys:
         assert key_a != key_b
 
 
-class TestChromeTraceAdapter:
-    def test_trace_diff_on_chrome_exports(self, tmp_path):
-        from conftest import LoopbackRig
-        from repro.obs import Tracer, load_trace
-        from repro.obs.tracediff import records_from_trace
-
-        def run_traced(writes, label):
-            lo = LoopbackRig()
-            tracer = Tracer(lo.sim, name=label)
-            tracer.attach_nic(lo.nic)
-            src, _ = lo.buffer(64)
-            dst, dst_mr = lo.buffer(64)
-            for index in range(writes):
-                lo.qp_a.post_send(
-                    wr_write(src.addr, 64, dst.addr, dst_mr.rkey,
-                             signaled=True, wr_id=index))
-
-            def run():
-                yield lo.sim.timeout(300_000)
-
-            lo.run(run())
-            path = tmp_path / f"{label}.json"
-            tracer.export_chrome(path)
-            tracer.close()
-            return records_from_trace(load_trace(path))
-
-        records_a = run_traced(3, "a")
-        records_b = run_traced(3, "b")
-        assert records_a == records_b
-        assert any(record["kind"] == "post" for record in records_a)
-        assert any(record["kind"] == "cqe" for record in records_a)
-
-
 class TestCli:
     def _run(self, *argv):
         return subprocess.run(
-            [sys.executable,
-             str(REPO_ROOT / "tools" / "trace_diff.py"), *argv],
+            [sys.executable, str(REPO_ROOT / "tools" / "trace.py"),
+             "diff", *argv],
             capture_output=True, text=True)
 
     def test_identical_exit_zero(self, tmp_path):
@@ -259,7 +226,7 @@ class TestCli:
         result = self._run(str(tmp_path / "a.jsonl"),
                            str(tmp_path / "b.jsonl"),
                            "--fail-on-divergence")
-        assert result.returncode == 2
+        assert result.returncode == 1
         assert "operand0: 0x42 -> 0x43" in result.stdout
         payload = self._run(str(tmp_path / "a.jsonl"),
                             str(tmp_path / "b.jsonl"), "--json")
@@ -272,5 +239,5 @@ class TestCli:
         bad.write_text('{"kind": "meta", "schema": 1}\n{oops\n')
         run_if_scenario(0x42, tmp_path, "a")
         result = self._run(str(bad), str(tmp_path / "a.jsonl"))
-        assert result.returncode == 1
+        assert result.returncode == 2
         assert "error:" in result.stderr

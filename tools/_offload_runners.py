@@ -1,6 +1,6 @@
 """Shared builders for the five built-in RedN offload scenarios.
 
-``tools/latency_profile.py`` profiles these under a tracer;
+``tools/trace.py profile`` profiles these under a tracer;
 ``tests/test_recorder.py`` replays them under a flight recorder; both
 must drive byte-identical simulations, so the testbed construction and
 call-driving live here once. Each runner accepts an ``instrument(bed,

@@ -161,20 +161,16 @@ def drive(args):
 
     Returns ``(records, fingerprint, measures)``.
     """
-    # telemetry_path="" suppresses the REPRO_TELEMETRY env fallback:
-    # telemetry is attached here with the requested window.
     with scenario_errors(args.scenario):
         if args.scenario == "cluster":
             from repro.bench.cluster import build_cluster
             scenario = build_cluster(
-                **sizing(args, "num_beds", "clients_per_bed"),
-                telemetry_path="")
+                **sizing(args, "num_beds", "clients_per_bed"))
             fleet = scenario.attach_telemetry(window_ns=args.window)
         else:
             from repro.bench.fleet import build_fleet
             scenario = build_fleet(
-                **sizing(args, "num_shards", "clients_per_shard"),
-                telemetry_path="", exemplars=0)
+                **sizing(args, "num_shards", "clients_per_shard"))
             fleet = scenario.attach_telemetry(window_ns=args.window,
                                               exemplars=args.exemplars)
         fingerprint, measures = scenario.run(serial=args.serial)
