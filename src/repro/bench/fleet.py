@@ -22,10 +22,10 @@ The ROADMAP item-1 scenario, mounted on the connection plane
   — then READs the value out of the slab. The shard's hottest owned
   key is instead served by the paper's Fig 9 NIC offload
   (:class:`HashGetOffload`), one offload program per shard.
-* Like the cluster scenario, the same built fleet runs under the
-  conservative sharded synchronizer or the serial merge, and both
-  drives must be bit-identical; this is the ``fleet_simspeed``
-  scenario of ``tests/test_sim_fingerprints.py``.
+* The same built fleet runs under the conservative sharded
+  synchronizer or the serial merge, and both drives must be
+  bit-identical; this is the ``fleet_simspeed`` scenario of
+  ``tests/test_sim_fingerprints.py``.
 
 Every stochastic-looking choice (zipf draw, start skew, think dither)
 is a pure integer function of ``(shard, client, seq)``, so the
@@ -392,8 +392,11 @@ class FleetScenario:
     def attach_telemetry(self, window_ns: Optional[int] = None,
                          sink=None, path: Optional[str] = None,
                          exemplars: int = 0):
-        """Attach per-shard telemetry (see ClusterScenario for the shape).
+        """Attach one telemetry collector per shard; returns the
+        :class:`~repro.obs.telemetry.FleetTelemetry`.
 
+        The run seals and closes it: its merged JSONL stream goes to
+        ``sink`` as windows seal and to ``path`` after the run.
         ``exemplars`` > 0 turns on tail exemplar capture: each window
         record keeps the ``exemplars`` slowest requests' full blame
         breakdowns (see :mod:`repro.obs.blame`).

@@ -22,12 +22,12 @@ methods; three ship here:
 * :class:`FlightRecorder` (``repro.obs.recorder``) — a bounded causal
   journal of every post/doorbell/fetch/execute/WAIT/ENABLE/CQE/atomic/
   ring-store event plus periodic checkpoints of sim-visible state,
-  dumpable to JSONL, replayable deterministically with event-by-event
-  verification, and watched online by invariant monitors. The
+  dumpable to JSONL and watched online by invariant monitors. The
   trace-diff engine (``repro.obs.tracediff``) aligns two journals on
-  causal keys and reports the *first* divergence with a typed
-  explanation and an upstream causal slice — see
-  ``tools/trace.py diff``.
+  causal keys, reports the *first* divergence with a typed
+  explanation and an upstream causal slice, and compares checkpoint
+  states — see ``tools/trace.py diff``. Re-recording a scenario and
+  diffing the two journals is the re-run check.
 
 * :class:`TelemetryCollector` (``repro.obs.telemetry``) — per-bed
   windowed counters, queue depths, PU utilization and tail-latency
@@ -140,10 +140,7 @@ _LAZY = {
     "JournalError": "recorder",
     "JournalCorruptError": "recorder",
     "JournalTruncatedError": "recorder",
-    "ReplayDivergence": "recorder",
-    "ReplayResult": "recorder",
     "load_journal": "recorder",
-    "replay_journal": "recorder",
     "export_merged_journal": "recorder",
     "Divergence": "tracediff",
     "DiffReport": "tracediff",

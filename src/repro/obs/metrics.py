@@ -132,7 +132,8 @@ class Histogram:
         that does not belong to the power-of-two layout (not of the
         form ``2^b - 1``, negative, or beyond the 64-bucket range) —
         a snapshot from a differently-bucketed histogram must not be
-        silently folded into this one.
+        silently folded into this one — and for a ``count`` that is
+        not the sum of the bucket counts, which no quantile can rank.
         """
         histogram = cls(name)
         for key, bucket_count in snap.get("buckets", {}).items():
@@ -147,12 +148,16 @@ class Histogram:
                 raise HistogramLayoutError(
                     f"snapshot {name!r}: bucket upper bound {upper} is "
                     f"not a 2^b-1 power-of-two-layout boundary")
-            if bucket_count < 0:
+            if not isinstance(bucket_count, int) or bucket_count < 0:
                 raise HistogramLayoutError(
-                    f"snapshot {name!r}: negative count {bucket_count} "
+                    f"snapshot {name!r}: bad count {bucket_count!r} "
                     f"in bucket {key!r}")
             histogram.counts[bucket] += bucket_count
         histogram.count = snap.get("count", 0)
+        if histogram.count != sum(histogram.counts):
+            raise HistogramLayoutError(
+                f"snapshot {name!r}: count {histogram.count!r} is not "
+                f"the sum of its bucket counts ({sum(histogram.counts)})")
         histogram.total = snap.get("sum", 0)
         histogram.min = snap.get("min")
         histogram.max = snap.get("max")

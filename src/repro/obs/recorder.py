@@ -1,6 +1,6 @@
-"""Flight recorder: causal event journal, checkpoints, replay.
+"""Flight recorder: causal event journal, checkpoints, invariants.
 
-The recorder is the record half of record-and-replay debugging for the
+The recorder is the record half of record-and-diff debugging for the
 simulator. A :mod:`repro.obs.probe` sink like the tracer, it journals
 every **causally identified** event — a WQE post/fetch/execute
 (queue name + monotonic WR index + slot bytes), a doorbell, a WAIT
@@ -12,18 +12,10 @@ Journals dump to compact JSONL, one record per line, all integers and
 hex strings, ``sort_keys`` throughout — two identical runs produce
 byte-identical journals.
 
-**Deterministic replay** (:func:`replay_journal`) re-executes the
-scenario from scratch — the simulator is deterministic, so a rebuild
-*is* the re-seed — and verifies journal identity event by event as it
-goes. Each checkpoint in the journal acts as a verified synchronization
-barrier: the replay's captured state must match the recorded state
-digest-for-digest. When the journal's ring evicted its oldest entries,
-verification silently fast-forwards to the first retained record — the
-"replay from the nearest checkpoint" discipline — and the journal
-*suffix* must reproduce byte-identically. A ``to_event`` pattern stops
-recording exactly when a matching record is emitted, landing the replay
-on a requested event (e.g. a specific queue's fetch at a specific
-wqe_count).
+The re-run check is re-record and diff: the simulator is
+deterministic, so rebuilding a scenario *is* re-seeding it, and
+:func:`repro.obs.tracediff.diff_journals` aligns the second journal
+with the first on causal keys, then compares their checkpoint states.
 
 Online **invariant monitors** run over every emitted record (also
 usable standalone over synthetic records via
@@ -58,10 +50,7 @@ __all__ = [
     "JournalError",
     "JournalCorruptError",
     "JournalTruncatedError",
-    "ReplayDivergence",
-    "ReplayResult",
     "load_journal",
-    "replay_journal",
     "export_merged_journal",
 ]
 
@@ -69,7 +58,7 @@ JOURNAL_SCHEMA = 1
 
 
 class JournalError(Exception):
-    """Base for journal parse/replay failures."""
+    """Base for journal parse failures."""
 
 
 class JournalTruncatedError(JournalError):
@@ -77,19 +66,8 @@ class JournalTruncatedError(JournalError):
 
 
 class JournalCorruptError(JournalError):
-    """A journal line is not valid JSON or the seq chain has holes."""
-
-
-class ReplayDivergence(JournalError):
-    """A replayed event does not match the recorded journal."""
-
-    def __init__(self, message: str, seq: Optional[int] = None,
-                 expected: Optional[Dict] = None,
-                 actual: Optional[Dict] = None):
-        super().__init__(message)
-        self.seq = seq
-        self.expected = expected
-        self.actual = actual
+    """A journal line is not valid JSON, a WQE image is not hex, or the
+    seq chain has holes."""
 
 
 def _op_name(opcode: int) -> str:
@@ -99,13 +77,6 @@ def _op_name(opcode: int) -> str:
 def _digest(data) -> str:
     """Compact (64-bit) content digest used for checkpoint state."""
     return hashlib.sha256(bytes(data)).hexdigest()[:16]
-
-
-def record_matches(record: Dict[str, Any],
-                   pattern: Dict[str, Any]) -> bool:
-    """True when every pattern field equals the record's field."""
-    return all(record.get(key) == value
-               for key, value in pattern.items())
 
 
 # -- invariant monitors ---------------------------------------------------
@@ -118,7 +89,7 @@ class InvariantMonitor:
     per-kind methods (:meth:`fetch`, :meth:`exec`, :meth:`wait`,
     :meth:`enable`, :meth:`done`, :meth:`cqe`) with positional fields
     as it records, and :meth:`observe` feeds them from a record dict,
-    so the monitor replays over a loaded journal as easily:
+    so the monitor runs over a loaded journal as easily:
 
     * ``wqe_count_monotonic`` — each queue's fetched WR indices advance
       by exactly one (the ConnectX monotonic-counter discipline that WQ
@@ -331,8 +302,7 @@ class FlightRecorder:
 
     Each hook records one flat tuple over :data:`RECORD_SCHEMA`; hex
     strings, op names, store digests and record dicts are built only
-    when the journal is read (:attr:`records`, :meth:`journal_lines`)
-    or when replay verification needs each record as it happens.
+    when the journal is read (:attr:`records`, :meth:`journal_lines`).
     """
 
     #: Post and fetch records carry the WQE's slot image.
@@ -341,8 +311,6 @@ class FlightRecorder:
     def __init__(self, sim, name: str = "journal",
                  capacity: int = 1 << 16,
                  checkpoint_interval: int = 1024,
-                 verify: Optional["Journal"] = None,
-                 stop_at: Optional[Dict[str, Any]] = None,
                  monitor: bool = True):
         if capacity < 1:
             raise ValueError(f"capacity {capacity} < 1")
@@ -370,18 +338,8 @@ class FlightRecorder:
         # Every record is one invariant check (a private tally without
         # a monitor keeps the hooks branch-free).
         self._checks = self.monitor.counter if monitor else Counter()
-        # Replay-verification state.
-        self._verify = verify
-        self.verified = 0
-        self.divergence: Optional[ReplayDivergence] = None
-        self._verify_done = verify is None
-        # Replay-to-event state.
-        self.stop_at = stop_at
-        self._replaying = verify is not None or stop_at is not None
         #: The seq after which :meth:`_boundary` next has work.
         self._due = self._next_due()
-        self.landed: Optional[Dict[str, Any]] = None
-        self.stopped = False
         # Attachment bookkeeping. Stores into annotated (ring) regions
         # are journaled, and the regions' digests join every checkpoint.
         self._nics: List = []
@@ -484,8 +442,6 @@ class FlightRecorder:
 
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
                 wqe, image) -> None:
-        if self.stopped:
-            return
         seq = self.seq
         gens, data = image
         slot = slot_cursor % wq.num_slots
@@ -496,23 +452,19 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
 
     def on_doorbell(self, wq, up_to: int) -> None:
-        if self.stopped:
-            return
         seq = self.seq
         raw = (_DOORBELL, seq, self.sim.now, wq.name, wq.wq_num, up_to)
         self._chunk += raw
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
 
     def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
                  wqe, cache_hit: bool, image) -> None:
-        if self.stopped:
-            return
         seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
         gens, data = image
         slot = slot_cursor % wq.num_slots
@@ -523,13 +475,11 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
         if self.monitor is not None:
             self.monitor.fetch(seq, now, 0, name, wq_num, wr_index)
 
     def on_execute(self, wq, wr_index: int, wqe) -> None:
-        if self.stopped:
-            return
         seq = self.seq
         opcode = wqe.opcode
         name, op, length = wq.name, OPCODE_NAMES.get(opcode), wqe.length
@@ -541,13 +491,11 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
         if self.monitor is not None:
             self.monitor.exec(0, name, wr_index, op, length)
 
     def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
-        if self.stopped:
-            return
         seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
         target, threshold, count = wqe.target, wqe.wqe_count, cq.count
         signaled = wqe.signaled
@@ -557,15 +505,13 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
         if self.monitor is not None:
             self.monitor.wait(seq, now, 0, name, wq_num, wr_index, target,
                               threshold, count, signaled)
 
     def on_enable(self, wq, wr_index: int, wqe, relative: bool,
                   target) -> None:
-        if self.stopped:
-            return
         seq = self.seq
         name, wq_num, signaled = wq.name, wq.wq_num, wqe.signaled
         raw = (_ENABLE, seq, self.sim.now, name, wq_num, wr_index,
@@ -575,14 +521,12 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
         if self.monitor is not None:
             self.monitor.enable(0, name, wq_num, wr_index, signaled)
 
     def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
                 start_ns: int) -> None:
-        if self.stopped:
-            return
         seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
         signaled = wqe.signaled
         raw = (_DONE, seq, now, name, wq_num, wr_index, wqe.opcode, status,
@@ -591,14 +535,12 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
         if self.monitor is not None:
             self.monitor.done(seq, now, 0, name, wq_num, wr_index, status,
                               byte_len, signaled)
 
     def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
-        if self.stopped:
-            return
         seq, now, name, count = self.seq, self.sim.now, cq.name, cq.count
         wq_num, status = cqe.wq_num, cqe.status
         raw = (_CQE, seq, now, name, cq.cq_num, count, cqe.opcode, cqe.wr_id,
@@ -607,14 +549,12 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
         if self.monitor is not None:
             self.monitor.cqe(seq, now, 0, name, count, wq_num, status)
 
     def on_atomic(self, nic, src_wq_name: str, wqe,
                   original: int) -> None:
-        if self.stopped:
-            return
         seq = self.seq
         if wqe.opcode == Opcode.CAS:
             raw = (_CAS, seq, self.sim.now, nic.name, src_wq_name,
@@ -628,7 +568,7 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
 
     def _on_store(self, memory, addr: int, length: int,
                   region: tuple) -> None:
@@ -642,8 +582,6 @@ class FlightRecorder:
             for start, end, _ in self._watch.overlapping(memory, addr,
                                                          stop):
                 self._dirty.add((memory, start, end))
-        if self.stopped:
-            return
         seq = self.seq
         data = (memory.read(addr, length) if length <= _STORE_KEEP_BYTES
                 else _digest(memory.view(addr, length)))
@@ -653,36 +591,22 @@ class FlightRecorder:
         self.seq = seq + 1
         self._checks["checks"] += 1
         if seq == self._due:
-            self._boundary(raw)
+            self._boundary()
 
     # -- emission core -----------------------------------------------------
 
     def _next_due(self) -> int:
-        """The last seq before a chunk fills or a checkpoint falls due;
-        every seq while replaying."""
-        if self._replaying:
-            return self.seq
+        """The last seq before a chunk fills or a checkpoint falls due."""
         interval = self.checkpoint_interval
         return min(self._chunk_end, (self.seq // interval + 1) * interval) - 1
 
-    def _boundary(self, raw: tuple) -> None:
-        """Replay checks, chunk rollover and checkpoints, in that order
-        of the original journal semantics: verify, checkpoint, stop."""
+    def _boundary(self) -> None:
+        """Chunk rollover, then the checkpoint when one falls due."""
         seq = self.seq
-        record = None
-        if self._replaying:
-            record = _record(raw)
-            if not self._verify_done:
-                self._verify_record(record)
         if seq == self._chunk_end:
             self._next_chunk()
         if seq % self.checkpoint_interval == 0:
             self._checkpoint()
-        if (record is not None and self.stop_at is not None
-                and self.landed is None
-                and record_matches(record, self.stop_at)):
-            self.landed = record
-            self.stopped = True
         self._due = self._next_due()
 
     def _next_chunk(self) -> None:
@@ -776,53 +700,9 @@ class FlightRecorder:
         return cached
 
     def _checkpoint(self) -> None:
-        checkpoint = {"kind": "checkpoint", "seq": self.seq,
-                      "ts": self.sim.now, "state": self.capture_state()}
-        self.checkpoints.append(checkpoint)
-        if not self._verify_done:
-            self._verify_checkpoint(checkpoint)
-
-    # -- replay verification -----------------------------------------------
-
-    def _diverge(self, message: str, seq: int,
-                 expected: Optional[Dict], actual: Optional[Dict]) -> None:
-        self.divergence = ReplayDivergence(message, seq=seq,
-                                           expected=expected,
-                                           actual=actual)
-        self._verify_done = True
-
-    def _verify_record(self, record: Dict[str, Any]) -> None:
-        journal = self._verify
-        seq = record["seq"]
-        if seq < journal.first_seq:
-            return  # before the ring's retained suffix
-        expected = journal.record_at(seq)
-        if expected is None:
-            self._diverge(
-                f"replay emitted event past journal end at seq {seq}",
-                seq, None, record)
-            return
-        if expected != record:
-            fields = sorted(
-                set(expected) | set(record),
-                key=lambda k: (k != "kind", k))
-            differing = [key for key in fields
-                         if expected.get(key) != record.get(key)]
-            self._diverge(
-                f"replay diverged at seq {seq}: "
-                f"field(s) {', '.join(differing)} differ",
-                seq, expected, record)
-            return
-        self.verified += 1
-
-    def _verify_checkpoint(self, checkpoint: Dict[str, Any]) -> None:
-        expected = self._verify.checkpoint_at(checkpoint["seq"])
-        if expected is None:
-            return
-        if expected["state"] != checkpoint["state"]:
-            self._diverge(
-                f"checkpoint state diverged at seq {checkpoint['seq']}",
-                checkpoint["seq"], expected, checkpoint)
+        self.checkpoints.append({"kind": "checkpoint", "seq": self.seq,
+                                 "ts": self.sim.now,
+                                 "state": self.capture_state()})
 
     # -- export ------------------------------------------------------------
 
@@ -889,9 +769,8 @@ def export_merged_journal(recorders, path) -> int:
 class Journal:
     """A parsed journal: meta, retained records, checkpoints.
 
-    Multi-bed merged journals carry a ``bed`` field on every line; the
-    per-seq accessors then only apply to single-bed journals (the
-    trace-diff engine aligns multi-bed journals by causal key instead).
+    Multi-bed merged journals carry a ``bed`` field on every line (the
+    trace-diff engine aligns them by causal key).
     """
 
     def __init__(self, meta: Dict[str, Any],
@@ -908,45 +787,10 @@ class Journal:
                 f"records={len(self.records)}>")
 
     @property
-    def multi_bed(self) -> bool:
-        return len(self.metas) > 1
-
-    @property
     def first_seq(self) -> int:
         if self.records:
             return self.records[0]["seq"]
         return self.meta.get("first_seq", 0)
-
-    def record_at(self, seq: int) -> Optional[Dict[str, Any]]:
-        if self.multi_bed:
-            raise JournalError(
-                "record_at is ambiguous on a multi-bed journal")
-        index = seq - self.first_seq
-        if 0 <= index < len(self.records):
-            return self.records[index]
-        return None
-
-    def checkpoint_at(self, seq: int) -> Optional[Dict[str, Any]]:
-        for checkpoint in self.checkpoints:
-            if checkpoint["seq"] == seq:
-                return checkpoint
-        return None
-
-    def find(self, pattern: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """First record matching every field of ``pattern``."""
-        for record in self.records:
-            if record_matches(record, pattern):
-                return record
-        return None
-
-    def nearest_checkpoint(self, seq: int) -> Optional[Dict[str, Any]]:
-        """The latest checkpoint at or before ``seq``."""
-        best = None
-        for checkpoint in self.checkpoints:
-            if checkpoint["seq"] <= seq:
-                if best is None or checkpoint["seq"] > best["seq"]:
-                    best = checkpoint
-        return best
 
 
 def _journal_lines(source) -> List[str]:
@@ -967,7 +811,8 @@ def load_journal(source) -> Journal:
 
     Raises :class:`JournalTruncatedError` when the journal is empty or
     carries no meta line, :class:`JournalCorruptError` on malformed
-    JSON, unknown schema, or holes in a bed's seq chain.
+    JSON, unknown schema, a post or fetch WQE image that is not hex, or
+    holes in a bed's seq chain.
     """
     lines = [line for line in _journal_lines(source) if line.strip()]
     if not lines:
@@ -994,6 +839,13 @@ def load_journal(source) -> Journal:
         elif kind == "checkpoint":
             checkpoints.append(record)
         else:
+            if kind in ("post", "fetch") and "wqe" in record:
+                try:
+                    bytes.fromhex(record["wqe"])
+                except (TypeError, ValueError):
+                    raise JournalCorruptError(
+                        f"line {number}: {kind} record's wqe "
+                        f"{record['wqe']!r} is not hex") from None
             records.append(record)
     if not metas:
         raise JournalTruncatedError(
@@ -1010,82 +862,3 @@ def load_journal(source) -> Journal:
                 f"seq chain hole: {last} -> {seq} (bed {bed})")
         previous[bed] = seq
     return Journal(metas[0], records, checkpoints, metas)
-
-
-# -- deterministic replay -------------------------------------------------
-
-
-class ReplayResult:
-    """Outcome of :func:`replay_journal`."""
-
-    def __init__(self, recorder: FlightRecorder, journal: Journal,
-                 to_event: Optional[Dict[str, Any]]):
-        self.recorder = recorder
-        self.journal = journal
-        self.divergence = recorder.divergence
-        self.verified = recorder.verified
-        self.landed = recorder.landed
-        self._to_event = to_event
-
-    @property
-    def ok(self) -> bool:
-        if self.divergence is not None:
-            return False
-        if self._to_event is not None:
-            return self.landed is not None
-        return self.verified == len(self.journal.records)
-
-    def raise_on_divergence(self) -> "ReplayResult":
-        if self.divergence is not None:
-            raise self.divergence
-        if not self.ok:
-            raise ReplayDivergence(
-                f"replay verified only {self.verified} of "
-                f"{len(self.journal.records)} journal records "
-                "(run ended early?)")
-        return self
-
-    def __repr__(self) -> str:
-        return (f"<ReplayResult ok={self.ok} verified={self.verified}"
-                f"{' landed' if self.landed else ''}>")
-
-
-def replay_journal(journal: Journal, runner,
-                   to_event: Optional[Dict[str, Any]] = None,
-                   name: str = "replay") -> ReplayResult:
-    """Re-execute a recorded scenario, verifying journal identity.
-
-    ``runner(make_recorder)`` must rebuild the original scenario and
-    call ``make_recorder(sim)`` on its freshly built simulator (the
-    returned verify-mode :class:`FlightRecorder` can then be attached
-    to NICs exactly like the recording run's was), then drive the
-    scenario to completion. Because the simulator is deterministic, a
-    rebuild re-seeds exactly the recorded initial state; every record
-    from the journal's first retained seq on — the nearest checkpoint's
-    suffix — must reproduce byte-identically, and every checkpoint's
-    state must match.
-
-    ``to_event`` stops the recording the moment a record matching the
-    pattern is emitted (e.g. ``{"kind": "fetch", "wq": "ring-sq",
-    "wr": 7}``); the matched record lands on ``ReplayResult.landed``.
-    """
-    if journal.multi_bed:
-        raise JournalError("cannot replay a merged multi-bed journal; "
-                           "replay each bed's journal separately")
-    box: Dict[str, FlightRecorder] = {}
-
-    def make_recorder(sim) -> FlightRecorder:
-        recorder = FlightRecorder(
-            sim, name=name,
-            capacity=journal.meta.get("capacity", 1 << 16),
-            checkpoint_interval=journal.meta.get("interval", 1024),
-            verify=journal, stop_at=to_event)
-        box["recorder"] = recorder
-        return recorder
-
-    runner(make_recorder)
-    recorder = box.get("recorder")
-    if recorder is None:
-        raise JournalError("runner never called make_recorder(sim)")
-    recorder.close()
-    return ReplayResult(recorder, journal, to_event)

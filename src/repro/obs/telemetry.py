@@ -24,7 +24,7 @@ canonical ``(window, shard)`` order, so the concatenated JSONL stream
 is globally sorted — **byte-identical** between
 :meth:`~repro.sim.sharded.ShardedSimulation.run` and
 :meth:`~repro.sim.sharded.ShardedSimulation.run_serial` drives of the
-same scenario (tested on the 16-bed cluster).
+same scenario (tested on the KV fleet).
 
 One subtlety: a PU busy span can straddle a window boundary. The hook
 fires once, when the span *ends*, and the whole span is attributed to
@@ -51,7 +51,7 @@ __all__ = ["DEFAULT_WINDOW_NS", "TelemetryCollector", "FleetTelemetry",
            "evaluate_slo", "summarize_records"]
 
 #: Default telemetry window width. 20 us spans hundreds of NIC events
-#: per busy bed yet gives the ~265 us cluster run a dozen-point series.
+#: per busy bed and gives the ~3.1 ms KV fleet run 156 windows.
 DEFAULT_WINDOW_NS = 20_000
 
 _QUANTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))

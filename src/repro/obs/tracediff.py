@@ -29,6 +29,10 @@ every difference is typed:
 ``cqe_count``
     Both runs completed on a CQ but reached different final counts —
     summarized per-CQ instead of drowning in per-CQE missing/extra.
+``checkpoint``
+    Every record aligned with no divergence, yet a checkpoint both
+    journals took (same bed and seq) captured different state: the
+    first such checkpoint, with the state entries that differ.
 
 The **first divergence** is the surviving divergence with the smallest
 (ts, seq) — the earliest causal point where the runs disagree. Its
@@ -106,7 +110,8 @@ class Divergence:
                  b: Optional[Dict[str, Any]],
                  detail: str,
                  fields: Optional[List[Dict[str, Any]]] = None):
-        self.kind = kind        # wqe_bytes|field|timing|missing|extra|cqe_count
+        # wqe_bytes|field|timing|missing|extra|cqe_count|checkpoint
+        self.kind = kind
         self.key = key
         self.a = a
         self.b = b
@@ -253,9 +258,50 @@ def _fold_cqe_counts(divergences: List[Divergence]) -> List[Divergence]:
     return kept
 
 
+def _state_entries(state: Dict[str, Any],
+                   path: str = "") -> Dict[str, Any]:
+    """A checkpoint state flattened to ``section[key]...`` leaf paths."""
+    entries: Dict[str, Any] = {}
+    for key, value in state.items():
+        name = f"{path}[{key}]" if path else key
+        if isinstance(value, dict):
+            entries.update(_state_entries(value, name))
+        else:
+            entries[name] = value
+    return entries
+
+
+def _checkpoint_divergence(journal_a: Journal,
+                           journal_b: Journal) -> Optional[Divergence]:
+    """The first checkpoint, by (bed, seq), whose states differ."""
+    by_key_a, by_key_b = ({(cp.get("bed", 0), cp["seq"]): cp
+                           for cp in journal.checkpoints}
+                          for journal in (journal_a, journal_b))
+    for bed, seq in sorted(by_key_a.keys() & by_key_b.keys()):
+        a, b = by_key_a[(bed, seq)], by_key_b[(bed, seq)]
+        if a["state"] == b["state"]:
+            continue
+        entries_a = _state_entries(a["state"])
+        entries_b = _state_entries(b["state"])
+        fields = [{"field": name, "a": entries_a.get(name),
+                   "b": entries_b.get(name)}
+                  for name in sorted(set(entries_a) | set(entries_b))
+                  if entries_a.get(name) != entries_b.get(name)]
+        return Divergence(
+            "checkpoint", (bed, "checkpoint", seq), a, b,
+            f"checkpoint at seq {seq} (bed {bed}) differs in "
+            + ", ".join(f"{f['field']}: {f['a']!r} -> {f['b']!r}"
+                        for f in fields), fields=fields)
+    return None
+
+
 def diff_journals(journal_a: Journal, journal_b: Journal,
                   fold_cqe_counts: bool = True) -> DiffReport:
-    """Align two journals on causal keys and type every difference."""
+    """Align two journals on causal keys and type every difference.
+
+    When the records show no divergence, the checkpoint states both
+    journals captured are compared too.
+    """
     ordinals_a: Dict[Tuple, int] = {}
     ordinals_b: Dict[Tuple, int] = {}
     keyed_a = [(causal_key(record, ordinals_a), record)
@@ -285,6 +331,10 @@ def diff_journals(journal_a: Journal, journal_b: Journal,
                 f"(seq {record_b.get('seq')}) appears only in B"))
     if fold_cqe_counts:
         divergences = _fold_cqe_counts(divergences)
+    if not divergences:
+        checkpoint = _checkpoint_divergence(journal_a, journal_b)
+        if checkpoint is not None:
+            divergences.append(checkpoint)
     return DiffReport(divergences, len(journal_a.records),
                       len(journal_b.records), aligned)
 
@@ -404,7 +454,8 @@ def render_report(report: DiffReport,
     lines.append(f"  {first.detail}")
     lines.append(f"  A: {_render_record(first.a)}")
     lines.append(f"  B: {_render_record(first.b)}")
-    if journal_a is not None and first.a is not None and slice_depth > 0:
+    if (journal_a is not None and first.a is not None and slice_depth > 0
+            and first.kind != "checkpoint"):
         lines.append("")
         lines.append(f"causal slice (last {slice_depth} feeding events,"
                      " oldest first):")

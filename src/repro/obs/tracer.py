@@ -51,20 +51,7 @@ from ..nic.opcodes import OPCODE_NAMES, Opcode
 from ..nic.wqe import format_field_diff, wqe_field_diff
 from .probe import StoreWatch
 
-__all__ = ["EVENT_SCHEMA", "Tracer", "export_merged_chrome",
-           "diff_wqe_bytes"]
-
-
-def diff_wqe_bytes(old: bytes, new: bytes) -> List[str]:
-    """Human-readable field diff between two WQE byte images.
-
-    Slot 0 is diffed per header field; follow-on (SGE) slots are
-    reported coarsely. Used for ``self_mod`` / ``stale_wqe`` args.
-    The field resolution itself lives in ``nic.wqe.wqe_field_diff``
-    (shared with the trace-diff engine); this wrapper only renders.
-    """
-    return [format_field_diff(diff)
-            for diff in wqe_field_diff(old, new)]
+__all__ = ["EVENT_SCHEMA", "Tracer", "export_merged_chrome"]
 
 
 #: One row per recorded event kind: ``(kind, ph, cat, name, fields,
@@ -140,7 +127,9 @@ class _OpNames(dict):
 _RENDER = {
     "op": _OpNames(OPCODE_NAMES).__getitem__,
     "cache": lambda hit: "hit" if hit else "miss",
-    "diff": lambda images: diff_wqe_bytes(*images),
+    # The self_mod / stale_wqe field diff of (old, new) WQE images.
+    "diff": lambda images: [format_field_diff(diff)
+                            for diff in wqe_field_diff(*images)],
 }
 
 

@@ -1,6 +1,6 @@
 """Sharded multi-bed simulation with conservative lookahead.
 
-A multi-bed scenario (fig 14/15-style fleets, the cluster benchmark)
+A multi-bed scenario (fig 14/15-style fleets, the sharded KV fleet)
 used to run every bed inside one global event loop. This module instead
 gives every bed its own :class:`~repro.sim.core.Simulator` **shard**
 and coordinates them with a classic conservative (bounded-window)
@@ -34,8 +34,8 @@ The protocol, per round:
 degenerate one-timestamp windows, which is exactly a time-ordered
 global merge of all shards. Because both drivers share the delivery
 rules, serial and sharded runs are bit-identical — same per-shard event
-counts, clocks and journals — and the serial run is the honest baseline
-the cluster benchmark's speedup is measured against.
+counts, clocks and journals — and the serial run is the reference
+drive that the identity tests compare the sharded drive against.
 
 Single-shard fallback: with one shard and no links, :meth:`run`
 degenerates to exactly one ``Simulator.run`` call — today's loop,

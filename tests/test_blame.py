@@ -273,7 +273,8 @@ def _synthetic_records():
 
     return [{
         "bed": "bed0", "window": 0, "requests": 2,
-        "latency": {"count": 2, "sum": 300, "le_256": 1, "le_512": 1},
+        "latency": {"count": 2, "sum": 300,
+                    "buckets": {"le_127": 1, "le_255": 1}},
         "exemplars": [
             exemplar(0, 0, 200, [["pool_wait", 0, "pool", 150],
                                  ["service", 0, "kv", 50]]),
@@ -303,7 +304,7 @@ def test_summarize_and_diff_blame():
     assert summary["phases"]["pool_wait"]["mean_ns"] == 75.0
     assert summary["phases"]["service"]["share"] == round(90 / 300, 6)
     assert summary["shards"]["0"]["total_ns"] == 300
-    assert summary["p99_ns"] is not None
+    assert summary["p99_ns"] == 255
 
     baseline = json.loads(json.dumps(summary))  # file round-trip shape
     baseline["phases"]["pool_wait"]["mean_ns"] = 25.0

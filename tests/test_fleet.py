@@ -23,13 +23,20 @@ def _small(batch=True, **kwargs):
 
 class TestFleetIdentity:
     def test_sharded_and_serial_drives_are_bit_identical(self):
-        fp_sharded, m_sharded = _small().run()
-        fp_serial, m_serial = _small().run(serial=True)
+        sharded, serial = _small(), _small()
+        fp_sharded, m_sharded = sharded.run()
+        fp_serial, m_serial = serial.run(serial=True)
         assert fp_sharded == fp_serial
+        # The identity goes beyond the fingerprint: every shard's
+        # kernel counters and clock agree, and so does the simulated
+        # communication.
+        assert sharded.sharded.stats() == serial.sharded.stats()
+        assert m_sharded["messages"] == m_serial["messages"] > 0
         # Driver observables legitimately differ; the simulated system
         # must not. The sharded drive visits the synchronizer less.
         assert m_sharded["rounds"] < m_serial["rounds"]
         assert fp_sharded["requests"] == 3 * 4 * 2
+        assert all(count > 0 for count in fp_sharded["per_shard_events"])
 
     def test_rerun_is_deterministic(self):
         assert _small().run()[0] == _small().run()[0]

@@ -1,11 +1,11 @@
-"""Flight recorder: journaling, checkpoints, replay, invariants.
+"""Flight recorder: journaling, checkpoints, re-runs, invariants.
 
-Covers the edge cases the recorder must get right for record-and-replay
+Covers the edge cases the recorder must get right for record-and-diff
 debugging to be trustworthy: ring-buffer eviction at capacity,
-checkpoint byte-identity across identical runs, replay landing exactly
-on a requested event, typed errors on truncated/corrupt journals, and
-— the end-to-end guarantee — journal-suffix byte-identity when
-replaying every built-in offload program.
+checkpoint byte-identity across identical runs, typed errors on
+truncated/corrupt journals, and — the end-to-end guarantee — a re-run
+of every built-in offload program records a byte-identical journal
+that ``diff_journals`` finds identical, checkpoints included.
 """
 
 import json
@@ -20,10 +20,9 @@ from repro.obs import (
     InvariantMonitor,
     JournalCorruptError,
     JournalTruncatedError,
-    ReplayDivergence,
     SinkAttachedError,
+    diff_journals,
     load_journal,
-    replay_journal,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -179,74 +178,51 @@ class TestJournalErrors:
 
 
 class TestReplay:
-    def _journal(self, tmp_path, writes=6):
+    """A replay is a re-run: record the scenario again, then diff."""
+
+    def _record(self, tmp_path, label, writes=6, capacity=1 << 16):
         from conftest import LoopbackRig
 
         lo = LoopbackRig()
-        recorder = FlightRecorder(lo.sim, checkpoint_interval=8)
+        recorder = FlightRecorder(lo.sim, capacity=capacity,
+                                  checkpoint_interval=8)
         drive_writes(lo, recorder, writes=writes)
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / f"{label}.jsonl"
         recorder.dump(path)
         recorder.close()
-        return load_journal(path)
-
-    def _runner(self, writes=6):
-        from conftest import LoopbackRig
-
-        def runner(make_recorder):
-            lo = LoopbackRig()
-            drive_writes(lo, make_recorder(lo.sim), writes=writes)
-
-        return runner
+        return path
 
     def test_full_replay_verifies_every_record(self, tmp_path):
-        journal = self._journal(tmp_path)
-        result = replay_journal(journal, self._runner())
-        assert result.ok
-        assert result.verified == len(journal.records)
-        assert result.divergence is None
-        result.raise_on_divergence()
-
-    def test_replay_lands_exactly_on_requested_event(self, tmp_path):
-        journal = self._journal(tmp_path)
-        target = journal.find({"kind": "fetch", "wr": 3})
-        assert target is not None
-        result = replay_journal(
-            journal, self._runner(),
-            to_event={"kind": "fetch", "wq": target["wq"], "wr": 3})
-        assert result.ok
-        assert result.landed["wr"] == 3
-        assert result.landed["kind"] == "fetch"
-        # Recording stopped at the landing: nothing past it was
-        # emitted, so the landed record is the recorder's last.
-        assert result.recorder.records[-1] == result.landed
+        first = self._record(tmp_path, "a")
+        second = self._record(tmp_path, "b")
+        assert first.read_bytes() == second.read_bytes()
+        journal = load_journal(first)
+        report = diff_journals(journal, load_journal(second))
+        assert report.identical
+        assert report.aligned == len(journal.records)
+        assert journal.checkpoints
 
     def test_perturbed_replay_reports_divergence(self, tmp_path):
-        journal = self._journal(tmp_path, writes=6)
-        result = replay_journal(journal, self._runner(writes=5))
-        assert not result.ok
-        with pytest.raises(ReplayDivergence):
-            result.raise_on_divergence()
+        journal = load_journal(self._record(tmp_path, "a", writes=6))
+        rerun = load_journal(self._record(tmp_path, "b", writes=5))
+        report = diff_journals(journal, rerun)
+        assert not report.identical
+        assert report.first.kind != "checkpoint"
 
     def test_replay_from_nearest_checkpoint_after_eviction(self,
                                                            tmp_path):
-        from conftest import LoopbackRig
-
-        lo = LoopbackRig()
-        recorder = FlightRecorder(lo.sim, capacity=16,
-                                  checkpoint_interval=8)
-        drive_writes(lo, recorder)
-        path = tmp_path / "ring.jsonl"
-        recorder.dump(path)
-        recorder.close()
-        journal = load_journal(path)
+        first = self._record(tmp_path, "a", capacity=16)
+        second = self._record(tmp_path, "b", capacity=16)
+        journal = load_journal(first)
         assert journal.first_seq > 0
-        assert journal.nearest_checkpoint(journal.first_seq + 8)
-        # Replay re-executes from scratch and fast-forwards to the
-        # retained suffix; every surviving record must verify.
-        result = replay_journal(journal, self._runner())
-        assert result.ok
-        assert result.verified == len(journal.records)
+        # The evicted ring keeps a suffix and the checkpoints inside
+        # it; a re-run reproduces both byte for byte.
+        assert any(cp["seq"] >= journal.first_seq
+                   for cp in journal.checkpoints)
+        assert first.read_bytes() == second.read_bytes()
+        report = diff_journals(journal, load_journal(second))
+        assert report.identical
+        assert report.aligned == len(journal.records)
 
 
 @pytest.mark.parametrize("offload", ["hash-lookup", "hash-lookup-par",
@@ -254,41 +230,33 @@ class TestReplay:
                                      "list-traversal-break",
                                      "recycled-get"])
 def test_offload_replay_suffix_byte_identical(offload, tmp_path):
-    """Record+replay round-trips for all five built-in offloads."""
+    """Record twice and diff, for all five built-in offloads."""
     from _offload_runners import run_offload
 
-    calls = 2
-
-    def record_instrument(bed, label):
-        recorder = FlightRecorder(bed.sim, name=label, capacity=4096,
-                                  checkpoint_interval=256)
-        recorder.attach_nic(bed.server.nic)
-        for client in bed.clients:
-            recorder.attach_nic(client.nic)
-        return recorder
-
-    run = run_offload(offload, calls, instrument=record_instrument)
-    recorder = run["instrument"]
-    assert recorder.violations == []
-    path = tmp_path / f"{offload}.jsonl"
-    recorder.dump(path)
-    recorder.close()
-    journal = load_journal(path)
-    assert journal.records
-
-    def runner(make_recorder):
-        def replay_instrument(bed, label):
-            replay_recorder = make_recorder(bed.sim)
-            replay_recorder.attach_nic(bed.server.nic)
+    def record(label):
+        def instrument(bed, name):
+            recorder = FlightRecorder(bed.sim, name=name, capacity=4096,
+                                      checkpoint_interval=64)
+            recorder.attach_nic(bed.server.nic)
             for client in bed.clients:
-                replay_recorder.attach_nic(client.nic)
-            return replay_recorder
+                recorder.attach_nic(client.nic)
+            return recorder
 
-        run_offload(offload, calls, instrument=replay_instrument)
+        recorder = run_offload(offload, 2, instrument=instrument)[
+            "instrument"]
+        assert recorder.violations == []
+        path = tmp_path / f"{label}.jsonl"
+        recorder.dump(path)
+        recorder.close()
+        return path
 
-    result = replay_journal(journal, runner)
-    assert result.ok, f"divergence: {result.divergence}"
-    assert result.verified == len(journal.records)
+    first, second = record("a"), record("b")
+    assert first.read_bytes() == second.read_bytes()
+    journal = load_journal(first)
+    assert journal.records and journal.checkpoints
+    report = diff_journals(journal, load_journal(second))
+    assert report.identical, report.first
+    assert report.aligned == len(journal.records)
 
 
 class TestInvariantMonitor:

@@ -7,12 +7,14 @@ windows (:meth:`ShardedSimulation.run_serial` — a time-ordered global
 merge) must produce the same per-shard clocks, event counts and
 simulated results. Everything else — typed lookahead errors, the
 strict window horizon, quiescent-shard wakeups, the single-shard
-fallback — exists to keep that claim safe.
+fallback — exists to keep that claim safe. The full-stack identity,
+real testbeds with RDMA traffic on every shard, is checked on a small
+KV fleet here and in ``tests/test_fleet.py``.
 """
 
 import pytest
 
-from repro.bench.cluster import ClusterScenario
+from repro.bench.fleet import build_fleet
 from repro.sim import LookaheadError, ShardedSimulation, Simulator
 from repro.sim.core import SimulationError
 from repro.sim.sharded import DEFAULT_SHARD_LINK_NS, ShardFabric
@@ -241,13 +243,14 @@ class TestSingleShardFallback:
 
 
 class TestClusterBitIdentity:
-    """Full-stack identity: real testbeds with RDMA traffic per shard."""
+    """Full-stack identity: real testbeds with RDMA traffic per shard,
+    driven as a small KV fleet with one client per shard."""
 
-    CONFIG = dict(num_beds=3, clients_per_bed=1,
+    CONFIG = dict(num_shards=3, clients_per_shard=1,
                   requests_per_client=3, link_ns=500)
 
     def _drive(self, serial):
-        scenario = ClusterScenario(**self.CONFIG)
+        scenario = build_fleet(**self.CONFIG)
         fingerprint, measures = scenario.run(serial=serial)
         return fingerprint, measures, scenario.sharded.stats()
 
@@ -260,7 +263,7 @@ class TestClusterBitIdentity:
         assert stats_sharded == stats_serial
         # Same simulated communication either way...
         assert m_sharded["messages"] == m_serial["messages"]
-        # ...but the drivers batch differently — that is the speedup.
+        # ...but the drivers batch differently.
         assert m_sharded["rounds"] < m_serial["rounds"]
 
     def test_sharded_drive_is_deterministic_across_runs(self):
@@ -269,7 +272,7 @@ class TestClusterBitIdentity:
         assert first == second
 
     def test_scenario_runs_exactly_once(self):
-        scenario = ClusterScenario(**self.CONFIG)
+        scenario = build_fleet(**self.CONFIG)
         scenario.run()
         with pytest.raises(RuntimeError):
             scenario.run()
@@ -278,8 +281,8 @@ class TestClusterBitIdentity:
         fingerprint, _, _ = self._drive(serial=False)
         config = self.CONFIG
         assert fingerprint["requests"] == (
-            config["num_beds"] * config["clients_per_bed"]
+            config["num_shards"] * config["clients_per_shard"]
             * config["requests_per_client"])
         assert fingerprint["latency_sum_ns"] > 0
-        assert len(fingerprint["per_bed_events"]) == config["num_beds"]
-        assert all(count > 0 for count in fingerprint["per_bed_events"])
+        assert len(fingerprint["per_shard_events"]) == config["num_shards"]
+        assert all(count > 0 for count in fingerprint["per_shard_events"])

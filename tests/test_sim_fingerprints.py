@@ -1,4 +1,4 @@
-"""Simulated-result fingerprints of four canonical workloads, pinned.
+"""Simulated-result fingerprints of three canonical workloads, pinned.
 
 The oracle behind the obs-off neutrality gate: each workload runs once
 with no sink attached, and its simulated results and kernel event count
@@ -10,12 +10,10 @@ exactly.
   self-modifying WQE chains.
 * ``table3_flood`` — WRITE then CAS floods across 8 QPs: batch
   prefetch, pipelined completions, atomic serialization.
-* ``cluster_simspeed`` — ``build_cluster()``: 16 beds exchanging
-  closed-loop RPCs on the sharded core.
 * ``fleet_simspeed`` — ``build_fleet()``: the 8-shard cuckoo-KV fleet.
 
-The two sharded scenarios run under both drives, which must agree
-bit for bit. Each drive's synchronizer ``rounds`` is pinned too: the
+The sharded fleet runs under both drives, which must agree bit for
+bit. Each drive's synchronizer ``rounds`` is pinned too: the
 sharded drive visits the synchronizer far less often than the
 one-timestamp-window serial merge. That count is deterministic; it is
 not a measure of parallel speedup.
@@ -26,7 +24,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.cluster import build_cluster
 from repro.bench.fleet import build_fleet
 
 PINS = json.loads((Path(__file__).parent / "data"
@@ -168,7 +165,6 @@ def test_single_bed_fingerprint(name, build):
 
 
 @pytest.mark.parametrize("name, build", [
-    ("cluster_simspeed", build_cluster),
     ("fleet_simspeed", build_fleet),
 ])
 def test_sharded_fingerprint_under_both_drives(name, build):

@@ -12,8 +12,8 @@ Four pillars:
   (idle windows are absent, not zero-filled), clamp queue depths at
   zero, and seal windows under :meth:`FleetTelemetry.flush` exactly
   when the global time floor proves no more samples can land.
-* **Telemetry determinism on the cluster** — serial and sharded
-  drives of the same cluster must emit **byte-identical** JSONL
+* **Telemetry determinism on the fleet** — serial and sharded
+  drives of the same KV fleet must emit **byte-identical** JSONL
   streams, and attaching telemetry must not perturb the run
   fingerprint.
 * **SLO burn alerts** — a synthetic p99 breach must fire at a
@@ -112,6 +112,15 @@ def test_from_snapshot_rejects_foreign_layouts(buckets):
     with pytest.raises(HistogramLayoutError):
         Histogram.from_snapshot({"buckets": buckets, "count": 1,
                                  "sum": 1})
+
+
+@pytest.mark.parametrize("count", [3, 1, 0])
+def test_from_snapshot_rejects_count_off_bucket_total(count):
+    # A count above the bucket total would rank quantiles past the last
+    # bucket; one below it would rank them too early.
+    with pytest.raises(HistogramLayoutError, match="sum of its bucket"):
+        Histogram.from_snapshot({"buckets": {"le_7": 2}, "count": count,
+                                 "sum": 10})
 
 
 def test_layout_error_is_a_value_error():
@@ -315,8 +324,8 @@ def test_load_slo_rules_forms(tmp_path):
     assert rule.name == "tail"
     assert rule.to_dict()["max"] == 100
     # The committed CI rule files load (every metric they name exists).
-    for name in ("cluster_slo.json", "fleet_slo.json"):
-        assert len(load_slo_rules(str(REPO_ROOT / "ci" / name))) >= 3
+    assert len(load_slo_rules(str(REPO_ROOT / "ci" / "fleet_slo.json"))) \
+        >= 3
 
 
 def test_burn_alert_fires_at_deterministic_timestamp(fleet):
@@ -409,28 +418,28 @@ def test_openmetrics_multi_bed_export():
         assert parsed["counters"]["rpc_calls"] == {"get": 10 * scale}
 
 
-# -- cluster end-to-end: byte-identity + fingerprint neutrality -----------
+# -- fleet end-to-end: byte-identity + fingerprint neutrality -------------
 
 
-def _drive_cluster(serial, telemetry):
-    from repro.bench.cluster import build_cluster
+def _drive_fleet(serial, telemetry):
+    from repro.bench.fleet import build_fleet
 
-    scenario = build_cluster(num_beds=4, clients_per_bed=1,
-                             requests_per_client=8, telemetry_path="")
+    scenario = build_fleet(num_shards=3, clients_per_shard=4,
+                           requests_per_client=8)
     fleet = scenario.attach_telemetry() if telemetry else None
     fingerprint, measures = scenario.run(serial=serial)
     stream = fleet.to_jsonl() if fleet else None
     # scenario.run closed the fleet: every bed is back on the obs-off path.
-    assert all(not rig.bed.sim.probe.sinks for rig in scenario.rigs)
+    assert all(not rig.sim.probe.sinks for rig in scenario.rigs)
     return fingerprint, measures, stream
 
 
-def test_cluster_serial_vs_sharded_stream_byte_identical():
-    fp_off, _, _ = _drive_cluster(serial=False, telemetry=False)
-    fp_sharded, m_sharded, sharded = _drive_cluster(serial=False,
-                                                    telemetry=True)
-    fp_serial, m_serial, serial = _drive_cluster(serial=True,
-                                                 telemetry=True)
+def test_fleet_serial_vs_sharded_stream_byte_identical():
+    fp_off, _, _ = _drive_fleet(serial=False, telemetry=False)
+    fp_sharded, m_sharded, sharded = _drive_fleet(serial=False,
+                                                  telemetry=True)
+    fp_serial, m_serial, serial = _drive_fleet(serial=True,
+                                               telemetry=True)
     assert fp_off == fp_sharded == fp_serial
     assert sharded == serial
     assert sharded  # carries actual records
@@ -438,26 +447,26 @@ def test_cluster_serial_vs_sharded_stream_byte_identical():
         m_serial["telemetry_records"] > 0
     records = [json.loads(line) for line in sharded.splitlines()]
     assert {record["bed"] for record in records} == \
-        {f"bed{i}" for i in range(4)}
+        {f"shard{i}" for i in range(3)}
     # The concatenated stream is globally sorted in canonical order.
     keys = [(record["window"], record["shard"]) for record in records]
     assert keys == sorted(keys)
 
 
-def test_cluster_tight_slo_breach_is_deterministic():
-    _, _, stream = _drive_cluster(serial=False, telemetry=True)
+def test_fleet_tight_slo_breach_is_deterministic():
+    _, _, stream = _drive_fleet(serial=False, telemetry=True)
     records = [json.loads(line) for line in stream.splitlines()]
     rule = SloRule("tight", "p99_ns", max=100, budget=0.25,
                    long_windows=3, short_windows=1)
     alerts = evaluate_slo(records, [rule])
-    assert alerts, "tight rule must breach on a busy cluster"
+    assert alerts, "tight rule must breach on a busy fleet"
     first = alerts[0]
     window_ns = records[0]["end_ns"] - records[0]["start_ns"]
     assert first.at_ns == (first.window + 1) * window_ns
-    assert first.bed == "bed0"
+    assert first.bed == "shard0"
     assert first.queue and "sq" in first.queue
     # Re-deriving from a fresh run yields the same alert instant.
-    _, _, stream2 = _drive_cluster(serial=False, telemetry=True)
+    _, _, stream2 = _drive_fleet(serial=False, telemetry=True)
     alerts2 = evaluate_slo(
         [json.loads(line) for line in stream2.splitlines()], [rule])
     assert [a.to_dict() for a in alerts] == \
@@ -465,9 +474,10 @@ def test_cluster_tight_slo_breach_is_deterministic():
 
 
 def test_committed_ci_rules_clean_on_healthy_cluster():
-    rules = load_slo_rules(str(REPO_ROOT / "ci" / "cluster_slo.json"))
+    # The KV fleet is the multi-bed cluster CI gates on.
+    rules = load_slo_rules(str(REPO_ROOT / "ci" / "fleet_slo.json"))
     assert len(rules) >= 3
-    _, _, stream = _drive_cluster(serial=False, telemetry=True)
+    _, _, stream = _drive_fleet(serial=False, telemetry=True)
     records = [json.loads(line) for line in stream.splitlines()]
     assert evaluate_slo(records, rules) == []
 
@@ -476,7 +486,7 @@ def test_committed_ci_rules_clean_on_healthy_cluster():
 
 
 def _write_stream(tmp_path):
-    _, _, stream = _drive_cluster(serial=False, telemetry=True)
+    _, _, stream = _drive_fleet(serial=False, telemetry=True)
     path = tmp_path / "stream.jsonl"
     path.write_text(stream)
     return path
@@ -488,7 +498,7 @@ def test_fleet_top_offline_render_and_slo(tmp_path, capsys):
     path = _write_stream(tmp_path)
     assert fleet.main(["top", "--input", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "fleet_top" in out and "bed0" in out
+    assert "fleet_top" in out and "shard0" in out
 
     rules = tmp_path / "tight.json"
     rules.write_text(json.dumps([{"name": "tight", "metric": "p99_ns",
@@ -500,7 +510,7 @@ def test_fleet_top_offline_render_and_slo(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "SLO burn: rule 'tight'" in out
 
-    clean = REPO_ROOT / "ci" / "cluster_slo.json"
+    clean = REPO_ROOT / "ci" / "fleet_slo.json"
     assert fleet.main(["top", "--input", str(path), "--quiet",
                        "--slo", str(clean), "--fail-on-burn"]) == 0
 
@@ -525,29 +535,58 @@ def test_fleet_top_error_paths(tmp_path):
         fleet.main(["top", "--input", str(empty), "--window", "1000"])
 
 
-def test_fleet_top_runs_cluster_and_exports(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("corrupt", ["bucket_key", "count"])
+@pytest.mark.parametrize("command", ["top", "blame"])
+def test_fleet_input_rejects_corrupt_histogram(tmp_path, capsys, corrupt,
+                                               command):
+    """A stream whose latency snapshot does not fit the layout is bad
+    input: one ``fleet:`` line naming the record, exit 2."""
     import fleet
 
-    from repro.bench.cluster import ClusterScenario
+    lines = _write_stream(tmp_path).read_text().splitlines()
+    index = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["latency"])
+    record = json.loads(lines[index])
+    latency = record["latency"]
+    if corrupt == "bucket_key":
+        key = next(iter(latency["buckets"]))
+        latency["buckets"]["le_1000"] = latency["buckets"].pop(key)
+    else:
+        latency["count"] += 1
+    lines[index] = json.dumps(record, sort_keys=True)
+    path = tmp_path / "corrupt.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert fleet.main([command, "--input", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"fleet: {path}:{index + 1}: snapshot "
+                             f"'latency'")
+
+
+def test_fleet_top_runs_and_exports(tmp_path, capsys, monkeypatch):
+    import fleet
+
+    from repro.bench.fleet import FleetScenario
 
     fleets = []
-    attach = ClusterScenario.attach_telemetry
+    attach = FleetScenario.attach_telemetry
 
     def capture(self, *args, **kwargs):
         fleets.append(attach(self, *args, **kwargs))
         return fleets[-1]
 
-    monkeypatch.setattr(ClusterScenario, "attach_telemetry", capture)
+    monkeypatch.setattr(FleetScenario, "attach_telemetry", capture)
     out_jsonl = tmp_path / "run.jsonl"
     out_json = tmp_path / "summary.json"
-    assert fleet.main(["top", "cluster", "--beds", "4", "--requests", "8",
-                       "--quiet", "--jsonl", str(out_jsonl),
+    assert fleet.main(["top", "--beds", "3", "--clients", "4",
+                       "--requests", "8", "--quiet",
+                       "--jsonl", str(out_jsonl),
                        "--json", str(out_json)]) == 0
     records = [json.loads(line)
                for line in out_jsonl.read_text().splitlines()]
-    assert records and records[0]["bed"] == "bed0"
+    assert records and records[0]["bed"] == "shard0"
     summary = json.loads(out_json.read_text())
-    assert set(summary["beds"]) == {f"bed{i}" for i in range(4)}
+    assert set(summary["beds"]) == {f"shard{i}" for i in range(3)}
     (telemetry,) = fleets
     assert all(not collector.sim.probe.sinks
                for collector in telemetry.collectors)

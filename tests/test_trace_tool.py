@@ -53,9 +53,22 @@ def recordings(lo, tmp_path):
         "end_ns": 20_000, "requests": 0}) + "\n")
     truncated = tmp_path / "truncated.json"
     truncated.write_text(trace.read_text()[:200])
-    return {"trace": str(trace), "journal": str(journal),
-            "telemetry": str(telemetry), "truncated": str(truncated),
-            "wq": lo.qp_a.send_wq.name}
+    paths = {"trace": str(trace), "journal": str(journal),
+             "telemetry": str(telemetry), "truncated": str(truncated),
+             "wq": lo.qp_a.send_wq.name}
+    for kind in ("post", "fetch"):
+        # The journal with its first ``kind`` record's WQE image made
+        # non-hex.
+        lines = journal.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[index])
+        record["wqe"] = "zz" + record["wqe"][2:]
+        lines[index] = json.dumps(record, sort_keys=True)
+        path = tmp_path / f"nonhex_{kind}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        paths[f"nonhex_{kind}"] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -65,8 +78,11 @@ def recordings(lo, tmp_path):
     (["inspect", "{telemetry}"], "telemetry"),
     (["inspect", "{truncated}"], "truncated"),
     (["inspect", "{journal}.missing"], None),
+    (["diff", "{journal}", "{nonhex_post}"], "nonhex_post"),
+    (["diff", "{nonhex_fetch}", "{journal}"], "nonhex_fetch"),
 ], ids=["journal-to-profile", "trace-to-diff-a", "trace-to-diff-b",
-        "telemetry-to-inspect", "truncated-to-inspect", "missing-file"])
+        "telemetry-to-inspect", "truncated-to-inspect", "missing-file",
+        "nonhex-post-wqe-to-diff", "nonhex-fetch-wqe-to-diff"])
 def test_wrong_input_is_one_error_line(recordings, argv, bad):
     result = run_tool(*[arg.format(**recordings) for arg in argv])
     assert result.returncode == 2, result.stderr

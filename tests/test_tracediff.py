@@ -204,6 +204,50 @@ class TestCausalKeys:
         assert key_a != key_b
 
 
+class TestCheckpointDivergence:
+    """Identical records, different checkpoint state."""
+
+    @staticmethod
+    def _edit_checkpoint(path):
+        """Flip one ring digest in the journal's last checkpoint."""
+        lines = path.read_text().splitlines()
+        index = max(i for i, line in enumerate(lines)
+                    if '"kind":"checkpoint"' in line)
+        checkpoint = json.loads(lines[index])
+        regions = checkpoint["state"]["mem"]["mem"]
+        label = sorted(regions)[0]
+        regions[label] = "0" * 16
+        lines[index] = json.dumps(checkpoint, sort_keys=True,
+                                  separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        return checkpoint["seq"], f"mem[mem][{label}]"
+
+    def test_edited_digest_is_one_checkpoint_divergence(self, tmp_path):
+        journal_a = run_if_scenario(0x42, tmp_path, "a")
+        run_if_scenario(0x42, tmp_path, "b")
+        seq, entry = self._edit_checkpoint(tmp_path / "b.jsonl")
+        journal_b = load_journal(tmp_path / "b.jsonl")
+        assert journal_b.records == journal_a.records
+        report = diff_journals(journal_a, journal_b)
+        assert report.by_kind() == {"checkpoint": 1}
+        (divergence,) = report.divergences
+        assert divergence.key == (0, "checkpoint", seq)
+        assert [f["field"] for f in divergence.fields] == [entry]
+        assert divergence.fields[0]["b"] == "0" * 16
+        text = render_report(report, journal_a)
+        assert "first divergence (checkpoint)" in text
+        assert entry in text
+
+    def test_diverging_records_skip_the_checkpoint_check(self, tmp_path):
+        journal_a = run_if_scenario(0x42, tmp_path, "a")
+        run_if_scenario(0x43, tmp_path, "b")
+        self._edit_checkpoint(tmp_path / "b.jsonl")
+        report = diff_journals(journal_a,
+                               load_journal(tmp_path / "b.jsonl"))
+        assert report.first.kind == "wqe_bytes"
+        assert "checkpoint" not in report.by_kind()
+
+
 class TestCli:
     def _run(self, *argv):
         return subprocess.run(

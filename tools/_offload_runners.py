@@ -1,9 +1,9 @@
 """Shared builders for the five built-in RedN offload scenarios.
 
 ``tools/trace.py profile`` profiles these under a tracer;
-``tests/test_recorder.py`` replays them under a flight recorder; both
-must drive byte-identical simulations, so the testbed construction and
-call-driving live here once. Each runner accepts an ``instrument(bed,
+``tests/test_recorder.py`` records each twice under a flight recorder
+and diffs the journals; both must drive byte-identical simulations, so
+the testbed construction and call-driving live here once. Each runner accepts an ``instrument(bed,
 label)`` callback invoked right after the testbed exists and before
 any offload state is built — attach a Tracer, a FlightRecorder, or
 nothing — and stores its return value under ``"instrument"`` in the

@@ -4,19 +4,17 @@
 One CLI over the telemetry JSONL stream (:mod:`repro.obs.telemetry`),
 one window record per (window, bed), with three subcommands.
 
-``top [cluster|fleet]`` drives the ``cluster_simspeed`` scenario (the
-default) or the sharded KV fleet (``fleet_simspeed``) with the
+``top`` drives the sharded KV fleet (``fleet_simspeed``) with the
 telemetry plane attached, or reads an exported stream (``--input``),
 and renders a top-style per-bed table: requests, tail latency, QP-pool
 wait, PU utilization, queue peaks, hot keys. ``--slo`` adds SLO
 burn-rate alerting::
 
     PYTHONPATH=src python tools/fleet.py top                    # table
-    PYTHONPATH=src python tools/fleet.py top fleet              # KV fleet
     PYTHONPATH=src python tools/fleet.py top --jsonl out.jsonl  # raw stream
     PYTHONPATH=src python tools/fleet.py top --json -           # summary
     PYTHONPATH=src python tools/fleet.py top \\
-        --slo ci/cluster_slo.json --fail-on-burn                # CI gate
+        --slo ci/fleet_slo.json --fail-on-burn                  # CI gate
     PYTHONPATH=src python tools/fleet.py top --input run.jsonl  # offline
 
 ``blame`` drives the KV fleet with tail exemplar capture on (each
@@ -92,7 +90,10 @@ class CliError(Exception):
 
 
 def load_stream(path: str) -> list:
-    """Read a telemetry JSONL stream; every line must be a window record."""
+    """Read a telemetry JSONL stream; every line must be a window record
+    whose histogram snapshots fit the power-of-two layout."""
+    from repro.obs.metrics import Histogram, HistogramLayoutError
+
     records = []
     try:
         with open(path) as handle:
@@ -109,6 +110,12 @@ def load_stream(path: str) -> list:
                     raise CliError(
                         f"{path}:{lineno}: not a telemetry window record "
                         f"(missing {', '.join(missing)})")
+                for field in ("latency", "pool_wait"):
+                    if record.get(field):
+                        try:
+                            Histogram.from_snapshot(record[field], field)
+                        except HistogramLayoutError as exc:
+                            raise CliError(f"{path}:{lineno}: {exc}")
                 records.append(record)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
@@ -144,44 +151,36 @@ def scenario_errors(label: str):
         raise CliError(f"{label} run failed: {exc}") from exc
 
 
-def sizing(args, beds: str, clients: str) -> dict:
-    """The sizing flags given, as keywords for the scenario's factory.
+def sizing(args) -> dict:
+    """The sizing flags given, as keywords for the fleet's factory.
 
     Flags left unset fall through to the factory's own defaults
-    (``build_cluster``, ``build_fleet``, ``run_triage``), so each
-    scenario keeps its canonical sizing.
+    (``build_fleet``, ``run_triage``), so each scenario keeps its
+    canonical sizing.
     """
-    given = {beds: args.beds, clients: args.clients,
+    given = {"num_shards": args.beds, "clients_per_shard": args.clients,
              "requests_per_client": args.requests}
     return {key: value for key, value in given.items() if value is not None}
 
 
 def drive(args):
-    """Build the cluster or KV fleet, attach telemetry, run it.
+    """Build the KV fleet, attach telemetry, run it.
 
     Returns ``(records, fingerprint, measures)``.
     """
-    with scenario_errors(args.scenario):
-        if args.scenario == "cluster":
-            from repro.bench.cluster import build_cluster
-            scenario = build_cluster(
-                **sizing(args, "num_beds", "clients_per_bed"))
-            fleet = scenario.attach_telemetry(window_ns=args.window)
-        else:
-            from repro.bench.fleet import build_fleet
-            scenario = build_fleet(
-                **sizing(args, "num_shards", "clients_per_shard"))
-            fleet = scenario.attach_telemetry(window_ns=args.window,
-                                              exemplars=args.exemplars)
+    from repro.bench.fleet import build_fleet
+
+    with scenario_errors("fleet"):
+        scenario = build_fleet(**sizing(args))
+        fleet = scenario.attach_telemetry(window_ns=args.window,
+                                          exemplars=args.exemplars)
         fingerprint, measures = scenario.run(serial=args.serial)
     if not args.quiet:
-        line = (f"{args.scenario}: {fingerprint['requests']} requests, "
-                f"frontier {fingerprint['frontier_ns']}ns, "
-                f"{measures['rounds']} rounds "
-                f"({'serial' if args.serial else 'sharded'})")
-        if "aggregate_mops" in measures:
-            line += f", {measures['aggregate_mops']:.3f} Mops"
-        print(line, file=sys.stderr)
+        print(f"fleet: {fingerprint['requests']} requests, "
+              f"frontier {fingerprint['frontier_ns']}ns, "
+              f"{measures['rounds']} rounds "
+              f"({'serial' if args.serial else 'sharded'}), "
+              f"{measures['aggregate_mops']:.3f} Mops", file=sys.stderr)
     return fleet.records, fingerprint, measures
 
 
@@ -337,7 +336,7 @@ def blame(args) -> int:
     summary = summarize_blame(records)
     if not summary["exemplars"]:
         raise CliError("stream holds no exemplars (run with --exemplars "
-                       "K, or export one via fleet.py top fleet "
+                       "K, or export one via fleet.py top "
                        "--exemplars K --jsonl)")
 
     if args.json:
@@ -468,7 +467,7 @@ def triage(args) -> int:
     with scenario_errors(args.scenario):
         run = run_triage(
             args.scenario, serial=args.serial,
-            **sizing(args, "num_shards", "clients_per_shard"),
+            **sizing(args),
             window_ns=args.window, exemplars=args.exemplars,
             capture=not args.no_capture)
 
@@ -504,8 +503,8 @@ def triage(args) -> int:
 def add_run_options(parser, exemplars: int) -> None:
     """The scenario-driving and output options every subcommand takes."""
     parser.add_argument("--beds", type=int,
-                        help="cluster beds / fleet shards (default: the "
-                             "scenario's canonical sizing)")
+                        help="fleet shards (default: the scenario's "
+                             "canonical sizing)")
     parser.add_argument("--clients", type=int,
                         help="clients per bed (default: canonical)")
     parser.add_argument("--requests", type=int,
@@ -518,8 +517,8 @@ def add_run_options(parser, exemplars: int) -> None:
                              "(default 20000)")
     parser.add_argument("--exemplars", type=int, default=exemplars,
                         metavar="K",
-                        help="fleet only: keep the K slowest requests' "
-                             f"blame breakdowns per window (default "
+                        help="keep the K slowest requests' blame "
+                             f"breakdowns per window (default "
                              f"{exemplars})")
     parser.add_argument("--json", metavar="FILE",
                         help="write the JSON summary / report")
@@ -539,9 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     top_parser = commands.add_parser(
         "top", help="per-bed table and SLO burn-rate alerts")
-    top_parser.add_argument("scenario", nargs="?", default="cluster",
-                            choices=("cluster", "fleet"),
-                            help="scenario to drive (default cluster)")
     top_parser.add_argument("--jsonl", metavar="FILE",
                             help="write the raw window record stream")
     top_parser.add_argument("--slo", metavar="RULES.json",
@@ -568,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     blame_parser.add_argument("--budgets", metavar="BUDGETS.json",
                               help="phase_mean_ns budgets file; each "
                                    "entry acts like a --fail-if gate")
-    blame_parser.set_defaults(scenario="fleet")
 
     triage_parser = commands.add_parser(
         "triage", help="run a fault scenario and report its incidents")
@@ -614,8 +609,6 @@ def main(argv=None) -> int:
     if getattr(args, "input", None) and args.window:
         parser.error("--window only applies when running a scenario, "
                      "not with --input")
-    if args.scenario == "cluster" and args.exemplars:
-        parser.error("--exemplars needs the fleet scenario")
     args.window = args.window or DEFAULT_WINDOW_NS
     try:
         return args.run(args)
