@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Soak: a long ``offload_chains`` run must keep simulated DRAM flat.
+"""Soak: a long ``offload_chains`` run must keep the server flat.
 
-Every early-break list call creates one-shot queues and break images,
-and ``finish_request`` destroys them; their memory must come back and
-be reused. This drives the repo benchmark's ``offload_chains``
-workload (``perfbench/workloads.py``, imported unmodified) for 1,000
-calls and then for 20,000 and fails unless:
+Every early-break list call runs on a one-shot queue set (worker,
+branch and control queues plus break images) that ``finish_request``
+hands back to the lane's pool for reuse: no call may create queues or
+memory once the pool's sets exist. This drives the repo benchmark's
+``offload_chains`` workload (``perfbench/workloads.py``, imported
+unmodified) for 1,000 calls and then for 20,000 and fails unless:
 
 * no call failed;
-* the server's DRAM high-water mark after the long run equals the
-  1,000-call run's;
+* after the long run, the server's DRAM high-water mark, its NIC's
+  highest WQ and CQ numbers and its count of live work queues all
+  equal the 1,000-call run's (numbers are never reused, so a call
+  that created queues would run the 16-bit WAIT/ENABLE target space
+  out);
 * the process's peak RSS stays within 64 MB.
 
 Usage::
@@ -40,26 +44,35 @@ MAX_RSS_MB = 64
 
 
 def _run(calls: int):
-    """(failed calls, server DRAM high-water mark) of one run."""
+    """(failed calls, server footprint) of one run."""
     workload = OffloadChains(SEED, calls=calls)
     result = workload.run()
-    return result.failed, workload.bed.server.memory.high_water
+    server = workload.bed.server
+    nic = server.nic
+    return result.failed, {
+        "dram_high_water": server.memory.high_water,
+        "max_wq_num": max(nic.wqs),
+        "max_cq_num": max(nic.cqs),
+        "wqs": len(nic.wqs),
+    }
 
 
 def main() -> int:
-    base_failed, base_mark = _run(BASELINE_CALLS)
-    failed, mark = _run(SOAK_CALLS)
+    base_failed, base = _run(BASELINE_CALLS)
+    failed, soak = _run(SOAK_CALLS)
     # ru_maxrss is in KiB on Linux.
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{BASELINE_CALLS} calls: failed={base_failed} "
-          f"dram_high_water={base_mark}")
-    print(f"{SOAK_CALLS} calls: failed={failed} dram_high_water={mark}")
+    for calls, fails, footprint in ((BASELINE_CALLS, base_failed, base),
+                                    (SOAK_CALLS, failed, soak)):
+        print(f"{calls} calls: failed={fails} " + " ".join(
+            f"{name}={value}" for name, value in footprint.items()))
     print(f"peak RSS {rss_mb:.1f} MB (limit {MAX_RSS_MB})")
     problems = []
     if base_failed or failed:
         problems.append("some offload calls failed")
-    if mark != base_mark:
-        problems.append(f"DRAM high-water mark grew: {base_mark} -> {mark}")
+    for name, value in base.items():
+        if soak[name] != value:
+            problems.append(f"{name} grew: {value} -> {soak[name]}")
     if rss_mb > MAX_RSS_MB:
         problems.append(f"peak RSS {rss_mb:.1f} MB > {MAX_RSS_MB}")
     for problem in problems:

@@ -362,6 +362,19 @@ class HostMemory:
             if self._trace_hook is not None:
                 self._trace_hook(addr, length)
 
+    def zero(self, addr: int, length: int) -> None:
+        """Zero ``[addr, addr+length)`` unobserved: no generation bump,
+        no store hook. For a recycled ring whose observers were told
+        its old tenant is gone (:meth:`repro.nic.queue.WorkQueue.reset`);
+        every other mutation goes through :meth:`write`/:meth:`fill`."""
+        self._check(addr, length)
+        self._bytes[addr:addr + length] = bytes(length)
+
+    @property
+    def observed(self) -> bool:
+        """True while a store observer is installed."""
+        return self._trace_hook is not None
+
     def read_uint(self, addr: int, width: int) -> int:
         self._check(addr, width)
         return int.from_bytes(self._view[addr:addr + width], "big")

@@ -19,10 +19,10 @@ failure-resiliency use case (§5.6) hinges on:
 from __future__ import annotations
 
 import itertools
-from typing import Generator, Iterable, List, Optional
+from typing import Generator, List, Optional
 
 from ..memory.dram import HostMemory
-from ..memory.region import MemoryRegion, ProtectionDomain
+from ..memory.region import ProtectionDomain
 from ..nic.models import CONNECTX5, DeviceModel
 from ..nic.qp import QueuePair
 from ..nic.rnic import RNIC
@@ -83,14 +83,6 @@ class OsProcess:
         pair = self.host.nic.create_loopback_pair(pd, **kwargs)
         self.qps.extend(pair)
         return pair
-
-    def destroy_qps(self, qps: Iterable[QueuePair],
-                    buffers: Iterable[MemoryRegion] = ()) -> None:
-        """Destroy some of this process's QPs (see ``RNIC.destroy_qps``)."""
-        qps = list(qps)
-        dead = set(map(id, qps))
-        self.qps = [qp for qp in self.qps if id(qp) not in dead]
-        self.host.nic.destroy_qps(qps, buffers)
 
     def alloc(self, size: int, label: str = "", align: int = 8):
         return self.host.memory.alloc(
@@ -158,7 +150,8 @@ class Host:
         process.alive = False
         for thread in process.threads:
             thread.interrupt("process crash")
-        process.destroy_qps(process.qps)
+        qps, process.qps = process.qps, []
+        self.nic.destroy_qps(qps)
         for pd in process.pds:
             pd.invalidate_all()
         self.memory.reclaim_owner(process.owner_tag)

@@ -59,6 +59,8 @@ class SendQueueDriver:
         self.busy = 1
         #: True while blocked in a WAIT verb.
         self.waiting = False
+        #: True while the loop waits for fetchable work.
+        self.parked = False
         #: The pending :meth:`RNIC.destroy_qps` teardown told when this
         #: driver goes quiescent.
         self.teardown = None
@@ -86,13 +88,37 @@ class SendQueueDriver:
         if not self.busy and self.teardown is not None:
             self.teardown.quiet()
 
+    @property
+    def idle(self) -> bool:
+        """No WR in flight, and the loop parked with nothing fetchable
+        or blocked in a WAIT."""
+        return self.busy == 1 and (self.waiting or (
+            self.parked and not self.wq.fetchable))
+
+    def reset(self) -> None:
+        """Serve the idle queue's next tenant (``RNIC.reset_qps``).
+
+        A loop blocked in a WAIT (a stranded early-break control chain)
+        is dropped where it waits and a fresh loop started, so that
+        WAIT can never wake and run the next tenant's WRs. A parked
+        loop is kept. The PU is looked up again, since the queue was
+        just assigned one.
+        """
+        if self.waiting:
+            self.process.abandon()
+            self.waiting = False
+            self.start()
+        self._pu = None
+
     # -- main loop ---------------------------------------------------------
 
     def _run(self):
         wq = self.wq
         while self.nic.alive and not wq.destroyed:
             if wq.fetchable == 0:
+                self.parked = True
                 yield wq.work_available()
+                self.parked = False
                 continue
             batch = yield from self._fetch()
             for wqe, wr_index in batch:

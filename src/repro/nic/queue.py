@@ -184,6 +184,16 @@ class CompletionQueue:
     def destroy(self) -> None:
         self.destroyed = True
 
+    def reset(self, name: str) -> None:
+        """Forget every completion: the CQ of a reused queue (see
+        :meth:`repro.nic.rnic.RNIC.reset_qps`) starts its next tenant,
+        named ``name``, at count 0 with no CQE and no WAIT watcher."""
+        self.name = name
+        self._wait_event_name = f"{name}-wait"
+        self.count = 0
+        self._entries.clear()
+        self._watchers = []
+
 
 class WorkQueue:
     """A send or receive queue: a WQE ring in simulated host memory."""
@@ -236,6 +246,8 @@ class WorkQueue:
 
         self.rate_limiter: Optional[TokenBucket] = None
         self.destroyed = False
+        #: Host doorbells rung but not yet landed (see :meth:`doorbell`).
+        self.doorbells_pending = 0
         self._work_event_name = f"{self.name}-work"
         self._recv_event_name = f"{self.name}-recv-avail"
         self._work_events: List[Event] = []
@@ -317,40 +329,19 @@ class WorkQueue:
                    wqe: Optional[Wqe] = None) -> int:
         """Write pre-encoded WQE bytes into the ring; returns its WR index.
 
-        The raw post behind :meth:`post` and behind compiled offload
-        templates (:mod:`repro.redn.template`), which stamp instances
-        from byte images: same overflow check, ring wrap, probe ``post``
-        event and doorbell policy. ``wqe`` is the decoded view handed
-        to probe sinks; when omitted it is decoded from ``data`` only
-        if a sink listens.
+        The post behind :meth:`post` and behind compiled offload
+        templates (:mod:`repro.redn.template`) stamping while observed:
+        the ring write of :meth:`post_run`, then the probe ``post``
+        event and the doorbell policy. ``wqe`` is the decoded view
+        handed to probe sinks; when omitted it is decoded from ``data``
+        only if a sink listens.
         """
-        if self.destroyed:
-            raise QueueError(f"post to destroyed {self!r}")
-        slots = len(data) // WQE_SLOT_SIZE
-        if slots > self.num_slots:
-            raise QueueError(f"WQE of {slots} slots exceeds ring size")
         cursor = self._post_slot_cursor
-        if slots > self.num_slots - (cursor - self._fetch_slot_cursor):
-            raise QueueError(
-                f"{self!r} overflow: {slots}-slot WQE but only "
-                f"{self.free_slots} slots free")
-        slot_index = cursor % self.num_slots
-        tail = min(slots, self.num_slots - slot_index)
-        if tail < slots:
-            # The WQE wraps the ring edge: one more write for the head.
-            view = memoryview(data)
-            self.memory.write(self.ring.addr + slot_index * WQE_SLOT_SIZE,
-                              view[:tail * WQE_SLOT_SIZE])
-            self.memory.write(self.ring.addr, view[tail * WQE_SLOT_SIZE:])
-        else:
-            self.memory.write(self.ring.addr + slot_index * WQE_SLOT_SIZE,
-                              data)
-        self._post_slot_cursor = cursor + slots
-        wr_index = self.posted_count
-        self.posted_count += 1
+        wr_index = self.post_run(data, 1)
         if self._probe.post:
             if wqe is None:
                 wqe = Wqe.decode(data)
+            slots = len(data) // WQE_SLOT_SIZE
             # The ring now holds exactly ``data``: the slot image needs
             # only the generations read back.
             image = ((self.slot_gens(cursor, slots), bytes(data))
@@ -361,6 +352,41 @@ class WorkQueue:
             ring_doorbell = not self.managed
         if ring_doorbell:
             self.doorbell()
+        return wr_index
+
+    def post_run(self, data, count: int) -> int:
+        """Write ``count`` pre-encoded WQEs, back to back in ``data``,
+        with one ring write (two where they wrap the ring edge);
+        returns the first one's WR index.
+
+        No probe ``post`` event and no doorbell: :meth:`post_bytes`
+        adds those for one WQE, and a compiled-template stamp nothing
+        observes (:mod:`repro.redn.template`) rings each doorbell
+        itself.
+        """
+        if self.destroyed:
+            raise QueueError(f"post to destroyed {self!r}")
+        slots = len(data) // WQE_SLOT_SIZE
+        if slots > self.num_slots:
+            raise QueueError(f"{slots} WQE slots exceed the ring size")
+        cursor = self._post_slot_cursor
+        if slots > self.num_slots - (cursor - self._fetch_slot_cursor):
+            raise QueueError(
+                f"{self!r} overflow: {slots} WQE slots but only "
+                f"{self.free_slots} free")
+        slot_index = cursor % self.num_slots
+        tail = min(slots, self.num_slots - slot_index)
+        addr = self.ring.addr + slot_index * WQE_SLOT_SIZE
+        if tail < slots:
+            # The run wraps the ring edge: one more write for the head.
+            view = memoryview(data)
+            self.memory.write(addr, view[:tail * WQE_SLOT_SIZE])
+            self.memory.write(self.ring.addr, view[tail * WQE_SLOT_SIZE:])
+        else:
+            self.memory.write(addr, data)
+        self._post_slot_cursor = cursor + slots
+        wr_index = self.posted_count
+        self.posted_count += count
         return wr_index
 
     def doorbell(self, up_to: Optional[int] = None,
@@ -380,10 +406,15 @@ class WorkQueue:
                 hook(self, target)
         delay = self.doorbell_delay_ns + extra_delay_ns
         if delay > 0:
+            self.doorbells_pending += 1
             self.sim.schedule_at(self.sim.now + delay,
-                                 self._raise_enabled, target)
+                                 self._doorbell_lands, target)
         else:
             self._raise_enabled(target)
+
+    def _doorbell_lands(self, target: int) -> None:
+        self.doorbells_pending -= 1
+        self._raise_enabled(target)
 
     def enable(self, value: int, relative: bool = False) -> None:
         """ENABLE verb entry point: raise the fetch limit from the NIC."""
@@ -520,6 +551,31 @@ class WorkQueue:
         """Attach a WQ rate limiter (paper §3.5, isolation)."""
         self.rate_limiter = TokenBucket(
             self.sim, ops_per_sec, burst, name=f"{self.name}-rl")
+
+    def reset(self, name: str) -> None:
+        """Make an idle queue fresh for its next tenant, named ``name``.
+
+        The queue keeps its number, ring address and code region; its
+        producer, fetch and enable counters go back to zero and its
+        ring reads as zeros again, with the write generations and
+        decode cache of a new ring, so no previous tenant's WQE can
+        execute again. Only for a queue nothing is in flight on (see
+        :meth:`repro.nic.rnic.RNIC.reset_qps`).
+        """
+        self.name = name
+        self._work_event_name = f"{name}-work"
+        self._recv_event_name = f"{name}-recv-avail"
+        gens = self._ring_gens.gens
+        if any(gens):
+            # Every store bumps a generation: a ring with none bumped
+            # still reads as zeros.
+            self.memory.zero(self.ring.addr, self.ring.size)
+            gens[:] = [0] * len(gens)
+        self._decode_cache.clear()
+        self.posted_count = self._post_slot_cursor = 0
+        self.enabled_count = 0
+        self.fetched_count = self._fetch_slot_cursor = 0
+        self.executed_count = 0
 
     def destroy(self) -> None:
         """Tear the queue down (process death without a hull parent)."""

@@ -19,19 +19,20 @@ executes them. Work queues are statically assigned to PUs round-robin
 ("each WQ is allocated a single RNIC PU", §3.5) — RedN-Parallel's
 speedup comes from spreading chains across WQs, hence PUs.
 
-:meth:`RNIC.destroy_qps` is the one teardown (``ibv_destroy_qp``): the
-QPs' queues leave every registry at once, but their memory is freed
-only once nothing can still reach it (see :class:`_Teardown`).
+:meth:`RNIC.destroy_qps` is the one teardown (``ibv_destroy_qp``), for
+process death: the QPs' queues leave every registry at once, but their
+memory is freed only once nothing can still reach it (see
+:class:`_Teardown`). Requests never destroy queues: an offload reuses
+its one-shot queue sets through :meth:`RNIC.reset_qps`.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..memory.dram import Allocation, HostMemory
-from ..memory.region import MemoryRegion, ProtectionDomain
+from ..memory.region import ProtectionDomain
 from ..sim.core import Simulator
 from ..sim.resources import Resource
 from .models import CONNECTX5, DeviceModel
@@ -46,29 +47,27 @@ __all__ = ["RNIC", "Port"]
 
 
 class _QueueNumbers:
-    """WQ or CQ numbers: handed out in order, never reused while the
-    WAIT/ENABLE ``target`` field has room for a fresh one; past that,
-    the lowest number a finished teardown released is reused."""
+    """WQ or CQ numbers, handed out in order and never reused.
 
-    __slots__ = ("_next", "_released")
+    A WAIT/ENABLE names its target in a 16-bit field, so a NIC has at
+    most ``LIMIT - 1`` of each. Queues are not created per request:
+    offloads reuse their one-shot queue sets (:meth:`RNIC.reset_qps`),
+    and only process death destroys queues.
+    """
+
+    __slots__ = ("_next",)
 
     LIMIT = 1 << (8 * WQE_HEADER.field_width("target"))
 
     def __init__(self):
         self._next = 1
-        self._released: List[int] = []
 
     def take(self) -> int:
         number = self._next
-        if number < self.LIMIT:
-            self._next = number + 1
-            return number
-        if not self._released:
+        if number >= self.LIMIT:
             raise QueueError(f"all {self.LIMIT - 1} queue numbers in use")
-        return heappop(self._released)
-
-    def release(self, number: int) -> None:
-        heappush(self._released, number)
+        self._next = number + 1
+        return number
 
 
 class _Teardown:
@@ -91,13 +90,11 @@ class _Teardown:
     simulated time.
     """
 
-    __slots__ = ("memory", "allocations", "numbers", "pending")
+    __slots__ = ("memory", "allocations", "pending")
 
     def __init__(self, memory: HostMemory):
         self.memory = memory
         self.allocations: List[Allocation] = []
-        #: (pool, number) of every destroyed queue, released last.
-        self.numbers: List[tuple] = []
         # One count held while drivers register; the last quiet() frees.
         self.pending = 1
 
@@ -114,8 +111,6 @@ class _Teardown:
         if not self.pending:
             for allocation in self.allocations:
                 self.memory.free(allocation)
-            for pool, number in self.numbers:
-                pool.release(number)
 
 
 class Port:
@@ -261,19 +256,17 @@ class RNIC:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def destroy_qps(self, qps: Iterable[QueuePair],
-                    buffers: Iterable[MemoryRegion] = ()) -> None:
+    def destroy_qps(self, qps: Iterable[QueuePair]) -> None:
         """Destroy QPs, as ``ibv_destroy_qp`` does, as one teardown.
 
-        Each QP's send and receive queues and their CQs are destroyed
-        and dropped from :attr:`wqs`, :attr:`cqs`, :attr:`qps` and the
-        driver table; every MR over a ring, and each of ``buffers``
-        (one-shot registered buffers the QPs' WRs use), is deregistered,
-        so a late remote access fails with ``ProtectionError``. The
-        rings and buffers are freed together once the queues are
-        quiescent (:class:`_Teardown`). Keys are never reused; WQ and
-        CQ numbers only once fresh ones no longer fit a WAIT/ENABLE
-        target (:class:`_QueueNumbers`).
+        Serves process death (:meth:`repro.net.node.Host.crash_process`):
+        requests reuse their queues (:meth:`reset_qps`) instead. Each
+        QP's send and receive queues and their CQs are destroyed and
+        dropped from :attr:`wqs`, :attr:`cqs`, :attr:`qps` and the
+        driver table; every MR over a ring is deregistered, so a late
+        remote access fails with ``ProtectionError``. The rings are
+        freed together once the queues are quiescent
+        (:class:`_Teardown`). Keys and queue numbers are never reused.
         """
         teardown = _Teardown(self.memory)
         qps = list(qps)
@@ -298,16 +291,60 @@ class RNIC:
                         f"nic.{self.name}.wq.{wq.name}.fetch")
                 wq.destroy()
                 wq.cq.destroy()
-                if self.wqs.pop(wq.wq_num, None) is not None:
-                    teardown.numbers.append((self._wq_nums, wq.wq_num))
-                if self.cqs.pop(wq.cq.cq_num, None) is not None:
-                    teardown.numbers.append((self._cq_nums, wq.cq.cq_num))
+                self.wqs.pop(wq.wq_num, None)
+                self.cqs.pop(wq.cq.cq_num, None)
                 qp.pd.deregister_allocation(wq.ring)
                 teardown.hold(wq.ring, self.name)
-        for region in buffers:
-            region.pd.deregister_allocation(region.allocation)
-            teardown.hold(region.allocation, self.name)
         teardown.quiet()
+
+    def qps_idle(self, qps: Iterable[QueuePair]) -> bool:
+        """True when nothing of ``qps`` is in flight: no doorbell raise
+        scheduled, and every send-queue driver :attr:`idle
+        <repro.nic.processing.SendQueueDriver.idle>`."""
+        drivers = self._drivers
+        for qp in qps:
+            for wq in (qp.send_wq, qp.recv_wq):
+                if wq.doorbells_pending:
+                    return False
+                driver = drivers.get(wq.wq_num)
+                if driver is not None and not driver.idle:
+                    return False
+        return True
+
+    def reset_qps(self, qps: Iterable[QueuePair],
+                  rename: Callable[[str], str]) -> None:
+        """Hand idle QPs (:meth:`qps_idle`) to a new tenant.
+
+        The fixed-ring reuse of a one-shot queue set: each queue keeps
+        its number, ring address and keys, and starts over as if just
+        created (:meth:`WorkQueue.reset <repro.nic.queue.WorkQueue.reset>`,
+        :meth:`CompletionQueue.reset
+        <repro.nic.queue.CompletionQueue.reset>`), its QP, queues and
+        CQs renamed by ``rename`` for the tenant. Send queues take
+        their PUs from the round-robin again, in creation order, as
+        fresh queues would. Probe sinks see each queue destroyed, then
+        its CQs and itself created again, so no sink keeps state of the
+        old tenant.
+        """
+        probe = self.sim.probe
+        for qp in qps:
+            qp.name = rename(qp.name)
+            wqs = (qp.send_wq, qp.recv_wq)
+            for wq in wqs:
+                for hook in probe.wq_destroyed:
+                    hook(wq)
+            for wq in wqs:
+                wq.reset(rename(wq.name))
+                wq.cq.reset(rename(wq.cq.name))
+                if wq.kind == "send":
+                    wq.pu_index = self.ports[wq.port_index].assign_pu()
+                    self._drivers[wq.wq_num].reset()
+            for wq in wqs:
+                for hook in probe.cq_created:
+                    hook(self, wq.cq)
+            for wq in wqs:
+                for hook in probe.wq_created:
+                    hook(self, wq)
 
     def shutdown(self) -> None:
         """Stop the device (used only by tests; NICs outlive OS crashes)."""

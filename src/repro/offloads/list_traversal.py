@@ -25,8 +25,13 @@ Fig 13's trade-off reproduces mechanically:
   chain's WAIT so no later iteration runs. Stopping the chain mid-way
   leaves un-executed WRs behind, so the host performs a small
   ``finish_request`` cleanup between requests (the CPU-assisted
-  reposting the paper attributes to unrolled loops, §3.4), which also
-  destroys the request's one-shot queues and frees their memory.
+  reposting the paper attributes to unrolled loops, §3.4). Each
+  request runs on a one-shot queue set — worker, branch and control
+  queues plus the break images — taken from the lane's pool
+  (:class:`~repro.redn.program.QueueSetPool`): ``finish_request`` hands
+  it back, and it is reset for the next request once nothing of the
+  stranded tail is in flight. A set is created only when no returned
+  one is idle, and none is ever destroyed.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from ..ibv.wr import wr_noop, wr_read, wr_write_imm
 from ..memory.layout import pack_uint
 from ..memory.region import MemoryRegion
 from ..nic.opcodes import Opcode, WrFlags
-from ..nic.wqe import Sge, WQE_HEADER, ctrl_word, field_location
+from ..nic.wqe import Sge, WQE_HEADER, WQE_SLOT_SIZE, ctrl_word, \
+    field_location
 from ..redn.builder import ProgramBuilder
 from ..redn.constructs import BreakImage
 from ..redn.ir import (
@@ -50,7 +56,13 @@ from ..redn.ir import (
 )
 from ..redn.linker import aim, aim_sge
 from ..redn.offload import OffloadConnection
-from ..redn.program import RednContext, WrRef
+from ..redn.program import (
+    ProgramError,
+    QueueSet,
+    QueueSetPool,
+    RednContext,
+    WrRef,
+)
 from ..redn.template import InstancePoster, Stamp
 
 __all__ = ["ListTraversalOffload", "list_get_payload"]
@@ -68,11 +80,10 @@ def list_get_payload(head_addr: int, key: int) -> bytes:
 class _Instance:
     """Host bookkeeping for one posted break-variant instance."""
 
-    __slots__ = ("queues", "buffers", "gates", "last_lane_index")
+    __slots__ = ("qset", "gates", "last_lane_index")
 
-    def __init__(self, queues, buffers, gates, last_lane_index: int):
-        self.queues = queues            # the one-shot worker/branch/ctl
-        self.buffers = buffers          # regions of the break images
+    def __init__(self, qset: QueueSet, gates, last_lane_index: int):
+        self.qset = qset                # its one-shot queue set
         self.gates = gates              # (lane wr_index, flags address)
         self.last_lane_index = last_lane_index
 
@@ -100,14 +111,17 @@ class ListTraversalOffload:
         queue_slots = max(512, max_nodes * 8)
         self.lane = self.builder.adopt_client_queue(
             conn.server_qps[0], name=f"{name}-resp")
+        #: Break variant: the lane's one-shot queue sets.
+        self.queue_sets = None
         if use_break:
             # Break chains are one-shot: a hit strands the unexecuted
-            # tail, so each request gets fresh worker/branch/control
-            # queues (the CPU re-posting of §3.4), destroyed with their
-            # strands by finish_request. Queues are created per instance.
+            # tail, so each request runs on its own worker/branch/
+            # control queues (the CPU re-posting of §3.4), a set from
+            # the pool that finish_request hands back.
             self.worker = None
             self.control = None
             self.branches = None
+            self.queue_sets = QueueSetPool(ctx, self._new_queue_set)
         else:
             self.worker = self.builder.worker_queue(
                 slots=queue_slots, name=f"{name}-w")
@@ -128,7 +142,8 @@ class ListTraversalOffload:
         self._lane_killed = 0
         self._poster = InstancePoster(
             ctx, self._build_break_instance if use_break
-            else self._build_plain_instance, "trav{}")
+            else self._build_plain_instance, "trav{}",
+            pool=self.queue_sets)
 
     # -- instance posting ---------------------------------------------------
 
@@ -148,7 +163,7 @@ class ListTraversalOffload:
     def _track(self, instance: int, posted) -> None:
         """Keep what ``finish_request`` needs of a break instance."""
         if isinstance(posted, Stamp):
-            posted = _Instance(posted.queues, posted.buffers, [
+            posted = _Instance(posted.qset, [
                 (wr_index, slot_addr + _FLAGS_OFFSET)
                 for wr_index, slot_addr in posted.exports["gates"]],
                 self.lane.wq.posted_count)
@@ -234,20 +249,32 @@ class ListTraversalOffload:
         """Lane gates that will signal, as later WAIT thresholds see it."""
         return self.lane.signaled_posted - self._lane_killed
 
+    def _new_queue_set(self, tag: str) -> QueueSet:
+        """One-shot queues and break images for one request at a time,
+        named after the instance that first needs them. Each step needs
+        4 worker ring slots: a 2-slot READ (3 SGEs), the prep WRITE, and
+        the CAS."""
+        builder = self.builder
+        queues = [
+            builder.worker_queue(slots=4 * self.max_nodes + 2,
+                                 name=f"{tag}-w"),
+            builder.worker_queue(slots=self.max_nodes + 1, name=f"{tag}-b"),
+            builder.control_queue(slots=8 * self.max_nodes + 2,
+                                  name=f"{tag}-ctl")]
+        images = [self.ctx.alloc_registered(
+            2 * WQE_SLOT_SIZE, label=f"{tag}.s{step}.brk-image")
+            for step in range(self.max_nodes)]
+        return QueueSet(tag, queues, images)
+
     def _build_break_instance(self, instance_id: int) -> _Instance:
         """Lower one break-variant request instance through the IR."""
         builder = self.builder
         tag = f"trav{instance_id}"
 
-        # One-shot queues for this request; a hit strands their tails,
-        # which finish_request destroys. Each step needs 4 ring slots:
-        # a 2-slot READ (3 SGEs), the prep WRITE, and the CAS.
-        worker = builder.worker_queue(slots=4 * self.max_nodes + 2,
-                                      name=f"{tag}-w")
-        branches = builder.worker_queue(slots=self.max_nodes + 1,
-                                        name=f"{tag}-b")
-        control = builder.control_queue(slots=8 * self.max_nodes + 2,
-                                        name=f"{tag}-ctl")
+        # A hit strands the tails of this request's one-shot queues;
+        # finish_request hands the set back to the pool.
+        qset = self.queue_sets.take(tag)
+        worker, branches, control = qset.queues
 
         builder.wait(control, self.conn.server_qp.recv_wq.cq,
                      InstanceIndex(instance_id, 1), tag=f"{tag}.trigger")
@@ -267,7 +294,8 @@ class ListTraversalOffload:
             responses.append(response)
             gates.append(gate)
             images.append(BreakImage(builder, response, gate,
-                                     tag=f"{tag}.s{step}.brk"))
+                                     tag=f"{tag}.s{step}.brk",
+                                     buffer=qset.buffers[step]))
         self._poster.export("gates", gates)
 
         reads = []
@@ -309,8 +337,7 @@ class ListTraversalOffload:
         last_lane_index = self.lane.wq.posted_count
         self._post_trigger_recv(reads[0])
         return _Instance(
-            [worker, branches, control],
-            [image.region for image in images],
+            qset,
             [(gate.wr_index, gate.field_addr("flags")) for gate in gates],
             last_lane_index)
 
@@ -321,13 +348,13 @@ class ListTraversalOffload:
 
         A hit stops the chain mid-way: the one-shot worker/branch/
         control queues are left with their unexecuted tails (the
-        starved control WAIT only wakes once a later request's lane
+        starved control WAIT would wake once a later request's lane
         gate signals). Only the *shared* response lane needs care:
 
-        1. destroy the request's one-shot queues and break images
-           (``ibv_destroy_qp``, :meth:`RNIC.destroy_qps`), so nothing
-           can ever revive the stranded tail; their memory is freed,
-           for reuse by later requests, once the queues are quiescent;
+        1. hand the request's queue set back to the pool. It is reused
+           once nothing of it is in flight, and reset first: the
+           starved WAIT is abandoned and the rings cleared, so nothing
+           can ever revive the stranded tail;
         2. defuse the leftover gates (clear SIGNALED), then release the
            lane through this instance's end — leftover templates and
            defused gates execute as silent NOOPs, advancing the shared
@@ -337,7 +364,8 @@ class ListTraversalOffload:
            thresholds.
 
         The instance's host record is dropped: a finished request
-        keeps nothing alive.
+        keeps nothing alive. An instance that was never posted, or is
+        already finished, raises :class:`ProgramError`.
 
         This is exactly the per-request CPU involvement the paper
         ascribes to unrolled loops (§3.4); the recycled variant avoids
@@ -345,8 +373,12 @@ class ListTraversalOffload:
         """
         if not self.use_break:
             return
-        record = self.instances.pop(instance_id)
-        self.ctx.destroy_queues(record.queues, record.buffers)
+        record = self.instances.pop(instance_id, None)
+        if record is None:
+            raise ProgramError(
+                f"{self.name}: instance {instance_id} is not posted or "
+                f"already finished")
+        self.queue_sets.give_back(record.qset)
         lane_wq = self.lane.wq
         memory = self.ctx.memory
         for wr_index, flags_addr in record.gates:

@@ -231,7 +231,7 @@ class BreakImage:
     """
 
     def __init__(self, builder: ProgramBuilder, response: WrRef,
-                 gate: WrRef, tag: str = "break"):
+                 gate: WrRef, tag: str = "break", buffer=None):
         if response.queue is not gate.queue:
             raise ProgramError("response and gate must share a queue")
         if gate.slot_cursor != response.slot_cursor + response.wqe.num_slots:
@@ -243,7 +243,9 @@ class BreakImage:
         ctx = builder.ctx
         # Image = armed response WQE + gate WQE with SIGNALED cleared.
         self.image_len = WQE_SLOT_SIZE * 2
-        self._alloc, self.region = ctx.alloc_registered(
+        # ``buffer``: a registered (allocation, region) of image_len
+        # bytes to reuse, e.g. from a pooled queue set.
+        self._alloc, self.region = buffer or ctx.alloc_registered(
             self.image_len, label=f"{tag}-image")
         armed = bytearray(response.snapshot_bytes(WQE_SLOT_SIZE))
         WQE_HEADER.pack_into(

@@ -15,9 +15,12 @@ bytes*. The classes here manage exactly that:
   address, and per-field addresses. Field addresses are what the rest
   of the program aims CAS/WRITE/READ-scatter operations at.
 
+* :class:`QueueSetPool` — one lane's reusable one-shot queue sets
+  (:class:`QueueSet`) for chains that strand their tails.
+
 Every host-side effect a program makes while it is built — posts,
-setup-time pokes and image stores, doorbells, queue and buffer
-creation — goes through the context, so a
+setup-time pokes and image stores, doorbells, and the queue set it
+takes — goes through the context, so a
 :class:`repro.redn.template.ActionRecorder` installed as
 ``ctx.recorder`` sees one offload instance's complete action list.
 """
@@ -25,7 +28,7 @@ creation — goes through the context, so a
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..memory.dram import Allocation, HostMemory
 from ..memory.layout import pack_uint
@@ -36,7 +39,8 @@ from ..nic.rnic import RNIC
 from ..nic.wqe import WQE_SLOT_SIZE, Wqe, field_location
 from ..net.node import OsProcess
 
-__all__ = ["RednContext", "ChainQueue", "WrRef", "ProgramError"]
+__all__ = ["RednContext", "ChainQueue", "WrRef", "ProgramError",
+           "QueueSet", "QueueSetPool"]
 
 #: WQE fields holding host addresses (setup-time pokes into them carry
 #: ring or buffer addresses a compiled template must relocate).
@@ -130,7 +134,7 @@ class ChainQueue:
                 managed_send=managed, send_slots=slots, name=name,
                 port_index=port_index)
             self._peer = peer
-            #: QPs this queue created, torn down with it.
+            #: QPs this queue created (reset with it by a QueueSetPool).
             self.owned_qps = [qp, peer]
         else:
             self._peer = qp.peer
@@ -187,6 +191,84 @@ class ChainQueue:
             self.ctx.recorder.on_doorbell(self.wq, up_to)
         self.wq.doorbell(up_to=up_to)
 
+    def reset(self, name: str) -> None:
+        """Forget the previous tenant's WRs (see :class:`QueueSetPool`)."""
+        self.name = name
+        self.refs = []
+        self.signaled_posted = 0
+
+
+class QueueSet:
+    """The one-shot chain queues and buffers one request runs on.
+
+    ``buffers`` holds ``(allocation, region)`` pairs. A set serves one
+    request at a time and is reused (:class:`QueueSetPool`); its
+    addresses, keys and queue numbers never change. Every queue, QP and
+    CQ name starts with ``tag``, the tag of the request it serves.
+    """
+
+    __slots__ = ("tag", "queues", "buffers", "qps")
+
+    def __init__(self, tag: str, queues: List[ChainQueue],
+                 buffers: List[Tuple[Allocation, MemoryRegion]]):
+        self.tag = tag
+        self.queues = queues
+        self.buffers = buffers
+        self.qps = [qp for queue in queues for qp in queue.owned_qps]
+
+    def __repr__(self) -> str:
+        return f"<QueueSet {self.tag}>"
+
+
+class QueueSetPool:
+    """One lane's reusable one-shot queue sets.
+
+    The fixed-ring reuse of a hardware ring-buffer controller: a
+    request that strands a chain tail (§3.4's early break) hands its
+    set back with :meth:`give_back` instead of destroying it, and
+    :meth:`take` reuses the oldest returned set once nothing of it is
+    in flight (:meth:`RNIC.qps_idle <repro.nic.rnic.RNIC.qps_idle>`),
+    resetting it first (:meth:`RNIC.reset_qps
+    <repro.nic.rnic.RNIC.reset_qps>`), so a stale tail can never run
+    for the next tenant. With no idle set, ``create(tag)`` makes a new
+    one; sets are never destroyed.
+    """
+
+    def __init__(self, ctx: "RednContext",
+                 create: Callable[[str], QueueSet]):
+        self.ctx = ctx
+        self._create = create
+        #: Every set, in creation order.
+        self.sets: List[QueueSet] = []
+        self._returned: List[QueueSet] = []
+
+    def take(self, tag: str) -> QueueSet:
+        """An idle set for the request tagged ``tag``."""
+        ctx = self.ctx
+        nic = ctx.nic
+        for index, qset in enumerate(self._returned):
+            if nic.qps_idle(qset.qps):
+                del self._returned[index]
+                old = len(qset.tag)
+
+                def rename(name: str) -> str:
+                    return tag + name[old:]
+                nic.reset_qps(qset.qps, rename)
+                for queue in qset.queues:
+                    queue.reset(rename(queue.name))
+                qset.tag = tag
+                break
+        else:
+            qset = self._create(tag)
+            self.sets.append(qset)
+        if ctx.recorder is not None:
+            ctx.recorder.on_set(qset)
+        return qset
+
+    def give_back(self, qset: QueueSet) -> None:
+        """Return a finished request's set; it is reused once idle."""
+        self._returned.append(qset)
+
 
 class RednContext:
     """Server-side RedN environment: PD, scratch, queues, data regions."""
@@ -238,16 +320,6 @@ class RednContext:
         kwargs.setdefault("owner", self.owner)
         return self.nic.create_loopback_pair(self.pd, **kwargs)
 
-    def destroy_queues(self, queues: Iterable["ChainQueue"],
-                       buffers: Iterable[MemoryRegion] = ()) -> None:
-        """Destroy one-shot chain queues and their registered buffers
-        as one teardown (``ibv_destroy_qp``; see ``RNIC.destroy_qps``)."""
-        qps = [qp for queue in queues for qp in queue.owned_qps]
-        if self.process is not None:
-            self.process.destroy_qps(qps, buffers)
-        else:
-            self.nic.destroy_qps(qps, buffers)
-
     def alloc(self, size: int, label: str = "") -> Allocation:
         if self.process is not None:
             return self.process.alloc(size, label=label)
@@ -260,10 +332,7 @@ class RednContext:
     def alloc_registered(self, size: int, label: str = "",
                          access: int = AccessFlags.ALL):
         allocation = self.alloc(size, label=label)
-        region = self.register(allocation, access=access)
-        if self.recorder is not None:
-            self.recorder.on_alloc(allocation, region, label, access)
-        return allocation, region
+        return allocation, self.register(allocation, access=access)
 
     # -- host actions (the CPU preparing code) ------------------------------
 
@@ -308,21 +377,15 @@ class RednContext:
                       port_index: int = 0) -> ChainQueue:
         """Normal-mode queue for the static WAIT/ENABLE skeleton."""
         name = name or f"{self.name}-ctl{next(self._queue_counter)}"
-        queue = ChainQueue(self, managed=False, slots=slots, name=name,
-                           port_index=port_index)
-        if self.recorder is not None:
-            self.recorder.on_queue(queue, slots, port_index)
-        return queue
+        return ChainQueue(self, managed=False, slots=slots, name=name,
+                          port_index=port_index)
 
     def worker_queue(self, slots: int = 256, name: str = "",
                      port_index: int = 0) -> ChainQueue:
         """Managed (doorbell-ordered) queue for modifiable chain WRs."""
         name = name or f"{self.name}-wrk{next(self._queue_counter)}"
-        queue = ChainQueue(self, managed=True, slots=slots, name=name,
-                           port_index=port_index)
-        if self.recorder is not None:
-            self.recorder.on_queue(queue, slots, port_index)
-        return queue
+        return ChainQueue(self, managed=True, slots=slots, name=name,
+                          port_index=port_index)
 
     def adopt_client_queue(self, qp: QueuePair, name: str = "") -> ChainQueue:
         """Wrap a client-facing QP's managed send queue as chain storage.

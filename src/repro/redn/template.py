@@ -10,18 +10,20 @@ the :class:`~repro.redn.ir.ChainProgram` by one instance per request.
 1. builds instance 0 through the IR path with an :class:`ActionRecorder`
    installed as ``ctx.recorder``, capturing its *action list* in order
    — every post (queue, encoded bytes, doorbell or not), setup-time
-   poke, prepared-image store, doorbell, and one-shot queue or buffer
-   creation — and compiles it into an :class:`InstanceTemplate` whose
-   varying values are *typed relocations*:
+   poke, prepared-image store and doorbell, plus the pooled one-shot
+   :class:`~repro.redn.program.QueueSet` it ran on, if any — and
+   compiles it into an :class:`InstanceTemplate` whose varying values
+   are *typed relocations*:
 
-   * ring-relative addresses (:class:`RingAddr`), wrap-aware in the
-     queue's slot-cursor space;
+   * ring-relative addresses in shared queues (:class:`RingAddr`),
+     wrap-aware in the queue's slot-cursor space;
    * per-instance counters: WAIT thresholds and ENABLE indices read off
-     a queue's monotonic counters (:class:`Counter`), and values affine
-     in the instance index (:class:`Instance`, e.g. immediates);
+     a shared queue's monotonic counters (:class:`Counter`), and values
+     affine in the instance index (:class:`Instance`, e.g. immediates);
    * host state read once per stamped instance (:class:`Host`);
-   * instance-local allocations: one-shot queues' ring addresses and
-     numbers/keys (:class:`QueueAttr`), image buffers (:class:`Buffer`);
+   * values fixed for a queue set's lifetime (:class:`Local`): addresses
+     in its rings and buffers, its keys and queue numbers. A set starts
+     every tenant with zeroed counters, so its counters are constants;
 
    the relocation kind comes from the symbol an op resolved
    (:class:`~repro.redn.ir.Symbol`) or from the WQE field's type (an
@@ -32,11 +34,16 @@ the :class:`~repro.redn.ir.ChainProgram` by one instance per request.
    compiler missed raises :class:`~repro.redn.program.ProgramError`
    (so the program still holds the two IR instances ``chain_lint``
    verifies);
-3. stamps every later instance by replaying the action list with the
-   relocations applied: the same DRAM stores in the same order, the
-   same doorbells, and probe ``post`` events (a ``Wqe`` is decoded
-   only when a sink listens). No ``ChainOp``, ``WrRef`` or ``AimEdge``
-   is created, so program size is O(1) in requests.
+3. stamps every later instance. The first stamp on a queue set patches
+   the set's :class:`Local` values in once (:class:`_Bound`); a stamp
+   then applies only the per-instance relocations. With no probe sink
+   and no store observer attached, each contiguous ring run of the
+   instance is one memory write, and doorbells and setup stores follow
+   in recorded order. Otherwise the posts go WR by WR in recorded
+   order, as the IR path makes them, and each probe ``post`` event
+   carries instance 0's decoded ``Wqe`` with the relocations applied
+   to its fields, never a fresh decode. No ``ChainOp``, ``WrRef`` or
+   ``AimEdge`` is created, so program size is O(1) in requests.
 
 A stamp checks the free slots of every shared queue it posts to before
 it writes anything: an instance is posted whole or not at all.
@@ -46,13 +53,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..memory.dram import Allocation
-from ..memory.region import MemoryRegion
 from ..nic.opcodes import Opcode, WrFlags
 from ..nic.queue import QueueError, WorkQueue
-from ..nic.wqe import WQE_HEADER, WQE_SLOT_SIZE, Wqe
+from ..nic.wqe import WQE_HEADER, WQE_SLOT_SIZE, Sge, Wqe, split_ctrl
 from .ir import HostValue, InstanceIndex, SignaledCount, Symbol, WrIndex
-from .program import ChainQueue, ProgramError, RednContext, WrRef
+from .program import (
+    ChainQueue,
+    ProgramError,
+    QueueSet,
+    QueueSetPool,
+    RednContext,
+    WrRef,
+)
 
 __all__ = ["ActionRecorder", "InstanceTemplate", "InstancePoster", "Stamp"]
 
@@ -60,6 +72,8 @@ _SGE_BASE = WQE_SLOT_SIZE
 _SGE_SIZE = 16
 _HEADER_FIELDS = [(name, field.offset, field.width)
                   for name, field in WQE_HEADER.fields.items()]
+#: Header field at each relocatable offset (the decoded-``Wqe`` name).
+_FIELD_AT = {offset: name for name, offset, _width in _HEADER_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +84,20 @@ _HEADER_FIELDS = [(name, field.offset, field.width)
 class ActionRecorder:
     """Collects one instance's actions while it is built through IR.
 
-    Installed as ``ctx.recorder``; the :class:`RednContext` and
-    :class:`ChainQueue` primitives call the ``on_*`` hooks. A queue's
-    counters are snapshotted the first time the instance touches it,
-    so every snapshot is the queue's state at instance start.
+    Installed as ``ctx.recorder``; the :class:`RednContext`,
+    :class:`ChainQueue` and :class:`~repro.redn.program.QueueSetPool`
+    primitives call the ``on_*`` hooks. A queue's counters are
+    snapshotted the first time the instance touches it, so every
+    snapshot is the queue's state at instance start.
     """
 
     def __init__(self, instance: int, tag: str):
         self.instance = instance
         self.tag = tag
-        self.actions: List[tuple] = []
+        self.actions: List[list] = []
         self.exports: Dict[str, List[WrRef]] = {}
+        #: The pooled one-shot queue set the instance runs on, if any.
+        self.qset: Optional[QueueSet] = None
         self._snapshots: Dict[WorkQueue, Tuple[int, int, int]] = {}
         self._chains: Dict[WorkQueue, ChainQueue] = {}
         self._post_of_ref: Dict[int, int] = {}
@@ -107,6 +124,15 @@ class ActionRecorder:
 
     # -- hooks -----------------------------------------------------------
 
+    def on_set(self, qset: QueueSet) -> None:
+        if self.qset is not None:
+            raise ProgramError(
+                f"instance {self.instance} took a second queue set")
+        self.qset = qset
+        for queue in qset.queues:
+            if self.snapshot(queue.wq, queue) != (0, 0, 0):
+                raise ProgramError(f"{queue!r} was not reset")
+
     def on_post(self, wq: WorkQueue, wqe: Wqe, data, doorbell: bool) -> None:
         self.actions.append(["post", wq, wqe, bytes(data), doorbell, None])
 
@@ -125,15 +151,6 @@ class ActionRecorder:
         self.snapshot(wq)
         self.actions.append(["doorbell", wq, up_to])
 
-    def on_queue(self, queue: ChainQueue, slots: int,
-                 port_index: int) -> None:
-        self.snapshot(queue.wq, queue)
-        self.actions.append(["queue", queue, slots, port_index])
-
-    def on_alloc(self, allocation: Allocation, region: MemoryRegion,
-                 label: str, access: int) -> None:
-        self.actions.append(["alloc", allocation, region, label, access])
-
     def post_index(self, ref: WrRef) -> int:
         return self._post_of_ref[id(ref)]
 
@@ -147,18 +164,16 @@ class _Env:
     """Per-instance bindings a template's relocations resolve against.
 
     ``queues[slot]`` is ``[wq, chain, cursor, posted, signaled]`` with
-    the counters at instance start; ``allocs[slot]`` is
-    ``(allocation, region)``.
+    the counters at instance start; ``qset`` is the bound queue set.
     """
 
-    __slots__ = ("instance", "queues", "allocs", "host", "placed")
+    __slots__ = ("instance", "queues", "qset", "host")
 
-    def __init__(self, instance: int, queues, allocs, host):
+    def __init__(self, instance: int, queues, qset, host):
         self.instance = instance
         self.queues = queues
-        self.allocs = allocs
+        self.qset = qset
         self.host = host
-        self.placed: List[Tuple[WorkQueue, int, int]] = []
 
 
 class Reloc:
@@ -176,7 +191,8 @@ class Reloc:
 
 
 class RingAddr(Reloc):
-    """An address ``rel_slot`` slots past the queue's instance start."""
+    """An address ``rel_slot`` slots past a shared queue's instance
+    start."""
 
     __slots__ = ("slot", "rel_slot", "byte")
 
@@ -192,39 +208,44 @@ class RingAddr(Reloc):
                 + (binding[2] + self.rel_slot) % wq.num_slots * WQE_SLOT_SIZE
                 + self.byte)
 
+    @property
+    def rel_byte(self) -> int:
+        return self.rel_slot * WQE_SLOT_SIZE + self.byte
 
-class Buffer(Reloc):
-    """An address inside (or, ``key`` set, a key of) a local buffer."""
 
-    __slots__ = ("slot", "byte", "key")
+class Local(Reloc):
+    """A value of the bound queue set, fixed for the set's lifetime.
 
-    def __init__(self, slot: int, byte: int = 0, key: str = ""):
-        self.slot = slot
+    With ``queue`` set: an address ``byte`` into that queue's ring, or
+    its ``wq_num``, ``cq_num`` or code-region ``rkey`` (``attr``). With
+    ``buffer`` set: an address ``byte`` into that buffer, or its
+    ``lkey``/``rkey``.
+    """
+
+    __slots__ = ("queue", "buffer", "attr", "byte")
+
+    def __init__(self, queue: Optional[int] = None,
+                 buffer: Optional[int] = None, attr: str = "",
+                 byte: int = 0):
+        self.queue = queue
+        self.buffer = buffer
+        self.attr = attr
         self.byte = byte
-        self.key = key
 
     def value(self, env: _Env) -> int:
-        allocation, region = env.allocs[self.slot]
-        if self.key:
-            return getattr(region, self.key)
+        if self.queue is not None:
+            queue = env.qset.queues[self.queue]
+            if self.attr:
+                return getattr(queue, self.attr)
+            return queue.wq.ring.addr + self.byte
+        allocation, region = env.qset.buffers[self.buffer]
+        if self.attr:
+            return getattr(region, self.attr)
         return allocation.addr + self.byte
 
 
-class QueueAttr(Reloc):
-    """A one-shot queue's ``wq_num``, ``cq_num`` or code-region ``rkey``."""
-
-    __slots__ = ("slot", "attr")
-
-    def __init__(self, slot: int, attr: str):
-        self.slot = slot
-        self.attr = attr
-
-    def value(self, env: _Env) -> int:
-        return getattr(env.queues[self.slot][1], self.attr)
-
-
 class Counter(Reloc):
-    """A queue counter at instance start plus a fixed delta."""
+    """A shared queue's counter at instance start plus a fixed delta."""
 
     __slots__ = ("slot", "index", "delta")
 
@@ -266,15 +287,22 @@ class Host(Reloc):
         return env.host[self.slot] + self.delta
 
 
-def _patch(image: bytes, relocs: List[Reloc], env: _Env) -> bytes:
+def _patch(image, relocs, env: _Env):
+    """``image`` with ``(offset, width, reloc)`` patches applied."""
     if not relocs:
         return image
     buf = bytearray(image)
-    for reloc in relocs:
-        offset = reloc.offset
-        width = reloc.width
+    for offset, width, reloc in relocs:
         buf[offset:offset + width] = reloc.value(env).to_bytes(width, "big")
     return buf
+
+
+def _placed(relocs: List[Reloc]) -> List[tuple]:
+    return [(reloc.offset, reloc.width, reloc) for reloc in relocs]
+
+
+def _value(where, env: _Env) -> int:
+    return where if where.__class__ is int else where.value(env)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +322,7 @@ class _Post:
 
     def render(self, env: _Env):
         return ("post", env.queues[self.slot][0],
-                _patch(self.image, self.relocs, env), self.doorbell)
-
-    def run(self, env: _Env, ctx: RednContext) -> None:
-        wq = env.queues[self.slot][0]
-        cursor = wq._post_slot_cursor
-        wr_index = wq.post_bytes(_patch(self.image, self.relocs, env),
-                                 self.doorbell)
-        env.placed.append((wq, wr_index, cursor))
+                _patch(self.image, _placed(self.relocs), env), self.doorbell)
 
 
 class _Store:
@@ -317,32 +338,23 @@ class _Store:
         self.source = source
         self.patches = patches
 
-    @staticmethod
-    def _at(where, env: _Env) -> int:
-        return where if isinstance(where, int) else where.value(env)
-
-    def _data(self, env: _Env, source_bytes) -> bytes:
-        if self.source is None:
-            return _patch(self.image, self.relocs, env)
-        buf = bytearray(source_bytes)
-        for offset, chunk in self.patches:
-            buf[offset:offset + len(chunk)] = chunk
-        return buf
-
     def render(self, env: _Env, source_bytes=None):
         source = (None if self.source is None
-                  else self._at(self.source, env))
-        return ("store", self._at(self.addr, env),
-                self._data(env, source_bytes), source)
+                  else _value(self.source, env))
+        return ("store", _value(self.addr, env),
+                _store_data(self.image, _placed(self.relocs), self.patches,
+                            env, source_bytes), source)
 
-    def run(self, env: _Env, ctx: RednContext) -> None:
-        memory = ctx.memory
-        source_bytes = None
-        if self.source is not None:
-            source_bytes = memory.read(self._at(self.source, env),
-                                       len(self.image))
-        memory.write(self._at(self.addr, env),
-                     self._data(env, source_bytes))
+
+def _store_data(image, relocs, patches, env: _Env, source_bytes):
+    """A store's bytes: ``image`` patched, or for a copy, the bytes read
+    at its source with the constant ``patches`` applied."""
+    if source_bytes is None:
+        return _patch(image, relocs, env)
+    buf = bytearray(source_bytes)
+    for offset, chunk in patches:
+        buf[offset:offset + len(chunk)] = chunk
+    return buf
 
 
 class _Doorbell:
@@ -353,47 +365,195 @@ class _Doorbell:
         self.up_to = up_to
 
     def render(self, env: _Env):
-        up_to = None if self.up_to is None else self.up_to.value(env)
+        up_to = None if self.up_to is None else _value(self.up_to, env)
         return ("doorbell", env.queues[self.slot][0], up_to)
 
-    def run(self, env: _Env, ctx: RednContext) -> None:
-        up_to = None if self.up_to is None else self.up_to.value(env)
-        env.queues[self.slot][0].doorbell(up_to=up_to)
+
+# ---------------------------------------------------------------------------
+# A template bound to one queue set
+# ---------------------------------------------------------------------------
+
+_RUN, _POST_ONE, _STORE, _RING = range(4)
 
 
-class _NewQueue:
-    __slots__ = ("slot", "managed", "slots", "suffix", "port_index")
+class _Bound:
+    """A template's actions with one queue set's :class:`Local` values
+    patched in, as two step lists.
 
-    def __init__(self, slot, managed, slots, suffix, port_index):
-        self.slot = slot
-        self.managed = managed
-        self.slots = slots
-        self.suffix = suffix
-        self.port_index = port_index
+    ``each`` posts WR by WR through ``post_bytes``, handing probe sinks
+    the set's decoded ``Wqe`` with the per-instance fields patched: the
+    IR path's posts, stores and doorbells, in its order. ``runs`` is
+    for stamps nothing observes: it writes each contiguous ring run
+    once (``post_run``) and rings doorbells with explicit targets. A
+    set queue is rung once, where its first doorbell rang, with the
+    highest target: all of a stamp's doorbells land at the same
+    instant, back to back in the event heap, on a queue whose driver
+    is parked, so only the first can wake it and it fetches up to the
+    last either way. Both leave the same bytes and generations as the
+    IR path, and the same simulated timing.
+    """
 
-    def bind(self, env: _Env, queue: ChainQueue) -> None:
-        env.queues[self.slot] = [queue.wq, queue, 0, 0, 0]
+    __slots__ = ("runs", "each")
 
-    def run(self, env: _Env, ctx: RednContext, tag: str) -> ChainQueue:
-        factory = ctx.worker_queue if self.managed else ctx.control_queue
-        queue = factory(slots=self.slots, name=tag + self.suffix,
-                        port_index=self.port_index)
-        self.bind(env, queue)
-        return queue
+    def __init__(self, template: "InstanceTemplate",
+                 qset: Optional[QueueSet]):
+        env = template._env(0, [], qset)
+        self.runs: List = []
+        self.each: List[tuple] = []
+        # Per slot: the run being extended ([bytes, relocs, WRs], None
+        # once a store closed it), posts so far and slot bytes posted
+        # so far; per set queue, its one ring step.
+        open_runs: Dict[int, Optional[list]] = {}
+        posted: Dict[int, int] = {}
+        extent: Dict[int, int] = {}
+        rung: Dict[int, list] = {}
+
+        def ring(slot: int, target) -> None:
+            if slot >= template._set_queues:
+                self.runs.append((_RING, slot, target))
+            elif slot in rung:
+                rung[slot][2] = max(rung[slot][2], target)
+            else:
+                rung[slot] = [_RING, slot, target]
+                self.runs.append(rung[slot])
+        for action in template.actions:
+            if isinstance(action, _Post):
+                slot = action.slot
+                image, relocs = self._fix(action.image, action.relocs, env)
+                wqe = Wqe.decode(image)
+                self.each.append((_POST_ONE, slot, image, relocs,
+                                  action.doorbell, wqe, self._fields(relocs)))
+                run = open_runs.get(slot)
+                start = extent.get(slot, 0)
+                if run is None:
+                    run = open_runs[slot] = [bytearray(), [], 0]
+                    self.runs.append((_RUN, slot, run))
+                run[1].extend((offset + len(run[0]), width, reloc)
+                              for offset, width, reloc in relocs)
+                run[0] += image
+                run[2] += 1
+                count = posted[slot] = posted.get(slot, 0) + 1
+                extent[slot] = start + action.slots * WQE_SLOT_SIZE
+                if action.doorbell:
+                    ring(slot, template._count(slot, count))
+            elif isinstance(action, _Store):
+                addr = _fixed(action.addr, env)
+                source = (None if action.source is None
+                          else _fixed(action.source, env))
+                image, relocs = self._fix(action.image, action.relocs, env)
+                step = (_STORE, addr, image, relocs, source,
+                        action.patches)
+                self.runs.append(step)
+                self.each.append(step)
+                # A store into (or a copy out of) ring bytes a later post
+                # of this instance writes would see that post's bytes
+                # early in a run written up front: later posts start a
+                # new run.
+                for where in (action.addr, action.source):
+                    hit = _ring_bytes(where)
+                    if hit is None:
+                        continue
+                    slot, rel = hit
+                    if (rel + len(action.image) > extent.get(slot, 0)
+                            and rel < template._extent(slot)):
+                        open_runs[slot] = None
+            else:
+                slot = action.slot
+                if action.up_to is None:
+                    target = template._count(slot, posted.get(slot, 0))
+                else:
+                    target = _fixed(action.up_to, env)
+                ring(slot, target)
+                self.each.append((_RING, slot, target))
+        self.runs = [(_RUN, step[1], bytes(step[2][0]), step[2][1],
+                      step[2][2]) if step[0] is _RUN else tuple(step)
+                     for step in self.runs]
+
+    @staticmethod
+    def _fix(image: bytes, relocs: List[Reloc], env: _Env):
+        """``image`` with the :class:`Local` relocations applied, and
+        the per-instance ones left as ``(offset, width, reloc)``."""
+        fixed = [reloc for reloc in relocs if isinstance(reloc, Local)]
+        rest = [reloc for reloc in relocs if not isinstance(reloc, Local)]
+        return bytes(_patch(image, _placed(fixed), env)), _placed(rest)
+
+    @staticmethod
+    def _fields(relocs) -> List[tuple]:
+        """The decoded-``Wqe`` field of each per-instance relocation:
+        ``(header field name, None)`` or ``(None, (SGE index,
+        is_lkey))``."""
+        fields = []
+        for offset, _width, _reloc in relocs:
+            if offset < _SGE_BASE:
+                fields.append((_FIELD_AT[offset], None))
+            else:
+                index, part = divmod(offset - _SGE_BASE, _SGE_SIZE)
+                fields.append((None, (index, part != 0)))
+        return fields
+
+    def stamp(self, env: _Env, memory, observed: bool) -> None:
+        queues = env.queues
+        for step in (self.each if observed else self.runs):
+            kind = step[0]
+            if kind is _RING:
+                queues[step[1]][0].doorbell(up_to=_value(step[2], env))
+            elif kind is _RUN:
+                _kind, slot, image, relocs, count = step
+                queues[slot][0].post_run(_patch(image, relocs, env), count)
+            elif kind is _POST_ONE:
+                _kind, slot, image, relocs, doorbell, wqe, fields = step
+                data = image
+                if relocs:
+                    values = [reloc.value(env) for _o, _w, reloc in relocs]
+                    data = bytearray(image)
+                    for (offset, width, _reloc), value in zip(relocs,
+                                                              values):
+                        data[offset:offset + width] = value.to_bytes(
+                            width, "big")
+                    wqe = _patch_wqe(wqe, fields, values)
+                queues[slot][0].post_bytes(data, doorbell, wqe)
+            else:
+                _kind, addr, image, relocs, source, patches = step
+                source_bytes = None
+                if source is not None:
+                    source_bytes = memory.read(_value(source, env),
+                                               len(image))
+                memory.write(_value(addr, env), _store_data(
+                    image, relocs, patches, env, source_bytes))
 
 
-class _NewBuffer:
-    __slots__ = ("slot", "size", "suffix", "access")
+def _fixed(where, env: _Env):
+    """An address or count with a :class:`Local` resolved to an int."""
+    return where.value(env) if isinstance(where, Local) else where
 
-    def __init__(self, slot, size, suffix, access):
-        self.slot = slot
-        self.size = size
-        self.suffix = suffix
-        self.access = access
 
-    def run(self, env: _Env, ctx: RednContext, tag: str) -> None:
-        env.allocs[self.slot] = ctx.alloc_registered(
-            self.size, label=tag + self.suffix, access=self.access)
+def _ring_bytes(where) -> Optional[Tuple[int, int]]:
+    """``(slot, byte offset from instance start)`` of an address in a
+    ring the instance posts to, or None."""
+    if isinstance(where, RingAddr):
+        return where.slot, where.rel_byte
+    if isinstance(where, Local) and where.queue is not None \
+            and not where.attr:
+        return where.queue, where.byte
+    return None
+
+
+def _patch_wqe(wqe: Wqe, fields, values) -> Wqe:
+    """A copy of ``wqe`` with ``values`` in its ``fields``."""
+    new = wqe.copy()
+    for (name, sge), value in zip(fields, values):
+        if name == "ctrl":
+            new.opcode, new.wr_id = split_ctrl(value)
+        elif name is not None:
+            setattr(new, name, value)
+        else:
+            index, is_lkey = sge
+            if new.sges is wqe.sges:
+                new.sges = list(wqe.sges)
+            old = new.sges[index]
+            new.sges[index] = (Sge(old.addr, old.length, value) if is_lkey
+                               else Sge(value, old.length, old.lkey))
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +562,23 @@ class _NewBuffer:
 
 
 class Stamp:
-    """What one stamped instance created: its one-shot queues, its
-    one-shot buffers' regions, and the ``(wr_index, slot_addr)`` of
-    every exported post."""
+    """What one stamped instance ran on: its queue set (None for an
+    offload without one), and the ``(wr_index, slot_addr)`` of every
+    exported post."""
 
-    __slots__ = ("queues", "buffers", "exports")
+    __slots__ = ("qset", "exports")
 
-    def __init__(self, queues, buffers, exports):
-        self.queues = queues
-        self.buffers = buffers
+    def __init__(self, qset, exports):
+        self.qset = qset
         self.exports = exports
+
+
+def _set_shape(qset: Optional[QueueSet]):
+    if qset is None:
+        return None
+    return (tuple((queue.managed, queue.wq.num_slots)
+                  for queue in qset.queues),
+            tuple(allocation.size for allocation, _region in qset.buffers))
 
 
 class InstanceTemplate:
@@ -422,59 +589,73 @@ class InstanceTemplate:
         self._recorder = recorder
         self._instance = recorder.instance
         self._tag = recorder.tag
-        #: Queue slots: shared queues (bound at every stamp) first seen
-        #: in order, then one-shot queues as the actions create them.
+        qset = recorder.qset
+        self._set = qset
+        self._shape = _set_shape(qset)
+        #: Queue slots: the set's queues first, in set order, then the
+        #: shared queues (bound at every stamp) in the order first seen.
         self._slot_of: Dict[WorkQueue, int] = {}
         self._shared: List[Tuple[WorkQueue, Optional[ChainQueue]]] = []
-        self._local_queues: List[ChainQueue] = []
-        self._local_allocs: List[Tuple[Allocation, MemoryRegion]] = []
+        if qset is not None:
+            for queue in qset.queues:
+                self._slot_of[queue.wq] = len(self._slot_of)
+        self._set_queues = len(self._slot_of)
         self._host_reads: List[Callable[[], int]] = []
-        self._compile_slots()
+        for action in recorder.actions:
+            if action[0] in ("post", "doorbell"):
+                self._slot(action[1], recorder.chain_of(action[1]))
         self.actions = [self._compile(action)
                         for action in recorder.actions]
-        posts = [index for index, action in enumerate(self.actions)
+        posts = [action for action in self.actions
                  if isinstance(action, _Post)]
-        self.exports = {
-            name: [posts.index(recorder.post_index(ref)) for ref in refs]
+        post_indexes = [index for index, action in enumerate(self.actions)
+                        if isinstance(action, _Post)]
+        #: Exported posts, as ordinals among the instance's posts.
+        self._export_posts = {
+            name: [post_indexes.index(recorder.post_index(ref))
+                   for ref in refs]
             for name, refs in recorder.exports.items()}
-        # Room a stamp needs on each shared queue, and the signaled WRs
-        # it adds to each chain queue's running count.
+        # Where each post lands: (slot, WR ordinal, slot offset) from
+        # its queue's instance start.
+        places = []
+        counts: Dict[int, int] = {}
         self._need: Dict[int, int] = {}
         self._signaled: Dict[int, int] = {}
-        for action in self.actions:
-            if isinstance(action, _Post):
-                self._need[action.slot] = (self._need.get(action.slot, 0)
-                                           + action.slots)
-                flags = WQE_HEADER.unpack_field(action.image, 0, "flags")
-                if flags & WrFlags.SIGNALED:
-                    self._signaled[action.slot] = (
-                        self._signaled.get(action.slot, 0) + 1)
+        for action in posts:
+            slot = action.slot
+            places.append((slot, counts.get(slot, 0),
+                           self._need.get(slot, 0)))
+            counts[slot] = counts.get(slot, 0) + 1
+            self._need[slot] = self._need.get(slot, 0) + action.slots
+            flags = WQE_HEADER.unpack_field(action.image, 0, "flags")
+            if flags & WrFlags.SIGNALED:
+                self._signaled[slot] = self._signaled.get(slot, 0) + 1
+        self.exports = {name: [places[ordinal] for ordinal in ordinals]
+                        for name, ordinals in self._export_posts.items()}
+        self._bound: Dict[Optional[QueueSet], _Bound] = {}
         self._recorder = None
+        self._set = None
 
     # -- compile-time classification --------------------------------------
 
-    def _compile_slots(self) -> None:
-        recorder = self._recorder
-        for action in recorder.actions:
-            if action[0] == "queue":
-                self._slot_of[action[1].wq] = len(self._slot_of)
-                self._local_queues.append(action[1])
-            elif action[0] == "alloc":
-                self._local_allocs.append((action[1], action[2]))
-            elif action[0] in ("post", "doorbell"):
-                wq = action[1]
-                if wq not in self._slot_of:
-                    self._slot_of[wq] = len(self._slot_of)
-                    self._shared.append((wq, recorder.chain_of(wq)))
-
     def _slot(self, wq: WorkQueue, chain: Optional[ChainQueue]) -> int:
-        """Slot of a queue only referenced (never posted) this instance."""
+        """Slot of ``wq``; a shared queue gets one when first seen."""
         slot = self._slot_of.get(wq)
         if slot is None:
             slot = self._slot_of[wq] = len(self._slot_of)
             self._shared.append((wq, chain))
             self._recorder.snapshot(wq, chain)
         return slot
+
+    def _count(self, slot: int, count: int):
+        """A target ``count`` WRs past a queue's instance start."""
+        if slot < self._set_queues:
+            return count
+        return Counter(slot, Counter.POSTED, count)
+
+    def _extent(self, slot: int) -> int:
+        """Ring bytes the instance posts on ``slot``."""
+        return self._need.get(slot, 0) * WQE_SLOT_SIZE
 
     def _address(self, value: int) -> Optional[Reloc]:
         """Relocation of a host address the instance's layout moves."""
@@ -483,45 +664,54 @@ class InstanceTemplate:
         for wq, slot in self._slot_of.items():
             ring = wq.ring
             if ring.addr <= value < ring.addr + ring.size:
+                if slot < self._set_queues:
+                    return Local(queue=slot, byte=value - ring.addr)
                 cursor = self._recorder.snapshot(wq)[0]
                 index, byte = divmod(value - ring.addr, WQE_SLOT_SIZE)
                 return RingAddr(slot, (index - cursor) % wq.num_slots, byte)
-        for slot, (allocation, _region) in enumerate(self._local_allocs):
-            if allocation.addr <= value < allocation.end:
-                return Buffer(slot, value - allocation.addr)
+        if self._set is not None:
+            for index, (allocation, _region) in enumerate(
+                    self._set.buffers):
+                if allocation.addr <= value < allocation.end:
+                    return Local(buffer=index, byte=value - allocation.addr)
         return None
 
     def _key(self, value: int, kind: str) -> Optional[Reloc]:
-        """Relocation of a memory key naming a one-shot region."""
-        if not value:
+        """Relocation of a memory key naming a queue-set region."""
+        if not value or self._set is None:
             return None
-        for queue in self._local_queues:
+        for index, queue in enumerate(self._set.queues):
             if kind == "rkey" and queue.rkey == value:
-                return QueueAttr(self._slot_of[queue.wq], "rkey")
-        for slot, (_allocation, region) in enumerate(self._local_allocs):
+                return Local(queue=index, attr="rkey")
+        for index, (_allocation, region) in enumerate(self._set.buffers):
             if getattr(region, kind) == value:
-                return Buffer(slot, key=kind)
+                return Local(buffer=index, attr=kind)
         return None
 
     def _number(self, value: int, attr: str) -> Optional[Reloc]:
-        """Relocation of a WAIT/ENABLE target naming a one-shot queue."""
-        for queue in self._local_queues:
+        """Relocation of a WAIT/ENABLE target naming a queue-set queue."""
+        if self._set is None:
+            return None
+        for index, queue in enumerate(self._set.queues):
             if getattr(queue, attr) == value:
-                return QueueAttr(self._slot_of[queue.wq], attr)
+                return Local(queue=index, attr=attr)
         return None
 
-    def _symbol(self, symbol: Symbol, value: int) -> Reloc:
-        recorder = self._recorder
-        if isinstance(symbol, SignaledCount):
-            queue = symbol.queue
+    def _symbol(self, symbol: Symbol, value: int) -> Optional[Reloc]:
+        """Relocation of a resolved symbol; None for a constant (a
+        counter of the queue set, which every tenant starts at 0)."""
+        if isinstance(symbol, (SignaledCount, WrIndex)):
+            if isinstance(symbol, SignaledCount):
+                queue, index = symbol.queue, Counter.SIGNALED
+            else:
+                queue, index = symbol.ref.queue, Counter.POSTED
             slot = self._slot(queue.wq, queue)
-            return Counter(slot, Counter.SIGNALED,
-                           value - recorder.snapshot(queue.wq, queue)[2])
-        if isinstance(symbol, WrIndex):
-            queue = symbol.ref.queue
-            slot = self._slot(queue.wq, queue)
-            return Counter(slot, Counter.POSTED,
-                           value - recorder.snapshot(queue.wq, queue)[1])
+            if slot < self._set_queues:
+                return None
+            _cursor, posted, signaled = self._recorder.snapshot(
+                queue.wq, queue)
+            start = signaled if index == Counter.SIGNALED else posted
+            return Counter(slot, index, value - start)
         if isinstance(symbol, InstanceIndex):
             return Instance(value - self._instance)
         if isinstance(symbol, HostValue):
@@ -569,13 +759,6 @@ class InstanceTemplate:
                 relocs.append(reloc.place(base + 12, 4))
         return relocs
 
-    def _suffix(self, name: str) -> str:
-        if not name.startswith(self._tag):
-            raise ProgramError(
-                f"one-shot resource {name!r} is not named after its "
-                f"instance tag {self._tag!r}")
-        return name[len(self._tag):]
-
     def _compile(self, action):
         kind = action[0]
         if kind == "post":
@@ -610,21 +793,11 @@ class InstanceTemplate:
                 patches.append((offset, data[offset:end]))
                 offset = end
             return _Store(where, data, [], origin, tuple(patches))
-        if kind == "doorbell":
-            _kind, wq, up_to = action
-            slot = self._slot_of[wq]
-            counter = None
-            if up_to is not None:
-                counter = Counter(slot, Counter.POSTED,
-                                  up_to - self._recorder.snapshot(wq)[1])
-            return _Doorbell(slot, counter)
-        if kind == "queue":
-            _kind, queue, slots, port_index = action
-            return _NewQueue(self._slot_of[queue.wq], queue.managed, slots,
-                             self._suffix(queue.name), port_index)
-        _kind, allocation, region, label, access = action
-        slot = [a for a, _r in self._local_allocs].index(allocation)
-        return _NewBuffer(slot, allocation.size, self._suffix(label), access)
+        _kind, wq, up_to = action
+        slot = self._slot_of[wq]
+        if up_to is not None:
+            up_to = self._count(slot, up_to - self._recorder.snapshot(wq)[1])
+        return _Doorbell(slot, up_to)
 
     # -- binding and stamping -----------------------------------------------
 
@@ -633,8 +806,11 @@ class InstanceTemplate:
         return [read() for read in self._host_reads]
 
     def _env(self, instance: int, host: List[int],
-             snapshot=None) -> _Env:
+             qset: Optional[QueueSet], snapshot=None) -> _Env:
         queues: List = [None] * len(self._slot_of)
+        if qset is not None:
+            for index, queue in enumerate(qset.queues):
+                queues[index] = [queue.wq, queue, 0, 0, 0]
         for wq, chain in self._shared:
             if snapshot is not None:
                 cursor, posted, signaled = snapshot(wq, chain)
@@ -642,8 +818,14 @@ class InstanceTemplate:
                 cursor, posted = wq._post_slot_cursor, wq.posted_count
                 signaled = chain.signaled_posted if chain is not None else 0
             queues[self._slot_of[wq]] = [wq, chain, cursor, posted, signaled]
-        return _Env(instance, queues, [None] * len(self._local_allocs),
-                    host)
+        return _Env(instance, queues, qset, host)
+
+    def _check_set(self, qset: Optional[QueueSet], instance: int) -> None:
+        if _set_shape(qset) != self._shape:
+            raise ProgramError(
+                f"template of {self._tag!r} ran on queue set shape "
+                f"{self._shape!r}; instance {instance} has "
+                f"{_set_shape(qset)!r}")
 
     def check_room(self) -> None:
         """Raise :class:`QueueError` unless one more instance fits."""
@@ -656,31 +838,28 @@ class InstanceTemplate:
                     f"{wq!r} overflow: an instance needs {need} slots but "
                     f"only {wq.free_slots} are free; nothing was posted")
 
-    def stamp(self, instance: int, tag: str) -> Stamp:
-        """Post one instance from the template."""
-        self.check_room()
-        env = self._env(instance, self.read_host())
-        ctx = self.ctx
-        queues = []
-        for action in self.actions:
-            if isinstance(action, _NewQueue):
-                queues.append(action.run(env, ctx, tag))
-            elif isinstance(action, _NewBuffer):
-                action.run(env, ctx, tag)
-            else:
-                action.run(env, ctx)
+    def stamp(self, instance: int, qset: Optional[QueueSet] = None) -> Stamp:
+        """Post one instance from the template on ``qset`` (taken from
+        the offload's pool, or None); :meth:`check_room` first."""
+        bound = self._bound.get(qset)
+        if bound is None:
+            self._check_set(qset, instance)
+            bound = self._bound[qset] = _Bound(self, qset)
+        env = self._env(instance, self.read_host(), qset)
+        memory = self.ctx.memory
+        bound.stamp(env, memory, bool(self.ctx.sim.probe.post)
+                    or memory.observed)
+        queues = env.queues
         for slot, count in self._signaled.items():
-            chain = env.queues[slot][1]
+            chain = queues[slot][1]
             if chain is not None:
                 chain.signaled_posted += count
-        placed = env.placed
         exports = {
-            name: [(placed[ordinal][1],
-                    placed[ordinal][0].slot_addr(placed[ordinal][2]))
-                   for ordinal in ordinals]
-            for name, ordinals in self.exports.items()}
-        return Stamp(queues, [region for _alloc, region in env.allocs],
-                     exports)
+            name: [(queues[slot][3] + ordinal,
+                    queues[slot][0].slot_addr(queues[slot][2] + offset))
+                   for slot, ordinal, offset in places]
+            for name, places in self.exports.items()}
+        return Stamp(qset, exports)
 
     def verify(self, recorder: ActionRecorder, host: List[int]) -> None:
         """Require the template to reproduce ``recorder``'s instance.
@@ -689,31 +868,16 @@ class InstanceTemplate:
         was built. Raises :class:`ProgramError` naming the first action
         the template gets wrong.
         """
-        env = self._env(recorder.instance, host, recorder.snapshot)
+        self._check_set(recorder.qset, recorder.instance)
+        env = self._env(recorder.instance, host, recorder.qset,
+                        recorder.snapshot)
         actual = recorder.actions
         if len(actual) != len(self.actions):
             raise ProgramError(
                 f"template of {self._tag!r} has {len(self.actions)} "
                 f"actions; instance {recorder.instance} has {len(actual)}")
-        tag = recorder.tag
         for index, (action, got) in enumerate(zip(self.actions, actual)):
-            if isinstance(action, _NewQueue):
-                queue = got[1] if got[0] == "queue" else None
-                ok = (queue is not None and queue.managed == action.managed
-                      and got[2] == action.slots
-                      and got[3] == action.port_index
-                      and queue.name == tag + action.suffix)
-                if ok:
-                    action.bind(env, queue)
-                expected = ("queue", action.suffix)
-            elif isinstance(action, _NewBuffer):
-                ok = (got[0] == "alloc" and got[1].size == action.size
-                      and got[3] == tag + action.suffix
-                      and got[4] == action.access)
-                if ok:
-                    env.allocs[action.slot] = (got[1], got[2])
-                expected = ("alloc", action.suffix)
-            elif isinstance(action, _Store):
+            if isinstance(action, _Store):
                 expected = action.render(env, got[5])
                 ok = got[0] == "store" and expected == (
                     "store", got[1], got[2], got[4])
@@ -729,9 +893,10 @@ class InstanceTemplate:
                     f"template of {self._tag!r} does not reproduce "
                     f"instance {recorder.instance} at action {index}: "
                     f"expected {expected!r}, got {tuple(got[:4])!r}")
-        for name, ordinals in self.exports.items():
+        posts = [index for index, action in enumerate(actual)
+                 if action[0] == "post"]
+        for name, ordinals in self._export_posts.items():
             refs = recorder.exports.get(name, [])
-            posts = [i for i, a in enumerate(actual) if a[0] == "post"]
             if [posts[ordinal] for ordinal in ordinals] != [
                     recorder.post_index(ref) for ref in refs]:
                 raise ProgramError(
@@ -751,14 +916,17 @@ class InstancePoster:
     ``build(instance)`` is the offload's per-instance IR builder; its
     return value is handed back for IR-built instances, a
     :class:`Stamp` for stamped ones. ``tag_format`` names instance
-    ``i``'s one-shot resources (``tag_format.format(i)``).
+    ``i`` (``tag_format.format(i)``). An offload whose instances run
+    on pooled one-shot queue sets passes its ``pool``: ``build`` takes
+    its set from it, and each stamp takes one.
     """
 
     def __init__(self, ctx: RednContext, build: Callable[[int], object],
-                 tag_format: str):
+                 tag_format: str, pool: Optional[QueueSetPool] = None):
         self.ctx = ctx
         self.build = build
         self.tag_format = tag_format
+        self.pool = pool
         self.template: Optional[InstanceTemplate] = None
         self._verified = False
 
@@ -785,7 +953,10 @@ class InstancePoster:
         """
         template = self.template
         if self._verified:
-            return template.stamp(instance, self.tag_format.format(instance))
+            template.check_room()
+            qset = (self.pool.take(self.tag_format.format(instance))
+                    if self.pool is not None else None)
+            return template.stamp(instance, qset)
         if template is None:
             result, recorder = self._record(instance)
             self.template = InstanceTemplate(self.ctx, recorder)

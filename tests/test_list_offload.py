@@ -6,14 +6,15 @@ import pytest
 
 from repro.datastructs import LinkedList, SlabStore
 from repro.ibv import VerbsContext
-from repro.memory import HostMemory, ProtectionDomain, ProtectionError
+from repro.memory import HostMemory, ProtectionDomain
 from repro.net import Fabric
-from repro.nic import Opcode, RNIC
+from repro.nic import Opcode, QueueError, RNIC
 from repro.offloads.list_traversal import (
     ListTraversalOffload,
     list_get_payload,
 )
 from repro.redn import RednContext
+from repro.redn.program import ProgramError
 from repro.redn.offload import OffloadClient, OffloadConnection
 from repro.sim import Simulator
 
@@ -170,7 +171,8 @@ def _serve_break_calls(calls):
 
 
 class TestBreakTeardown:
-    """finish_request frees what each request allocated."""
+    """finish_request hands each request's queue set back for reuse:
+    nothing grows with the call count, and no simulated number moves."""
 
     #: sha256 of repr((per-call latencies, final sim.now, WRs executed))
     #: for 128 calls, recorded before one-shot memory was reused: reuse
@@ -204,37 +206,94 @@ class TestBreakTeardown:
         assert hashlib.sha256(identity.encode()).hexdigest() == (
             self.LATENCY_DIGEST_128)
 
-    def test_teardown_deregisters_and_frees_one_shot_memory(self):
+    def test_busy_set_is_not_handed_out(self):
+        """A returned set is reused only once idle: a scheduled doorbell
+        raise or a WR in flight on it makes the pool build another."""
         rig = ListRig(KEYS, use_break=True)
+        pool, nic = rig.offload.queue_sets, rig.server_nic
         rig.offload.post_instances(1)
-        record = rig.offload.instances[0]
-        rings = [qp.send_wq.ring for queue in record.queues
-                 for qp in queue.owned_qps]
-        rkeys = [queue.code_mr.rkey for queue in record.queues] + [
-            region.rkey for region in record.buffers]
+        first = rig.offload.instances[0].qset
         assert rig.get(KEYS[3]).ok
         rig.offload.finish_request(0)
-        for rkey in rkeys:
-            with pytest.raises(ProtectionError):
-                rig.server_pd.lookup_rkey(rkey)
-        # Freed only once the destroyed queues' drivers have exited:
-        # the woken worker and branch drivers have not run yet.
-        assert not any(ring.freed for ring in rings)
-        rig.sim.run(until=rig.sim.now + 1_000)
-        assert all(ring.freed for ring in rings)
-        assert all(region.allocation.freed for region in record.buffers)
+        assert nic.qps_idle(first.qps)
+        first.queues[2].wq.doorbell()
+        assert not nic.qps_idle(first.qps)
+        rig.offload.post_instances(1)
+        second = rig.offload.instances[1].qset
+        assert second is not first and pool.sets == [first, second]
+        assert rig.get(KEYS[5]).ok
+        rig.offload.finish_request(1)
+        # The raise has landed: the oldest returned set is reused.
+        rig.offload.post_instances(1)
+        assert rig.offload.instances[2].qset is first
+        # Step into instance 2's chain until a WR is in flight on it.
+        drivers = [nic._drivers[qp.send_wq.wq_num] for qp in first.qps]
+        call = rig.sim.process(rig.client.call(
+            rig.offload.payload_for(KEYS[7]), timeout_ns=3_000_000))
+        while not any(driver.busy > 1 for driver in drivers):
+            rig.sim.step()
+        pool.give_back(first)
+        assert not nic.qps_idle(first.qps)
+        assert pool.take("probe") is second
+        assert pool.take("probe2") not in (first, second)
+        assert len(pool.sets) == 3
+        rig.sim.run()
+        assert call.value.ok
 
-    def test_queue_numbers_recycle_once_target_field_is_full(self):
-        """Past the 16-bit WAIT/ENABLE target space, destroyed queues'
-        numbers are reused, so calls keep being served."""
-        rig = ListRig(KEYS, use_break=True)
-        numbers = rig.server_nic._wq_nums
-        numbers._next = numbers.LIMIT - 40
-        for index in range(8):
+    def test_break_calls_take_no_new_queue_numbers(self):
+        """Once the pool's sets exist, calls create no queue: the WQ
+        and CQ numbers stop at the sets', far below the 16-bit
+        WAIT/ENABLE target space, which is never recycled."""
+        rig, _ = _serve_break_calls(8)
+        nic = rig.server_nic
+        taken = (nic._wq_nums._next, nic._cq_nums._next, len(nic.wqs))
+        for index in range(8, 8 + 512):
             rig.offload.post_instances(1)
-            assert rig.get(KEYS[index]).ok
+            assert rig.get(KEYS[index % len(KEYS)]).ok
             rig.offload.finish_request(index)
-        assert max(rig.server_nic.wqs) < numbers.LIMIT
+        assert (nic._wq_nums._next, nic._cq_nums._next,
+                len(nic.wqs)) == taken
+        assert len(rig.offload.queue_sets.sets) == 1
+        numbers = nic._wq_nums
+        numbers._next = numbers.LIMIT - 1
+        assert numbers.take() == numbers.LIMIT - 1
+        with pytest.raises(QueueError, match="queue numbers in use"):
+            numbers.take()
+
+    #: Per call, the PUs of the set's six send queues, and the WRs the
+    #: 16 calls execute, as fresh per-request queues gave them.
+    PU_SEQUENCE_16 = [(1, 2, 3, 4, 5, 6), (7, 0, 1, 2, 3, 4),
+                      (5, 6, 7, 0, 1, 2), (3, 4, 5, 6, 7, 0)] * 4
+    WRS_16 = 992
+
+    def test_stale_tenant_never_runs_and_pus_replay(self):
+        """Hits at node 1 (the longest stranded tail) alternate with
+        hits at node 8 on one reused set: every answer is right, the
+        stranded tails execute nothing, and each tenant gets the PUs a
+        fresh set would have."""
+        rig = ListRig(KEYS, use_break=True)
+        pus = []
+        for index in range(16):
+            key = KEYS[0] if index % 2 == 0 else KEYS[-1]
+            rig.offload.post_instances(1)
+            qset = rig.offload.instances[index].qset
+            pus.append(tuple(qp.send_wq.pu_index for qp in qset.qps))
+            result = rig.get(key)
+            assert result.ok and result.data == f"value-{key}".encode()
+            rig.offload.finish_request(index)
+        assert len(rig.offload.queue_sets.sets) == 1
+        assert pus == self.PU_SEQUENCE_16
+        assert rig.wr_count() == self.WRS_16
+
+    def test_finish_request_rejects_unknown_instance(self):
+        rig = ListRig(KEYS, use_break=True)
+        with pytest.raises(ProgramError, match="instance 0 is not posted"):
+            rig.offload.finish_request(0)
+        rig.offload.post_instances(1)
+        assert rig.get(KEYS[0]).ok
+        rig.offload.finish_request(0)
+        with pytest.raises(ProgramError, match="already finished"):
+            rig.offload.finish_request(0)
 
 
 class TestPayload:

@@ -14,14 +14,16 @@ Scenarios:
 * every ``tools/_offload_runners`` offload at ``calls=8`` (instances
   2-7 of the hash and list offloads are stamped from a template);
 * ``list-traversal-break`` at 32 and 128 calls, where every call
-  creates and destroys one-shot queues;
+  reuses a pooled one-shot queue set;
 * a 2-shard KV fleet with a recorder small enough to evict and
   checkpoint.
 
 The ``list-traversal-break`` digests were regenerated when early-break
-requests began freeing and reusing their one-shot queue memory: a
-causal diff of the old and new journals shows only address fields of
-reused blocks, with the same records at the same simulated times.
+requests began freeing and reusing their one-shot queue memory, and
+again when they began reusing whole queue sets: each time a causal
+diff of the old and new journals showed only queue numbers and address
+fields (and, the second time, no late wake of a stranded control
+WAIT), with every other record the same at the same simulated time.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ def _sink_digests(sim, tracer, recorder) -> dict:
     }
 
 
-def offload_digests(name: str, calls: int) -> dict:
+def offload_digests(name: str, calls: int, check=None) -> dict:
+    """Digests of one offload run; ``check(tracer, recorder)`` sees the
+    sinks before they close."""
     from _offload_runners import run_offload
 
     def instrument(bed, label):
@@ -79,6 +83,8 @@ def offload_digests(name: str, calls: int) -> dict:
 
     result = run_offload(name, calls, instrument=instrument)
     tracer, recorder = result["instrument"]
+    if check is not None:
+        check(tracer, recorder)
     tracer.close()
     recorder.close()
     return _sink_digests(result["bed"].sim, tracer, recorder), tracer
@@ -127,13 +133,29 @@ def test_offload_exports_match_golden(name):
 
 @pytest.mark.parametrize("calls", BREAK_CALLS)
 def test_break_offload_keeps_no_destroyed_queue_snapshot(calls):
-    """Early-break calls destroy one-shot queues whose prefetched WQEs
-    never execute: the tracer keeps no fetch snapshot for them, and
-    its trace and journal still match the golden digests."""
-    digests, tracer = offload_digests("list-traversal-break", calls)
-    assert not [(state.wq.name, wr_index)
-                for state in tracer._queues.values() if state.wq.destroyed
-                for wr_index in state.snaps]
+    """Early-break calls reuse pooled queue sets whose stranded tails
+    were prefetched but never execute. A set's reset announces each of
+    its queues destroyed, then created under the new tenant's name, so
+    no sink state holds a WR index of a previous tenant: every tracer
+    queue state and fetch snapshot, and every cached recorder queue
+    state, belongs to the queue's current tenant. The trace and
+    journal still match the golden digests."""
+    def check(tracer, recorder):
+        stale = []
+        for wq, state in tracer._queues.items():
+            if tracer._tids.get((state.pid, f"wq:{wq.name}")) != state.tid:
+                stale.append(("tracer track", wq.name))
+            stale.extend(("tracer snapshot", wq.name, wr_index)
+                         for wr_index in state.snaps
+                         if wr_index >= wq.fetched_count)
+        for wq, (_version, key, entry) in recorder._wq_states.items():
+            if (not key.endswith("/" + wq.name)
+                    or entry["posted"] > wq.posted_count):
+                stale.append(("recorder state", wq.name, key))
+        assert not stale
+
+    digests, _tracer = offload_digests("list-traversal-break", calls,
+                                       check)
     assert digests == _golden()["offloads"][
         _case_id("list-traversal-break", calls)]
 
