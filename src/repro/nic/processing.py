@@ -47,8 +47,8 @@ class SendQueueDriver:
         # one snapshot covers every driver (satellite of the obs PR);
         # the returned object is a plain Counter — hot-path cost is
         # identical to the old private Counter.
-        self.stats = nic.sim.metrics.counter(
-            f"nic.{nic.name}.wq.{wq.name}.fetch")
+        self.stats_name = f"nic.{nic.name}.wq.{wq.name}.fetch"
+        self.stats = nic.sim.metrics.counter(self.stats_name)
         self._prev_completion: Event = nic.sim.event()
         self._prev_completion.trigger(None)
         self.process = None
@@ -102,13 +102,17 @@ class SendQueueDriver:
         is dropped where it waits and a fresh loop started, so that
         WAIT can never wake and run the next tenant's WRs. A parked
         loop is kept. The PU is looked up again, since the queue was
-        just assigned one.
+        just assigned one, and the fetch counter family moves to the
+        queue's new name, keeping its counts.
         """
         if self.waiting:
             self.process.abandon()
             self.waiting = False
             self.start()
         self._pu = None
+        name = f"nic.{self.nic.name}.wq.{self.wq.name}.fetch"
+        self.stats = self.nic.sim.metrics.rename(self.stats_name, name)
+        self.stats_name = name
 
     # -- main loop ---------------------------------------------------------
 
@@ -277,7 +281,7 @@ class SendQueueDriver:
         if pu is None:
             pu = self._pu = self.nic.port_of(wq).pus[wq.pu_index]
         pu_start = sim.now
-        yield from pu.use(timing.occupancy(opcode))
+        yield pu.claim(timing.occupancy(opcode))
         if probe.pu:
             for hook in probe.pu:
                 hook(self.nic, wq, opcode, pu_start)
@@ -296,10 +300,11 @@ class SendQueueDriver:
         else:
             # WQ ordering pipelines: the data path runs asynchronously
             # and completions chain on ``prev`` so CQEs are delivered
-            # strictly in WR order.
-            sim.process(self._complete(wqe, wr_index, prev, done,
-                                       exec_start),
-                        name=f"op:{self.wq.name}:{wr_index}")
+            # strictly in WR order. The op takes its first step here,
+            # at the instant its PU hold ended.
+            sim.start_process(self._complete(wqe, wr_index, prev, done,
+                                             exec_start),
+                              name=f"op:{self.wq.name}:{wr_index}")
 
     def _complete(self, wqe: Wqe, wr_index: int, prev: Event, done: Event,
                   exec_start: int):

@@ -246,8 +246,12 @@ class WorkQueue:
 
         self.rate_limiter: Optional[TokenBucket] = None
         self.destroyed = False
-        #: Host doorbells rung but not yet landed (see :meth:`doorbell`).
+        #: Doorbell landings scheduled but not yet run (see
+        #: :meth:`doorbell`).
         self.doorbells_pending = 0
+        # The latest landing: (time, kernel push count after its push,
+        # its one-element target box), for merging rings into it.
+        self._landing: Optional[Tuple[int, int, List[int]]] = None
         self._work_event_name = f"{self.name}-work"
         self._recv_event_name = f"{self.name}-recv-avail"
         self._work_events: List[Event] = []
@@ -399,6 +403,14 @@ class WorkQueue:
         the per-entry cost of a coalesced multi-WQE ring write
         (:meth:`repro.nic.timing.TimingModel.doorbell_batch_ns`). The
         default of 0 keeps the unbatched path timing-identical.
+
+        A ring that would land at the same instant as this queue's
+        latest scheduled landing, with nothing scheduled since that
+        landing was, merges into it: the landing raises to the higher
+        target. That is exact. Two such landings would run back to
+        back in the event heap, and raising to one target and then to
+        another leaves the queue, and wakes the same waiters in the
+        same order, as one raise to the higher target.
         """
         target = self.posted_count if up_to is None else up_to
         if self._probe.doorbell:
@@ -406,15 +418,25 @@ class WorkQueue:
                 hook(self, target)
         delay = self.doorbell_delay_ns + extra_delay_ns
         if delay > 0:
+            sim = self.sim
+            lands_at = sim.now + delay
+            landing = self._landing
+            if (landing is not None and landing[1] == sim.pushes
+                    and landing[0] == lands_at):
+                box = landing[2]
+                if target > box[0]:
+                    box[0] = target
+                return
+            box = [target]
             self.doorbells_pending += 1
-            self.sim.schedule_at(self.sim.now + delay,
-                                 self._doorbell_lands, target)
+            sim.schedule_at(lands_at, self._doorbell_lands, box)
+            self._landing = (lands_at, sim.pushes, box)
         else:
             self._raise_enabled(target)
 
-    def _doorbell_lands(self, target: int) -> None:
+    def _doorbell_lands(self, box: List[int]) -> None:
         self.doorbells_pending -= 1
-        self._raise_enabled(target)
+        self._raise_enabled(box[0])
 
     def enable(self, value: int, relative: bool = False) -> None:
         """ENABLE verb entry point: raise the fetch limit from the NIC."""

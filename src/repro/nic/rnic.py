@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..memory.dram import Allocation, HostMemory
 from ..memory.region import ProtectionDomain
 from ..sim.core import Simulator
-from ..sim.resources import Resource
+from ..sim.resources import Pipe, Resource
 from .models import CONNECTX5, DeviceModel
 from .processing import SendQueueDriver
 from .qp import QueuePair
@@ -120,12 +120,12 @@ class Port:
                  num_pus: int):
         self.nic = nic
         self.index = index
-        self.wire = Resource(sim, 1, name=f"{nic.name}-p{index}-wire")
+        self.wire = Pipe(sim, name=f"{nic.name}-p{index}-wire")
         self.fetch_engine = Resource(
             sim, 1, name=f"{nic.name}-p{index}-fetch")
         self.atomic_unit = Resource(
             sim, 1, name=f"{nic.name}-p{index}-atomic")
-        self.pus = [Resource(sim, 1, name=f"{nic.name}-p{index}-pu{i}")
+        self.pus = [Pipe(sim, name=f"{nic.name}-p{index}-pu{i}")
                     for i in range(num_pus)]
         self._next_pu = itertools.cycle(range(num_pus))
 
@@ -154,7 +154,7 @@ class RNIC:
         self.ports: List[Port] = [
             Port(sim, self, i, model.pus_per_port) for i in range(ports)]
         # Host PCIe attachment, shared by every port.
-        self.pcie = Resource(sim, 1, name=f"{self.name}-pcie")
+        self.pcie = Pipe(sim, name=f"{self.name}-pcie")
 
         self.cqs: Dict[int, CompletionQueue] = {}
         self.wqs: Dict[int, WorkQueue] = {}
@@ -287,8 +287,7 @@ class RNIC:
                     # Fold the queue's fetch counts into the NIC-wide
                     # family: totals stay, per-queue entries do not pile up.
                     fetch_stats.update(driver.stats)
-                    self.sim.metrics.discard(
-                        f"nic.{self.name}.wq.{wq.name}.fetch")
+                    self.sim.metrics.discard(driver.stats_name)
                 wq.destroy()
                 wq.cq.destroy()
                 self.wqs.pop(wq.wq_num, None)

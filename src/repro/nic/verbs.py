@@ -42,52 +42,89 @@ _HEADER_BYTES = 32
 
 
 class VerbExecutor:
-    """Data-path implementations for every verb opcode."""
+    """Data-path implementations for every verb opcode.
+
+    Each verb is one generator that sleeps once per *resource arrival*:
+    a claim on a :class:`~repro.sim.resources.Pipe` (PCIe, a port's
+    wire) is priced on arrival, so queueing, the hold and any pure
+    delay up to the next boundary cost one sleep. A boundary is
+    anything whose instant matters: a pipe arrival, a memory read or
+    write, ``validate_remote`` (which may raise), an atomic-unit
+    acquire and a probe hook. Every boundary happens at the instant,
+    and with the arguments, the segment-by-segment model gave it.
+    """
 
     def __init__(self, nic: "RNIC"):
         self.nic = nic
 
     # -- dispatch -----------------------------------------------------------
 
-    def perform(self, qp: Optional[QueuePair],
-                wqe: Wqe) -> Generator:
-        """Run a verb's data path; returns (byte_len, immediate)."""
+    def perform(self, qp: Optional[QueuePair], wqe: Wqe) -> Generator:
+        """The generator running a verb's data path; it returns
+        ``(byte_len, immediate)``. Raises :class:`QueueError` for a
+        verb that cannot run on ``qp``."""
         opcode = wqe.opcode
         if opcode == Opcode.NOOP:
-            return (yield from self._noop(qp, wqe))
+            return self._noop(qp, wqe)
         if qp is None or not qp.connected:
             raise QueueError(f"{wqe!r} needs a connected QP")
-        if opcode in (Opcode.WRITE, Opcode.WRITE_IMM):
-            return (yield from self._write(qp, wqe))
+        if opcode == Opcode.WRITE or opcode == Opcode.WRITE_IMM:
+            return self._write(qp, wqe)
         if opcode == Opcode.READ:
-            return (yield from self._read(qp, wqe))
+            return self._read(qp, wqe)
         if opcode == Opcode.SEND:
-            return (yield from self._send(qp, wqe))
-        if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
-            return (yield from self._atomic(qp, wqe))
-        if opcode in (Opcode.MAX, Opcode.MIN):
-            return (yield from self._calc(qp, wqe))
+            return self._send(qp, wqe)
+        if opcode == Opcode.CAS or opcode == Opcode.FETCH_ADD:
+            return self._atomic(qp, wqe)
+        if opcode == Opcode.MAX or opcode == Opcode.MIN:
+            return self._calc(qp, wqe)
         raise QueueError(f"opcode {opcode:#x} is not executable here")
 
     # -- helpers --------------------------------------------------------------
 
-    def _timing(self, nic: "RNIC"):
-        return nic.timing
+    @staticmethod
+    def _wire_ns(src_qp: QueuePair, nbytes: int) -> int:
+        """Send a message from ``src_qp``'s NIC to its peer's NIC.
+
+        Claims the port wire for the message's serialization and
+        returns the ns until the message arrives: queueing, the hold
+        and the link latency, looked up as serialization starts. When
+        the lookup raises (``FabricError`` for an unlinked peer) it
+        returns ``~hold`` (negative) instead; the caller then runs
+        :meth:`_unlinked`, which raises once the hold ends.
+        """
+        nic = src_qp.nic
+        hold = nic.ports[src_qp.port_index].wire.claim(
+            nic.timing.payload_wire_ns(nbytes + _HEADER_BYTES))
+        try:
+            latency = nic.link_latency_to(src_qp.peer.nic)
+        except Exception:
+            # The lookup is a hook the fabric layer installs, so any
+            # error is deferred, never swallowed: _unlinked repeats it.
+            return ~hold
+        return hold + latency if latency > 0 else hold
+
+    @staticmethod
+    def _unlinked(src_qp: QueuePair, hold: int) -> Generator:
+        """Finish a send whose link lookup failed: serialize, then look
+        the link up again, raising where the lookup always raised."""
+        if hold:
+            yield hold
+        latency = src_qp.nic.link_latency_to(src_qp.peer.nic)
+        if latency > 0:
+            yield latency
 
     def _traverse(self, src_qp: QueuePair, nbytes: int) -> Generator:
         """Move a message from ``src_qp``'s NIC to its peer's NIC."""
         if src_qp.is_loopback:
             return
         nic = src_qp.nic
-        timing = nic.timing
-        port = nic.ports[src_qp.port_index]
         start = nic.sim.now
-        serialization = timing.payload_wire_ns(nbytes + _HEADER_BYTES)
-        if serialization > 0:
-            yield from port.wire.use(serialization)
-        latency = nic.link_latency_to(src_qp.peer.nic)
-        if latency > 0:
-            yield latency
+        sleep = self._wire_ns(src_qp, nbytes)
+        if sleep < 0:
+            yield from self._unlinked(src_qp, ~sleep)
+        elif sleep:
+            yield sleep
         if nic.sim.probe.wire:
             for hook in nic.sim.probe.wire:
                 hook(nic, src_qp.peer.nic, nbytes, start)
@@ -107,7 +144,7 @@ class VerbExecutor:
         cost = nic.timing.payload_pcie_ns(nbytes)
         if cost > 0:
             start = nic.sim.now
-            yield from nic.pcie.use(cost)
+            yield nic.pcie.claim(cost)
             if nic.sim.probe.dma:
                 for hook in nic.sim.probe.dma:
                     hook(nic, nbytes, start)
@@ -154,50 +191,121 @@ class VerbExecutor:
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
+        length = wqe.length
         # Gather payload from initiator memory.
-        yield from self._dma_in(nic, wqe.length)
-        data = nic.memory.read(wqe.laddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(qp, wqe.length)
+        cost = nic.timing.payload_pcie_ns(length)
+        if cost > 0:
+            start = nic.sim.now
+            yield nic.pcie.claim(cost)
+            if nic.sim.probe.dma:
+                for hook in nic.sim.probe.dma:
+                    hook(nic, length, start)
+        data = nic.memory.read(wqe.laddr, length) if length else b""
         if not qp.is_loopback:
+            start = nic.sim.now
+            sleep = self._wire_ns(qp, length)
+            if sleep < 0:
+                yield from self._unlinked(qp, ~sleep)
+            elif sleep:
+                yield sleep
+            if nic.sim.probe.wire:
+                for hook in nic.sim.probe.wire:
+                    hook(nic, rnic, length, start)
             yield timing.rx_process_ns
-        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, wqe.length),
+        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, length),
                                 AccessFlags.REMOTE_WRITE)
         # Posted DMA write of the payload into responder memory.
-        yield from self._dma_txn(rnic, "posted", timing.dma_posted_ns)
-        yield from self._dma_in(rnic, wqe.length)
-        if wqe.length:
+        probe = rnic.sim.probe
+        if timing.dma_posted_ns > 0:
+            start = rnic.sim.now
+            yield timing.dma_posted_ns
+            if probe.dma_txn:
+                for hook in probe.dma_txn:
+                    hook(rnic, "posted", start)
+        cost = timing.payload_pcie_ns(length)
+        if cost > 0:
+            start = rnic.sim.now
+            yield rnic.pcie.claim(cost)
+            if probe.dma:
+                for hook in probe.dma:
+                    hook(rnic, length, start)
+        if length:
             rnic.memory.write(wqe.raddr, data)
         immediate = 0
         if wqe.opcode == Opcode.WRITE_IMM:
             immediate = wqe.operand0
             yield from self._consume_recv(peer, payload=None,
-                                          byte_len=wqe.length,
+                                          byte_len=length,
                                           immediate=immediate)
-        yield from self._traverse(peer, 0)  # ack
-        return (wqe.length, immediate)
+        if not peer.is_loopback:  # ack
+            start = rnic.sim.now
+            sleep = self._wire_ns(peer, 0)
+            if sleep < 0:
+                yield from self._unlinked(peer, ~sleep)
+            elif sleep:
+                yield sleep
+            if probe.wire:
+                for hook in probe.wire:
+                    hook(rnic, nic, 0, start)
+        return (length, immediate)
 
     def _read(self, qp: QueuePair, wqe: Wqe) -> Generator:
         nic = qp.nic
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
-        yield from self._traverse(qp, 0)  # request
-        if not qp.is_loopback:
+        length = wqe.length
+        probe = rnic.sim.probe
+        if not qp.is_loopback:  # request
+            start = nic.sim.now
+            sleep = self._wire_ns(qp, 0)
+            if sleep < 0:
+                yield from self._unlinked(qp, ~sleep)
+            elif sleep:
+                yield sleep
+            if nic.sim.probe.wire:
+                for hook in nic.sim.probe.wire:
+                    hook(nic, rnic, 0, start)
             yield timing.rx_process_ns
-        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, wqe.length),
+        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, length),
                                 AccessFlags.REMOTE_READ)
         # Non-posted DMA read on the responder.
-        yield from self._dma_txn(rnic, "nonposted",
-                                 timing.dma_nonposted_ns)
-        yield from self._dma_in(rnic, wqe.length)
-        data = rnic.memory.read(wqe.raddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(peer, wqe.length)  # response
+        if timing.dma_nonposted_ns > 0:
+            start = rnic.sim.now
+            yield timing.dma_nonposted_ns
+            if probe.dma_txn:
+                for hook in probe.dma_txn:
+                    hook(rnic, "nonposted", start)
+        cost = timing.payload_pcie_ns(length)
+        if cost > 0:
+            start = rnic.sim.now
+            yield rnic.pcie.claim(cost)
+            if probe.dma:
+                for hook in probe.dma:
+                    hook(rnic, length, start)
+        data = rnic.memory.read(wqe.raddr, length) if length else b""
+        if not peer.is_loopback:  # response
+            start = rnic.sim.now
+            sleep = self._wire_ns(peer, length)
+            if sleep < 0:
+                yield from self._unlinked(peer, ~sleep)
+            elif sleep:
+                yield sleep
+            if probe.wire:
+                for hook in probe.wire:
+                    hook(rnic, nic, length, start)
         # Scatter into initiator memory (possibly across several WQEs).
         # The scatter is a posted write whose latency overlaps with CQE
         # delivery, so only its PCIe bandwidth share is charged here.
-        yield from self._dma_in(nic, wqe.length)
+        cost = nic.timing.payload_pcie_ns(length)
+        if cost > 0:
+            start = nic.sim.now
+            yield nic.pcie.claim(cost)
+            if nic.sim.probe.dma:
+                for hook in nic.sim.probe.dma:
+                    hook(nic, length, start)
         written = self._scatter_bytes(nic, data, wqe.sges, wqe.laddr,
-                                      wqe.length)
+                                      length)
         return (written, 0)
 
     def _send(self, qp: QueuePair, wqe: Wqe) -> Generator:
@@ -265,13 +373,24 @@ class VerbExecutor:
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
-        yield from self._traverse(qp, 16)  # operands travel in the request
-        if not qp.is_loopback:
+        probe = nic.sim.probe
+        if not qp.is_loopback:  # operands travel in the request
+            start = nic.sim.now
+            sleep = self._wire_ns(qp, 16)
+            if sleep < 0:
+                yield from self._unlinked(qp, ~sleep)
+            elif sleep:
+                yield sleep
+            if probe.wire:
+                for hook in probe.wire:
+                    hook(nic, rnic, 16, start)
             yield timing.rx_process_ns
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, 8,
                                 AccessFlags.REMOTE_ATOMIC)
-        port = rnic.ports[peer.port_index]
-        grant = yield port.atomic_unit.acquire()
+        unit = rnic.ports[peer.port_index].atomic_unit
+        grant = unit.try_acquire()
+        if grant is None:
+            grant = yield unit.acquire()
         txn_start = nic.sim.now
         yield timing.atomic_unit_ns
         if wqe.opcode == Opcode.CAS:
@@ -279,11 +398,10 @@ class VerbExecutor:
                 wqe.raddr, wqe.operand0, wqe.operand1)
         else:
             original = rnic.memory.fetch_add_u64(wqe.raddr, wqe.operand0)
-        probe = nic.sim.probe
         if probe.atomic:
             for hook in probe.atomic:
                 hook(rnic, qp.send_wq.name, wqe, original)
-        port.atomic_unit.release(grant)
+        unit.release(grant)
         # Remaining PCIe-atomic transaction latency happens off-unit.
         remaining = timing.atomic_pcie_ns - timing.atomic_unit_ns
         if remaining > 0:
@@ -291,7 +409,16 @@ class VerbExecutor:
         if probe.dma_txn:
             for hook in probe.dma_txn:
                 hook(rnic, "atomic", txn_start)
-        yield from self._traverse(peer, 8)  # original value returns
+        if not peer.is_loopback:  # original value returns
+            start = rnic.sim.now
+            sleep = self._wire_ns(peer, 8)
+            if sleep < 0:
+                yield from self._unlinked(peer, ~sleep)
+            elif sleep:
+                yield sleep
+            if rnic.sim.probe.wire:
+                for hook in rnic.sim.probe.wire:
+                    hook(rnic, nic, 8, start)
         if wqe.laddr:
             nic.memory.write_u64(wqe.laddr, original)
         return (8, 0)

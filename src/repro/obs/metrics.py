@@ -218,6 +218,20 @@ class MetricsRegistry:
         """Drop a counter family (its owner was destroyed)."""
         self._counters.pop(name, None)
 
+    def rename(self, old: str, new: str) -> Counter:
+        """Move counter family ``old`` to ``new`` (its owner was
+        renamed); returns the family now named ``new``. Counts already
+        under ``new`` are kept and ``old``'s are added to them."""
+        counter = self._counters.pop(old, None)
+        if counter is None:
+            return self.counter(new)
+        existing = self._counters.get(new)
+        if existing is None:
+            self._counters[new] = counter
+            return counter
+        existing.update(counter)
+        return existing
+
     def gauge(self, name: str, fn: Callable[[], Any]) -> None:
         """Register a zero-argument callable sampled at snapshot time."""
         self._gauges[name] = fn

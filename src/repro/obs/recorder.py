@@ -156,6 +156,17 @@ class InvariantMonitor:
             self.cqe(seq, ts, bed, record["cq"], record["count"],
                      record.get("wq_num"), record.get("status"))
 
+    def forget(self, bed, wq: str, cq: str) -> None:
+        """Drop the state kept under a queue's name and its CQ's name:
+        the queue was destroyed or handed to a new tenant under a new
+        name, so no later record carries those names for it."""
+        self._last_fetch_wr.pop((bed, wq), None)
+        self._cq_counts.pop((bed, cq), None)
+        for state in (self._exec_len, self._last_wait_threshold):
+            for key in [key for key in state
+                        if key[1] == wq and key[0] == bed]:
+                del state[key]
+
     def fetch(self, seq, ts, bed, wq: str, wq_num, wr: int) -> None:
         self._driven.add((bed, wq_num))
         prev = self._last_fetch_wr.get((bed, wq))
@@ -424,7 +435,10 @@ class FlightRecorder:
 
     def on_wq_destroyed(self, wq) -> None:
         """Stop journaling and checkpointing a torn-down queue's ring:
-        its memory is freed once quiescent and may be reused."""
+        its memory is freed once quiescent and may be reused. The
+        monitor forgets the queue and its CQ."""
+        if self.monitor is not None:
+            self.monitor.forget(0, wq.name, wq.cq.name)
         memory, ring = wq.memory, wq.ring
         key = (memory, ring.addr, ring.end)
         if self._rings.pop(key, None) is None:

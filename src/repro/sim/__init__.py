@@ -12,7 +12,7 @@ from .core import (
     quantize_delay,
 )
 from .rand import DEFAULT_SEED, SeededStreams
-from .resources import Resource, Store, TokenBucket
+from .resources import Pipe, Resource, Store, TokenBucket
 from .sharded import LookaheadError, Shard, ShardedSimulation
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "LookaheadError",
+    "Pipe",
     "Process",
     "Resource",
     "SeededStreams",

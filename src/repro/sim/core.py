@@ -40,7 +40,6 @@ order while sparing same-time callbacks the O(log n) heap round-trip.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
@@ -327,7 +326,7 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_sleep_token")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
-                 name: str = ""):
+                 name: str = "", step_now: bool = False):
         super().__init__(sim, name=name or getattr(generator, "__name__", ""))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
@@ -335,8 +334,13 @@ class Process(Event):
         # ``yield <int ns>``); any other resumption bumps it so a stale
         # sleep entry left on the heap cannot resume the process twice.
         self._sleep_token = 0
-        # Kick off on the next kernel step at the current time.
-        sim._immediate.append((self._resume, (None, None)))
+        if step_now:
+            # The creator's frame takes the first step (see
+            # Simulator.start_process).
+            self._step(None, None)
+        else:
+            # Kick off on the next kernel step at the current time.
+            sim._immediate.append((self._resume, (None, None)))
 
     def __repr__(self) -> str:
         state = "done" if self.triggered else "running"
@@ -504,7 +508,11 @@ class Simulator:
         self.now: int = 0
         self._heap: List = []
         self._immediate: deque = deque()
-        self._sequence = itertools.count()
+        #: Future callbacks pushed so far; also each heap entry's
+        #: tie-breaking sequence number. Readable: a caller that saw
+        #: it unchanged since its own push knows nothing was scheduled
+        #: in between (:meth:`repro.nic.queue.WorkQueue.doorbell`).
+        self.pushes = 0
         self._processes_started = 0
         self._events_executed = 0
         self._heap_peak = 0
@@ -539,7 +547,9 @@ class Simulator:
         is consumed in exactly one place.
         """
         heap = self._heap
-        heappush(heap, (time, next(self._sequence), callback, payload))
+        seq = self.pushes
+        self.pushes = seq + 1
+        heappush(heap, (time, seq, callback, payload))
         if len(heap) > self._heap_peak:
             self._heap_peak = len(heap)
 
@@ -568,6 +578,19 @@ class Simulator:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         self._processes_started += 1
         return Process(self, generator, name=name)
+
+    def start_process(self, generator: ProcessGenerator,
+                      name: str = "") -> Process:
+        """Start a process whose first step runs now, in the caller.
+
+        :meth:`process` defers the first step to an immediate callback;
+        this takes it synchronously, up to the generator's first yield,
+        sparing that dispatch. The step runs before anything else
+        queued at the current time. The NIC starts each pipelined WR's
+        data path this way, from its driver's own step.
+        """
+        self._processes_started += 1
+        return Process(self, generator, name=name, step_now=True)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -1,11 +1,17 @@
 """Shared-resource primitives built on the simulation kernel.
 
-Three primitives cover every contention point in the RNIC and host
+Four primitives cover every contention point in the RNIC and host
 models:
 
+* :class:`Pipe` — one FIFO server whose holds are known on arrival.
+  Used for the NIC's PCIe attachment, each port's wire and its
+  processing units: a claim is priced arithmetically, so queueing and
+  the hold cost the claimer one sleep and the pipe no events at all.
 * :class:`Resource` — ``capacity`` interchangeable slots with a FIFO
-  wait queue. Used for NIC processing units, PCIe DMA engines, host CPU
-  cores and the NIC-wide atomic unit.
+  wait queue, acquired and released explicitly. Used where the hold
+  ends on an event rather than a known delay: the WQE fetch engines,
+  the atomic units, receive-queue consume locks, host CPU cores and
+  the KV fleet's offload lock.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Used for mailboxes: NIC doorbell queues, RPC request queues, network
   link ingress buffers.
@@ -22,7 +28,43 @@ from typing import Any, Deque, Generator, Optional
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Store", "TokenBucket"]
+__all__ = ["Pipe", "Resource", "Store", "TokenBucket"]
+
+
+class Pipe:
+    """A single FIFO server whose hold lengths are known on arrival.
+
+    ``yield pipe.claim(ns)`` holds the pipe for ``ns`` nanoseconds
+    after every earlier claim's hold: the returned sleep covers the
+    queueing and the hold, and the claimer may add any pure delay that
+    follows before yielding it. Completion times equal a capacity-1
+    :class:`Resource` held with :meth:`Resource.use` by the same
+    arrivals in the same order, since a FIFO server hands itself to the
+    next claimer the instant the previous hold ends.
+    """
+
+    __slots__ = ("sim", "name", "free_at")
+
+    def __init__(self, sim: Simulator, name: str = ""):
+        self.sim = sim
+        self.name = name
+        #: When the last claimed hold ends (ns).
+        self.free_at = 0
+
+    def __repr__(self) -> str:
+        return f"<Pipe {self.name} free_at={self.free_at}>"
+
+    def claim(self, duration: int) -> int:
+        """Claim a ``duration`` ns hold arriving now; returns the ns
+        from now until it ends. A zero-length claim returns 0: it
+        waits behind nothing and leaves the pipe as it was."""
+        if not duration:
+            return 0
+        now = self.sim.now
+        free_at = self.free_at
+        end = (free_at if free_at > now else now) + duration
+        self.free_at = end
+        return end - now
 
 
 class Resource:
@@ -86,23 +128,11 @@ class Resource:
             self.in_use -= 1
 
     def use(self, duration: int) -> Generator[Event, Any, None]:
-        """Process helper: hold one slot for ``duration`` nanoseconds."""
-        if self.in_use < self.capacity and not self._waiters:
-            # Uncontended fast path: claim the slot synchronously and
-            # skip the acquire event plus its grant bookkeeping — one
-            # less dispatch round-trip per hold. The slot is claimed at
-            # exactly the same point in the schedule as acquire() would
-            # claim it, so FIFO fairness is unchanged.
-            self.in_use += 1
-            try:
-                yield duration
-            finally:
-                if self._waiters:
-                    waiter = self._waiters.popleft()
-                    waiter.trigger(self._new_grant())
-                else:
-                    self.in_use -= 1
-            return
+        """Process helper: hold one slot for ``duration`` nanoseconds.
+
+        Holds of a known length on one slot are what :class:`Pipe`
+        prices without events; this is its reference in the tests.
+        """
         grant = yield self.acquire()
         try:
             yield duration

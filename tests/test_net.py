@@ -132,6 +132,32 @@ class TestFabric:
         with pytest.raises(FabricError):
             nic_a.link_latency_to(nic_c)
 
+    def test_verb_to_unlinked_nic_fails_once_serialized(self, sim):
+        """The link lookup is made when the message starts serializing,
+        but a missing link still fails the WR's op once serialization
+        ends, where the unfolded wire model raised."""
+        from repro.ibv import wr_write
+        from repro.memory import HostMemory, ProtectionDomain
+        from repro.nic import RNIC, Opcode
+        mem_a, mem_b = HostMemory(name="ma"), HostMemory(name="mb")
+        nic_a = RNIC(sim, mem_a, name="a")
+        nic_b = RNIC(sim, mem_b, name="b")
+        Fabric(sim).connect(nic_a, RNIC(sim, HostMemory(name="mc"),
+                                        name="c"))
+        qp_a = nic_a.create_qp(ProtectionDomain(mem_a), name="qa")
+        qp_b = nic_b.create_qp(ProtectionDomain(mem_b), name="qb")
+        qp_a.connect(qp_b)
+        src = mem_a.alloc(64, label="src")
+        qp_a.post_send(wr_write(src.addr, 64, 0x1000, 0))
+        sim.run()
+        [failed] = sim.failed_processes
+        assert isinstance(failed.exception, FabricError)
+        timing = nic_a.timing
+        assert sim.now == (timing.doorbell_ns + timing.wqe_fetch_ns
+                           + timing.occupancy(Opcode.WRITE)
+                           + timing.payload_pcie_ns(64)
+                           + timing.payload_wire_ns(64 + 32))
+
     def test_self_link_rejected(self, sim):
         from repro.memory import HostMemory
         from repro.nic import RNIC

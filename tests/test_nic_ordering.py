@@ -349,3 +349,83 @@ class TestRateLimiter:
         # 100 K ops/s -> >= ~10 us between ops after the burst.
         assert times[1] - times[0] >= 9_000
         assert times[2] - times[1] >= 9_000
+
+
+class TestDoorbellMerge:
+    """Rings that would land back to back merge into one landing."""
+
+    def test_back_to_back_rings_schedule_one_landing(self, lo):
+        sim, wq = lo.sim, lo.qp_a.send_wq
+        for _ in range(3):
+            wq.post(wr_noop(signaled=False), ring_doorbell=False)
+        before = sim.pushes
+        for target in (1, 2, 3):
+            wq.doorbell(up_to=target)
+        assert sim.pushes - before == 1
+        assert wq.doorbells_pending == 1
+        sim.run()
+        assert wq.doorbells_pending == 0
+        assert wq.enabled_count == 3
+        assert wq.fetched_count == 3
+
+    def test_ring_on_another_queue_prevents_merge(self, lo):
+        sim = lo.sim
+        wq_a, wq_b = lo.qp_a.send_wq, lo.qp_b.send_wq
+        for wq in (wq_a, wq_a, wq_b):
+            wq.post(wr_noop(signaled=False), ring_doorbell=False)
+        before = sim.pushes
+        wq_a.doorbell(up_to=1)
+        wq_b.doorbell(up_to=1)
+        wq_a.doorbell(up_to=2)
+        assert sim.pushes - before == 3
+        assert wq_a.doorbells_pending == 2
+        sim.run()
+        assert (wq_a.enabled_count, wq_b.enabled_count) == (2, 1)
+        assert wq_a.doorbells_pending == wq_b.doorbells_pending == 0
+
+    def test_ring_at_a_later_instant_is_not_merged(self, lo):
+        sim, wq = lo.sim, lo.qp_a.send_wq
+        wq.post(wr_noop(signaled=False), ring_doorbell=False)
+        wq.post(wr_noop(signaled=False), ring_doorbell=False)
+        wq.doorbell(up_to=1)
+
+        def later():
+            yield 1
+            wq.doorbell(up_to=2)
+
+        sim.process(later())
+        sim.run()
+        assert wq.enabled_count == 2
+        assert wq.fetched_count == 2
+
+
+class TestQueueReuseCounters:
+    def test_reset_then_destroy_retires_one_fetch_family(self, lo):
+        """A reset queue's fetch counts follow its new name, so destroy
+        folds them into the retired family once and leaves no family
+        under any of the queue's names."""
+        sim, nic = lo.sim, lo.nic
+        qps = (lo.qp_a, lo.qp_b)
+
+        def run_four():
+            for _ in range(4):
+                lo.qp_a.send_wq.post(wr_noop(signaled=False))
+            sim.run()
+
+        run_four()
+        first = lo.qp_a.send_wq.name
+        assert nic.qps_idle(qps)
+        nic.reset_qps(qps, rename=lambda name: f"next-{name}")
+        counters = sim.metrics.snapshot()["counters"]
+        assert f"nic.{nic.name}.wq.{first}.fetch" not in counters
+        moved = counters[f"nic.{nic.name}.wq.next-{first}.fetch"]
+        assert moved["fetch_prefetched"] == 4
+        run_four()
+        nic.destroy_qps(qps)
+        counters = sim.metrics.snapshot()["counters"]
+        families = sorted(name for name in counters
+                          if name.endswith(".fetch"))
+        assert families == [f"nic.{nic.name}.retired.fetch"]
+        retired = counters[f"nic.{nic.name}.retired.fetch"]
+        assert retired["fetch_prefetched"] == 8
+        assert retired["fetch_batches"] == 2

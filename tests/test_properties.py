@@ -13,6 +13,7 @@ from repro.nic import (
     split_ctrl,
     wqe_slots_needed,
 )
+from repro.sim import Pipe, Resource, Simulator
 
 u16 = st.integers(min_value=0, max_value=(1 << 16) - 1)
 u32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -195,3 +196,39 @@ class TestRingArithmetic:
             assert before == cursor
             cursor += wqe_slots_needed(count)
         assert wq._post_slot_cursor == total_slots
+
+
+class TestPipeProperties:
+    @staticmethod
+    def _finish_times(arrivals, use_pipe):
+        """Each client arrives at its time (ties in list order), holds
+        the server for its hold, and records when the hold ends."""
+        sim = Simulator()
+        pipe = Pipe(sim)
+        resource = Resource(sim, capacity=1)
+        order, finish = [], {}
+
+        def client(index, at, hold):
+            if at:
+                yield at
+            order.append(index)
+            if use_pipe:
+                yield pipe.claim(hold)
+            else:
+                yield from resource.use(hold)
+            finish[index] = sim.now
+
+        for index, (at, hold) in enumerate(arrivals):
+            sim.process(client(index, at, hold))
+        sim.run()
+        return order, finish
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                              st.integers(min_value=1, max_value=25)),
+                    min_size=1, max_size=24))
+    def test_pipe_matches_capacity_one_resource(self, arrivals):
+        pipe_order, pipe_finish = self._finish_times(arrivals, True)
+        res_order, res_finish = self._finish_times(arrivals, False)
+        assert pipe_order == res_order
+        assert pipe_finish == res_finish

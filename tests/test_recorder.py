@@ -259,6 +259,53 @@ def test_offload_replay_suffix_byte_identical(offload, tmp_path):
     assert report.aligned == len(journal.records)
 
 
+def _monitor_entries(monitor) -> int:
+    """Entries of the monitor state kept under queue and CQ names."""
+    return sum(len(state) for state in (
+        monitor._last_fetch_wr, monitor._cq_counts, monitor._exec_len,
+        monitor._last_wait_threshold))
+
+
+def test_monitor_state_stays_flat_over_reused_queue_sets():
+    """Each early-break request runs on a reused queue set renamed for
+    it; the monitor drops the old names' state when the set is handed
+    on, so 128 calls leave no more entries than 32."""
+    from _offload_runners import run_offload
+    from repro.obs import Tracer
+
+    def entries(calls):
+        def instrument(bed, name):
+            tracer = Tracer(bed.sim, name=name)
+            recorder = FlightRecorder(bed.sim, name=name)
+            for nic in [bed.server.nic] + [c.nic for c in bed.clients]:
+                tracer.attach_nic(nic)
+                recorder.attach_nic(nic)
+            return tracer, recorder
+
+        _tracer, recorder = run_offload("list-traversal-break", calls,
+                                        instrument=instrument)["instrument"]
+        assert recorder.violations == []
+        return _monitor_entries(recorder.monitor)
+
+    few = entries(32)
+    assert 0 < entries(128) <= few
+
+
+def test_monitor_forget_drops_one_queue_only():
+    monitor = InvariantMonitor()
+    for wq, cq in (("a", "cq-a"), ("b", "cq-b")):
+        monitor.fetch(0, 0, 0, wq, 1, 0)
+        monitor.exec(0, wq, 0, "WRITE", 64)
+        monitor.wait(1, 0, 0, wq, 1, 1, 7, 1, 1, False)
+        monitor.exec(0, wq, 2, "WAIT", 0)
+        monitor.cqe(2, 0, 0, cq, 1, 1, "OK")
+    monitor.forget(0, "a", "cq-a")
+    assert list(monitor._last_fetch_wr) == [(0, "b")]
+    assert list(monitor._cq_counts) == [(0, "cq-b")]
+    assert list(monitor._exec_len) == [(0, "b", 0), (0, "b", 2)]
+    assert list(monitor._last_wait_threshold) == [(0, "b", 7)]
+
+
 class TestInvariantMonitor:
     """Fed synthetic records, so each invariant is exercised alone."""
 

@@ -7,6 +7,7 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
+    Pipe,
     Resource,
     SimulationError,
     Simulator,
@@ -275,6 +276,73 @@ class TestResource:
         sim.process(worker("c", 2))
         sim.run()
         assert order == ["a", "b", "c"]
+
+
+class TestPipe:
+    def test_serializes_claims_in_arrival_order(self, sim):
+        pipe = Pipe(sim, name="p")
+        log = []
+
+        def worker(name, hold, tail):
+            # One sleep covers queueing, the hold and a trailing delay.
+            yield pipe.claim(hold) + tail
+            log.append((sim.now, name))
+
+        sim.process(worker("a", 10, 5))
+        sim.process(worker("b", 10, 0))
+        sim.run()
+        assert log == [(15, "a"), (20, "b")]
+        assert pipe.free_at == 20
+
+    def test_zero_length_claim_waits_behind_nothing(self, sim):
+        pipe = Pipe(sim)
+        assert pipe.claim(100) == 100
+        assert pipe.claim(0) == 0
+        assert pipe.free_at == 100
+
+    def test_idle_pipe_starts_hold_at_arrival(self, sim):
+        pipe = Pipe(sim)
+        pipe.claim(10)
+        sim.timeout(50)
+        sim.run()
+        assert pipe.claim(10) == 10
+        assert pipe.free_at == 60
+
+
+class TestStartProcess:
+    def test_first_step_runs_in_the_caller(self, sim):
+        log = []
+
+        def child():
+            log.append(("child", sim.now))
+            yield 5
+            log.append(("child done", sim.now))
+
+        def parent():
+            yield 3
+            sim.start_process(child())
+            log.append(("parent", sim.now))
+
+        sim.process(parent())
+        sim.run()
+        assert log == [("child", 3), ("parent", 3), ("child done", 8)]
+        assert sim.stats["processes_started"] == 2
+
+    def test_process_finishing_in_first_step_triggers(self, sim):
+        def child():
+            return 7
+            yield  # pragma: no cover - makes this a generator
+
+        proc = sim.start_process(child())
+        assert proc.triggered and proc.value == 7
+
+    def test_pushes_count_future_schedules_only(self, sim):
+        before = sim.pushes
+        sim.schedule_at(0, lambda _payload: None, None)
+        assert sim.pushes == before
+        sim.schedule_at(10, lambda _payload: None, None)
+        sim.timeout(5)
+        assert sim.pushes == before + 2
 
 
 class TestStore:

@@ -12,6 +12,10 @@ exactly.
   prefetch, pipelined completions, atomic serialization.
 * ``fleet_simspeed`` — ``build_fleet()``: the 8-shard cuckoo-KV fleet.
 
+The two single-bed workloads also run with a tracer, a flight
+recorder and telemetry attached, and must hit the same pins: no
+simulator decision may depend on whether a sink listens.
+
 The sharded fleet runs under both drives, which must agree bit for
 bit. Each drive's synchronizer ``rounds`` is pinned too: the
 sharded drive visits the synchronizer far less often than the
@@ -33,8 +37,26 @@ LIST_SIZE = 8
 VALUE_SIZE = 64
 
 
-def _build_fig13(calls: int = 48):
-    """Fig 13 replay: list-traversal offload calls over one client."""
+def _attach_sinks(bed):
+    """A Tracer and a FlightRecorder on every NIC of ``bed``, and a
+    telemetry collector on its simulator."""
+    from repro.obs import FleetTelemetry, FlightRecorder, Tracer
+
+    tracer = Tracer(bed.sim, name="fp")
+    recorder = FlightRecorder(bed.sim, name="fp")
+    for nic in [bed.server.nic] + [client.nic for client in bed.clients]:
+        tracer.attach_nic(nic)
+        recorder.attach_nic(nic)
+    telemetry = FleetTelemetry()
+    telemetry.attach(bed.sim, bed="fp")
+    return tracer, recorder, telemetry
+
+
+def _build_fig13(calls: int = 48, sinks: list = None):
+    """Fig 13 replay: list-traversal offload calls over one client.
+
+    With ``sinks`` (a list), obs sinks are attached before anything
+    else is built and appended to it."""
     from repro.bench import Testbed
     from repro.datastructs import LinkedList, SlabStore
     from repro.offloads.list_traversal import ListTraversalOffload
@@ -42,6 +64,8 @@ def _build_fig13(calls: int = 48):
     from repro.redn.offload import OffloadClient, OffloadConnection
 
     bed = Testbed(num_clients=1)
+    if sinks is not None:
+        sinks.extend(_attach_sinks(bed))
     proc = bed.server.spawn_process("list-server")
     pd = proc.create_pd()
     slab_alloc = proc.alloc(4 * 1024 * 1024, label="slab")
@@ -86,12 +110,16 @@ def _build_fig13(calls: int = 48):
     return bed.sim, run
 
 
-def _build_table3(qps_n: int = 8, ops_per_qp: int = 512, wave: int = 256):
-    """Table 3 replay: WRITE then CAS floods across ``qps_n`` QPs."""
+def _build_table3(qps_n: int = 8, ops_per_qp: int = 512, wave: int = 256,
+                  sinks: list = None):
+    """Table 3 replay: WRITE then CAS floods across ``qps_n`` QPs
+    (``sinks`` as for :func:`_build_fig13`)."""
     from repro.bench import Testbed
     from repro.ibv import wr_cas, wr_write
 
     bed = Testbed(num_clients=1)
+    if sinks is not None:
+        sinks.extend(_attach_sinks(bed))
     proc = bed.server.spawn_process("sink")
     pd = proc.create_pd()
     sink = proc.alloc(4096, label="sink")
@@ -162,6 +190,25 @@ def test_single_bed_fingerprint(name, build):
     fingerprint = run()
     assert fingerprint == PINS[name]["fingerprint"]
     assert _events_executed(sim) - before == PINS[name]["events"]
+
+
+@pytest.mark.parametrize("name, build", [
+    ("fig13_list_traversal", _build_fig13),
+    ("table3_flood", _build_table3),
+])
+def test_attached_sinks_leave_schedule_unchanged(name, build):
+    """Obs sinks only listen: with a tracer, a flight recorder and
+    telemetry attached, the kernel runs the same events and the
+    simulated results equal the pins. No simulator decision may depend
+    on whether a sink listens."""
+    sinks = []
+    sim, run = build(sinks=sinks)
+    fingerprint = run()
+    tracer, recorder, telemetry = sinks
+    assert len(tracer.events) and recorder.seq
+    assert telemetry.collectors
+    assert fingerprint == PINS[name]["fingerprint"]
+    assert _events_executed(sim) == PINS[name]["events"]
 
 
 @pytest.mark.parametrize("name, build", [
