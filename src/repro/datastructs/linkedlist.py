@@ -45,16 +45,6 @@ class LinkedList:
         self._cursor += LIST_NODE_SIZE
         return addr
 
-    def alloc_parking_node(self) -> int:
-        """A detached node inside the list's region: key 0 (matches no
-        request) and a self-referential ``next``. Offload cleanup aims
-        defused READs here so a flushed pointer chase stays inside
-        registered memory and can never match or run off the end."""
-        addr = self._alloc_node()
-        self.memory.write(addr, bytes(LIST_NODE.pack(
-            key=0, valptr=addr, vlen=0, next=addr)))
-        return addr
-
     def append(self, key: int, value: bytes) -> int:
         """Append a node; returns its address."""
         check_key(key)

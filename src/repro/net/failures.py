@@ -33,9 +33,6 @@ __all__ = [
     "RestartPolicy",
 ]
 
-HOURS_PER_YEAR = 8760.0
-
-
 @dataclass(frozen=True)
 class ComponentReliability:
     """One row of the paper's Table 6."""

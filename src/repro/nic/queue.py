@@ -25,7 +25,6 @@ event channel for blocking consumers.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, TYPE_CHECKING, Tuple
 
@@ -149,9 +148,6 @@ class CompletionQueue:
         if self._router is not None and self._router is not router:
             raise QueueError(f"{self!r} already has a router attached")
         self._router = router
-
-    def detach_router(self) -> None:
-        self._router = None
 
     def wait_for_count(self, threshold: int) -> Event:
         """Event triggering once ``count >= threshold`` (WAIT verb hook)."""
@@ -283,10 +279,6 @@ class WorkQueue:
     def slot_addr(self, slot_cursor: int) -> int:
         """Host address of a (monotonic) slot cursor, ring-wrapped."""
         return self.ring.addr + (slot_cursor % self.num_slots) * WQE_SLOT_SIZE
-
-    @property
-    def ring_addr(self) -> int:
-        return self.ring.addr
 
     @property
     def free_slots(self) -> int:

@@ -344,9 +344,3 @@ class RNIC:
             for wq in wqs:
                 for hook in probe.wq_created:
                     hook(self, wq)
-
-    def shutdown(self) -> None:
-        """Stop the device (used only by tests; NICs outlive OS crashes)."""
-        self.alive = False
-        for wq in self.wqs.values():
-            wq.destroy()

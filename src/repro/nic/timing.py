@@ -45,9 +45,6 @@ from .opcodes import Opcode
 
 __all__ = ["TimingModel", "CONNECTX5_TIMING"]
 
-NS_PER_SEC = 1_000_000_000
-
-
 @dataclass(frozen=True)
 class TimingModel:
     """All latency/occupancy constants, in nanoseconds (or bytes/ns)."""

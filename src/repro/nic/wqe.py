@@ -253,25 +253,6 @@ class Wqe:
     def num_slots(self) -> int:
         return wqe_slots_needed(len(self.sges))
 
-    def copy(self) -> "Wqe":
-        """A field-for-field copy sharing the SGE list (replace the
-        list, not an entry, to change a scatter entry)."""
-        new = Wqe.__new__(Wqe)
-        new.opcode = self.opcode
-        new.wr_id = self.wr_id
-        new.laddr = self.laddr
-        new.length = self.length
-        new.raddr = self.raddr
-        new.flags = self.flags
-        new.operand0 = self.operand0
-        new.operand1 = self.operand1
-        new.wqe_count = self.wqe_count
-        new.target = self.target
-        new.lkey = self.lkey
-        new.rkey = self.rkey
-        new.sges = self.sges
-        return new
-
     @property
     def signaled(self) -> bool:
         return bool(self.flags & WrFlags.SIGNALED)

@@ -160,11 +160,6 @@ class ProgramBuilder:
         """ENABLE the target queue through ``ref`` (absolute index)."""
         return self.link(EnableOp(ctl, ref, None, tag=tag))
 
-    def enable_relative(self, ctl: ChainQueue, queue: ChainQueue,
-                        count: int = 1, tag: str = "") -> WrRef:
-        return self.link(EnableOp(ctl, queue, count, relative=True,
-                                  tag=tag))
-
     # -- §3.3: the if construct -------------------------------------------------
 
     def emit_if(self, ctl: ChainQueue, predicate_queue: ChainQueue,

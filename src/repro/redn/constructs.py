@@ -38,12 +38,7 @@ from typing import List, Optional, Tuple
 
 from ..nic.opcodes import Opcode, WrFlags
 from ..nic.queue import CompletionQueue
-from ..nic.wqe import (
-    WQE_HEADER,
-    WQE_SLOT_SIZE,
-    Wqe,
-    field_location,
-)
+from ..nic.wqe import WQE_HEADER, WQE_SLOT_SIZE, Wqe
 from .builder import ProgramBuilder
 from .ir import (
     AimEdge,
@@ -203,13 +198,6 @@ class RecycledLoop:
             raise ProgramError("build() the loop first")
         self.ring.doorbell()
 
-    @property
-    def laps_completed(self) -> int:
-        """Full ring traversals executed so far (NIC-side progress)."""
-        if self.ring is None:
-            return 0
-        return self.ring.wq.fetched_count // self.ring_wrs
-
 
 class BreakImage:
     """The Fig 6 break: one WRITE arming a response and killing a gate.
@@ -262,11 +250,6 @@ class BreakImage:
     @property
     def image_addr(self) -> int:
         return self._alloc.addr
-
-    def image_field_addr(self, field: str) -> int:
-        """Address of a response field *inside the image* — data READs
-        scatter runtime values here as well as into the live WQE."""
-        return self._alloc.addr + field_location(field)[0]
 
     def emit_break_write(self, queue: ChainQueue,
                          signaled: bool = True) -> WrRef:

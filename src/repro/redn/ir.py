@@ -6,8 +6,12 @@ bookkeeping were duplicated across the builder, the loop constructs,
 the mov-machine and the offloads. This module is the single vocabulary
 they now share — the compiler pipeline is
 
-    builder  →  IR (this module)  →  passes (repro.redn.passes)
-             →  linker (repro.redn.linker)  →  WQE bytes
+    builder  →  IR (this module)  →  linker (repro.redn.linker)  →  WQE bytes
+
+and the passes (repro.redn.passes) read the :class:`ChainProgram` the
+linker fills. The linker streams: it lowers each op the moment the
+builder makes it and appends the op once it is posted, so every op a
+program holds is linked.
 
 The IR is *symbolic* where the byte format is positional:
 
@@ -624,15 +628,17 @@ class RestoreOp(ChainOp):
         self.capture = capture
         self.check_shadow()
 
-    def target_image_size(self) -> int:
+    def _target_ref(self) -> WrRef:
         ref = ref_of(self.target)
-        wqe = ref.wqe if ref is not None else \
-            op_of(self.target).build_wqe()
-        return wqe.num_slots * WQE_SLOT_SIZE
+        if ref is None:
+            raise ChainLintError(
+                f"restore of unlinked {self.target!r}", wr=self.target,
+                check="unlinked-target")
+        return ref
 
     def check_shadow(self) -> None:
         """The shadow must match the ring image it restores (§3.4)."""
-        image = self.target_image_size()
+        image = self._target_ref().wqe.num_slots * WQE_SLOT_SIZE
         name = wr_name(self.target)
         if self.length < 1 or self.offset < 0:
             raise ChainLintError(
@@ -653,18 +659,14 @@ class RestoreOp(ChainOp):
 
     def prepare(self) -> None:
         """Linker hook: snapshot the pristine bytes into the shadow."""
-        ref = ref_of(self.target)
-        if ref is None:
-            raise ChainLintError(
-                f"restore of unlinked {self.target!r}", wr=self.target,
-                check="unlinked-target")
+        ref = self._target_ref()
         if self.capture:
             image = ref.queue.memory.read(
                 ref.slot_addr + self.offset, self.length)
             self.queue.memory.write(self.shadow_addr, image)
 
     def build_wqe(self) -> Wqe:
-        ref = ref_of(self.target)
+        ref = self._target_ref()
         return wr_read(ref.slot_addr + self.offset, self.length,
                        self.shadow_addr, self.shadow_rkey,
                        signaled=False)
@@ -800,8 +802,6 @@ class ChainProgram:
         """(op, byte offset) of a host address inside a linked WR."""
         for op in self.ops:
             ref = op.ref
-            if ref is None:
-                continue
             size = ref.wqe.num_slots * WQE_SLOT_SIZE
             if ref.slot_addr <= addr < ref.slot_addr + size:
                 return op, addr - ref.slot_addr

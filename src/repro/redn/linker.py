@@ -1,28 +1,22 @@
 """The RedN linker: lowering chain IR onto work-queue rings.
 
-The linker is the only stage that turns symbols into bytes. Two modes:
-
-* **streaming** (:func:`link_op`) — each op is appended to its program
-  and posted immediately. This is how :class:`ProgramBuilder` and the
-  offloads operate: chain WRs interleave with trigger RECVs and
-  doorbells mid-simulation, so emission order *is* program order and
-  the lowered bytes land exactly where (and when) the pre-IR
-  hand-assembly put them.
-* **batch** (:func:`link`) — a deferred program (ops created but not
-  posted, e.g. after :func:`repro.redn.passes.optimize` rewrote it) is
-  lowered in op order, then recorded aim wiring is poked into the
-  rings.
+The linker is the only stage that turns symbols into bytes, and it
+streams: :func:`link_op` posts each op the moment it is built and
+appends it to its program once the post succeeds. This is how
+:class:`ProgramBuilder` and the offloads operate: chain WRs interleave
+with trigger RECVs and doorbells mid-simulation, so emission order *is*
+program order and the lowered bytes land exactly where (and when) the
+pre-IR hand-assembly put them. Every op a :class:`ChainProgram` holds
+is therefore linked.
 
 Symbol resolution happens inside each op's ``build_wqe`` (field
 addresses, arm words, signaled counts) against the queue state at the
-moment the op posts — which is what makes streaming and batch linking
-agree: in both, every op links after all ops before it in program
-order.
+moment the op posts. :func:`aim` and :func:`aim_sge` wire two linked
+WRs together and poke the wiring into the ring at once; aiming at a WR
+not linked yet raises ``ChainLintError(check="unlinked-target")``.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
 
 from .ir import (
     AimEdge,
@@ -32,20 +26,18 @@ from .ir import (
     FieldRef,
     InjectWriteOp,
     RestoreOp,
+    ref_of,
 )
 from .program import WrRef
 
-__all__ = ["link_op", "link", "aim", "aim_sge"]
+__all__ = ["link_op", "aim", "aim_sge"]
 
 
-def link_op(program: ChainProgram, op: ChainOp,
-            append: bool = True) -> WrRef:
+def link_op(program: ChainProgram, op: ChainOp) -> WrRef:
     """Lower one op: resolve its symbols, post its WQE, bind the ref."""
     if op.linked:
         raise ChainLintError(f"{op!r} already linked", wr=op,
                              check="double-link")
-    if append:
-        program.append(op)
     if isinstance(op, RestoreOp):
         op.prepare()
     wqe = op.build_wqe()
@@ -53,19 +45,8 @@ def link_op(program: ChainProgram, op: ChainOp,
     op.ref = ref
     ref.ir_op = op
     op.signal_seq = op.queue.signaled_posted
+    program.append(op)
     return ref
-
-
-def link(program: ChainProgram) -> List[WrRef]:
-    """Batch-lower a deferred program; returns refs in op order."""
-    refs = []
-    for op in program.ops:
-        if not op.linked:
-            link_op(program, op, append=False)
-        refs.append(op.ref)
-    for edge in program.edges:
-        _apply_edge(edge)
-    return refs
 
 
 def aim(program: ChainProgram, src, src_field: str, dst: FieldRef,
@@ -74,37 +55,33 @@ def aim(program: ChainProgram, src, src_field: str, dst: FieldRef,
 
     The setup-time poke that used to be ``ref.poke(field,
     other.field_addr(...))`` — now recorded on the program so the
-    verifier sees the modification edge. Applied immediately when both
-    ends are linked (streaming mode), else deferred to :func:`link`.
+    verifier sees the modification edge.
     """
+    src_ref, addr = _ends(src, dst)
     edge = program.add_edge(AimEdge(src=src, dst=dst, length=length,
                                     kind=kind, src_field=src_field))
     src_op = program.op_for(src)
     if isinstance(src_op, InjectWriteOp) and src_op.target is None:
         src_op.target = dst
-    _apply_edge(edge)
+    src_ref.poke(src_field, addr)
     return edge
 
 
 def aim_sge(program: ChainProgram, src, sge_index: int, dst: FieldRef,
             kind: str = "scatter", length: int = 0) -> AimEdge:
     """Re-aim scatter entry ``sge_index`` of ``src`` at ``dst``."""
+    src_ref, addr = _ends(src, dst)
     edge = program.add_edge(AimEdge(src=src, dst=dst, length=length,
                                     kind=kind, src_sge=sge_index))
-    _apply_edge(edge)
+    src_ref.poke_sge(sge_index, addr)
     return edge
 
 
-def _apply_edge(edge: AimEdge) -> None:
-    from .ir import ref_of   # local import: ir must not import linker
-
-    src_ref = ref_of(edge.src)
-    if src_ref is None or (edge.src_field is None
-                           and edge.src_sge is None):
-        return   # record-only edge (e.g. an external RECV scatter)
-    if edge.dst.ref is None:
-        return   # deferred: link() re-applies once dst is lowered
-    if edge.src_field is not None:
-        src_ref.poke(edge.src_field, edge.dst.addr)
-    else:
-        src_ref.poke_sge(edge.src_sge, edge.dst.addr)
+def _ends(src, dst: FieldRef):
+    """``src``'s ref and ``dst``'s address, before anything is recorded
+    or poked; an end not linked yet raises ``unlinked-target``."""
+    src_ref = ref_of(src)
+    if src_ref is None:
+        raise ChainLintError(f"aim from unlinked {src!r}", wr=src,
+                             check="unlinked-target")
+    return src_ref, dst.addr

@@ -28,7 +28,7 @@ is :class:`~repro.redn.constructs.RecycledLoop`.
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence, Union
+from typing import Generator, Sequence
 
 from ..ibv.wr import wr_fetch_add, wr_write
 from ..memory.layout import mask
@@ -272,8 +272,3 @@ class MovMachine:
         self.ops_executed += len(ops)
         return self.wrs_posted - posted_before
 
-    # All mov-machine state is memory; registers may also alias
-    # arbitrary data regions the caller registered.
-
-    def memory_rkey_for(self, mr) -> int:
-        return mr.rkey

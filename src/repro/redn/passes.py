@@ -1,4 +1,4 @@
-"""Passes over chain IR: verify, cost, optimize.
+"""Passes over chain IR: verify, cost and an ordering report.
 
 The verifier turns the §3.1 prefetch-incoherence hazards that the
 runtime race inspector (PR 2, ``repro.obs``) catches *dynamically*
@@ -19,25 +19,29 @@ IR records:
 * ``enable-mismatch``    — an ENABLE count exceeds the producer's
   posted index (absolute) or ring capacity (relative);
 * ``inject-span``        — injected bytes overrun the target's ring
-  image or touch its opcode bytes;
-* ``restore-truncated`` / ``restore-overrun`` — a recycling shadow
-  region does not match the ring image it restores (checked again
-  here for deferred programs; :class:`RestoreOp` raises eagerly).
+  image or touch its opcode bytes.
 
 Recycling maintenance ops (:class:`RestoreOp`, :class:`CountBumpOp`)
 deliberately rewrite upstream, already-executed WRs for the next lap,
 so the upstream/early-release checks exempt them.
 
+The linker appends an op to its program only once it is posted, so
+every pass reasons about linked WRs: positions are ring indices and
+images are the posted bytes. A recycling shadow region that does not
+match the ring image it restores never gets this far:
+:class:`RestoreOp` raises ``restore-truncated`` / ``restore-overrun``
+when it is made.
+
 The cost pass derives Table 2 C/A/E counts from op intent; the
-optimize passes (dead-template elimination, NOOP-run fusion,
-per-segment ordering-mode selection priced from ``nic/timing.py``)
-rewrite or annotate *deferred* programs before the linker lowers them.
+ordering report (:func:`plan_ordering`) prices each queue's
+ordering mode from ``nic/timing.py`` and names the managed queues
+that could prefetch in batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..nic.opcodes import (
     Opcode,
@@ -60,9 +64,7 @@ from .ir import (
     InjectWriteOp,
     RawOp,
     RestoreOp,
-    TemplateOp,
     WaitOp,
-    op_of,
     ref_of,
     wr_name,
 )
@@ -73,10 +75,7 @@ __all__ = [
     "verify",
     "verify_or_raise",
     "chain_cost",
-    "eliminate_dead_templates",
-    "fuse_noop_runs",
     "plan_ordering",
-    "optimize",
 ]
 
 
@@ -155,17 +154,9 @@ class _Mod:
 
 
 def _decode_enable(op: ChainOp):
-    """(wq_num, count|None, relative) for ENABLE-like ops, else None."""
+    """(wq_num, count, relative) for ENABLE-like ops, else None."""
     if isinstance(op, EnableOp):
-        try:
-            count = op.resolve_count()
-        except (ChainLintError, AttributeError):
-            count = None
-        try:
-            wq_num = op.target_wq_num
-        except AttributeError:
-            return None
-        return wq_num, count, op.relative
+        return op.target_wq_num, op.resolve_count(), op.relative
     if isinstance(op, RawOp) and op.wqe.opcode == Opcode.ENABLE:
         return (op.wqe.target, op.wqe.wqe_count,
                 bool(op.wqe.flags & WrFlags.ENABLE_RELATIVE))
@@ -188,7 +179,7 @@ def _collect_mods(program: ChainProgram) -> List[_Mod]:
         elif isinstance(op, RestoreOp):
             mods.append(_Mod(op, FieldRef(op.target, "ctrl"),
                              op.length, "restore"))
-        elif isinstance(op, RawOp) and op.linked:
+        elif isinstance(op, RawOp):
             # Recognize hand-assembled self-modification: a verb whose
             # remote address lands inside a program ring.
             wqe = op.wqe
@@ -214,15 +205,6 @@ def _collect_mods(program: ChainProgram) -> List[_Mod]:
     return mods
 
 
-def _order_key(op: Optional[ChainOp]) -> Optional[int]:
-    """Doorbell-order position of an op on its own queue."""
-    if op is None:
-        return None
-    if op.ref is not None:
-        return op.ref.wr_index
-    return op.index   # deferred: program order stands in
-
-
 def _release_timeline(program: ChainProgram):
     """Cumulative ENABLE coverage per managed chain queue, in op order.
 
@@ -237,7 +219,7 @@ def _release_timeline(program: ChainProgram):
             continue
         wq_num, count, relative = decoded
         queue = program.queue_by_wq_num(wq_num)
-        if queue is None or not queue.managed or count is None:
+        if queue is None or not queue.managed:
             continue
         if relative:
             coverage[queue] = coverage.get(queue, 0) + count
@@ -265,19 +247,19 @@ def verify(program: ChainProgram) -> List[Hazard]:
         target_ref = ref_of(dst.target)
         src_name = wr_name(mod.src) if mod.src is not None else \
             "external trigger"
-        if target_op is None and target_ref is None:
+        if target_ref is None:
             hazards.append(Hazard(
                 "target-missing",
                 f"{mod.kind} from {src_name} aims at "
                 f"{dst.field} of a WR outside the program: "
                 f"{dst.target!r}", mod.src))
             continue
-        target_queue = dst.queue
+        target_queue = target_ref.queue
         target_name = wr_name(dst.target)
 
         # §3.1: modifying a WQE on a normal-mode queue races the
         # batch prefetch — the NIC may already hold a stale copy.
-        if target_queue is not None and not target_queue.managed:
+        if not target_queue.managed:
             hazards.append(Hazard(
                 "prefetch-window",
                 f"{mod.kind} from {src_name} rewrites {target_name} on "
@@ -288,11 +270,7 @@ def verify(program: ChainProgram) -> List[Hazard]:
         # Field-span safety (break WRITEs legitimately span two WQEs).
         if mod.kind in ("arm", "inject", "scatter") and \
                 getattr(mod.src, "break_targets", None) is None:
-            image = WQE_SLOT_SIZE
-            wqe = target_ref.wqe if target_ref is not None else \
-                (target_op.build_wqe() if target_op is not None else None)
-            if wqe is not None:
-                image = wqe.num_slots * WQE_SLOT_SIZE
+            image = target_ref.wqe.num_slots * WQE_SLOT_SIZE
             span_start = mod.offset if mod.offset is not None \
                 else dst.offset
             span_end = span_start + mod.length
@@ -316,11 +294,9 @@ def verify(program: ChainProgram) -> List[Hazard]:
         if mod.kind in ("arm", "inject", "scatter") \
                 and mod.src is not None \
                 and mod.src.queue is target_queue:
-            src_pos = _order_key(mod.src)
-            dst_pos = _order_key(target_op) if target_op is not None \
-                else (target_ref.wr_index if target_ref else None)
-            if src_pos is not None and dst_pos is not None \
-                    and dst_pos <= src_pos:
+            src_pos = mod.src.ref.wr_index
+            dst_pos = target_ref.wr_index
+            if dst_pos <= src_pos:
                 hazards.append(Hazard(
                     "upstream-target",
                     f"{mod.kind} from {src_name} targets {target_name} "
@@ -331,16 +307,14 @@ def verify(program: ChainProgram) -> List[Hazard]:
         # Cross-queue arm: the ENABLE that releases the armed template
         # must be ordered after the CAS completed.
         if mod.kind == "arm" and mod.src is not None \
-                and target_queue is not None \
-                and mod.src.queue is not target_queue \
-                and mod.src.linked and target_ref is not None:
+                and mod.src.queue is not target_queue:
             release = first_release(target_queue, target_ref.wr_index)
             if release is not None:
                 rel_idx, rel_op = release
                 if rel_op.queue is mod.src.queue:
                     # Same managed queue as the CAS: doorbell order
                     # already serializes CAS before the ENABLE.
-                    if _order_key(rel_op) <= _order_key(mod.src):
+                    if rel_op.ref.wr_index <= mod.src.ref.wr_index:
                         hazards.append(Hazard(
                             "early-release",
                             f"ENABLE {wr_name(rel_op)} releases "
@@ -361,7 +335,7 @@ def verify(program: ChainProgram) -> List[Hazard]:
             continue
         wq_num, count, relative = decoded
         queue = program.queue_by_wq_num(wq_num)
-        if queue is None or count is None:
+        if queue is None:
             continue
         produced = max(queue.wq.posted_count,
                        sum(1 for other in program.ops
@@ -378,14 +352,6 @@ def verify(program: ChainProgram) -> List[Hazard]:
                 f"ENABLE {wr_name(op)} advances '{queue.name}' by "
                 f"+{count}, more than its {queue.wq.num_slots}-slot "
                 f"ring", op))
-
-    # -- restore-shadow checks (deferred programs; eager ops raise) -----
-    for op in program.ops:
-        if isinstance(op, RestoreOp):
-            try:
-                op.check_shadow()
-            except ChainLintError as error:
-                hazards.append(Hazard(error.check, str(error), op))
     return hazards
 
 
@@ -400,9 +366,7 @@ def _has_barrier(program: ChainProgram, arm: ChainOp,
             continue
         if op.cq_num != arm_cq:
             continue
-        threshold = op.resolved_threshold
-        if threshold is None or arm.signal_seq is None \
-                or threshold >= arm.signal_seq:
+        if op.resolved_threshold >= arm.signal_seq:
             return True
     return False
 
@@ -412,105 +376,13 @@ def verify_or_raise(program: ChainProgram) -> None:
     hazards = verify(program)
     if hazards:
         worst = hazards[0]
-        wr = worst.op.ref if worst.op is not None and worst.op.linked \
-            else worst.op
+        wr = worst.op.ref if worst.op is not None else None
         raise ChainLintError(worst.message, wr=wr, check=worst.check)
 
 
 # ---------------------------------------------------------------------------
-# Optimization (deferred programs only, except the ordering report)
+# Ordering report
 # ---------------------------------------------------------------------------
-
-
-def _referenced_ops(program: ChainProgram) -> set:
-    """ids of ops some symbol, edge or enable points at."""
-    referenced = set()
-
-    def note(target):
-        op = program.op_for(target)
-        if op is not None:
-            referenced.add(id(op))
-
-    for op in program.ops:
-        for attr in ("target",):
-            value = getattr(op, attr, None)
-            if isinstance(value, FieldRef):
-                note(value.target)
-            elif value is not None:
-                note(value)
-        swap = getattr(op, "swap", None)
-        if swap is not None and not isinstance(swap, int):
-            note(swap.target)
-    for edge in program.edges:
-        note(edge.dst.target)
-    return referenced
-
-
-def _require_deferred(program: ChainProgram, pass_name: str) -> None:
-    for op in program.ops:
-        if op.linked:
-            raise ChainLintError(
-                f"{pass_name} rewrites programs before linking; "
-                f"{op.wr_name} is already lowered to ring bytes",
-                wr=op.ref, check="already-linked")
-
-
-def _reindex(program: ChainProgram) -> None:
-    for index, op in enumerate(program.ops):
-        op.index = index
-
-
-def eliminate_dead_templates(program: ChainProgram) -> int:
-    """Drop templates nothing arms, wires or releases (dead code).
-
-    A template no CAS swap, aim edge or ENABLE ever references can
-    never fire; posting it would only burn a ring slot and a NOOP
-    fetch. Signaled templates are kept — removing one would shift the
-    queue's CQ arithmetic.
-    """
-    _require_deferred(program, "dead-template elimination")
-    referenced = _referenced_ops(program)
-    kept, removed = [], 0
-    for op in program.ops:
-        dead = (isinstance(op, TemplateOp)
-                and id(op) not in referenced
-                and not op.live.signaled)
-        if dead:
-            removed += 1
-        else:
-            kept.append(op)
-    program.ops[:] = kept
-    _reindex(program)
-    return removed
-
-
-def fuse_noop_runs(program: ChainProgram) -> int:
-    """Collapse adjacent pure-padding NOOPs into one per run.
-
-    Only raw, unsignaled, scatter-free NOOPs that nothing references
-    qualify — those execute as back-to-back ring padding, and one slot
-    of padding orders exactly as well as five.
-    """
-    _require_deferred(program, "NOOP fusion")
-    referenced = _referenced_ops(program)
-
-    def fusible(op: ChainOp) -> bool:
-        return (isinstance(op, RawOp)
-                and op.wqe.opcode == Opcode.NOOP
-                and not op.wqe.signaled
-                and not op.wqe.sges
-                and id(op) not in referenced)
-
-    kept, fused = [], 0
-    for op in program.ops:
-        if fusible(op) and kept and fusible(kept[-1]) \
-                and kept[-1].queue is op.queue:
-            fused += 1
-            continue
-        kept.append(op)
-    program.ops[:] = kept
-    _reindex(program)
-    return fused
 
 
 def plan_ordering(program: ChainProgram,
@@ -564,15 +436,3 @@ def plan_ordering(program: ChainProgram,
         })
     return plan
 
-
-def optimize(program: ChainProgram,
-             timing: TimingModel = CONNECTX5_TIMING) -> dict:
-    """Run the rewriting passes + the ordering report on a deferred
-    program; returns a summary dict."""
-    removed = eliminate_dead_templates(program)
-    fused = fuse_noop_runs(program)
-    return {
-        "dead_templates_removed": removed,
-        "noops_fused": fused,
-        "ordering": plan_ordering(program, timing),
-    }

@@ -40,10 +40,10 @@ the :class:`~repro.redn.ir.ChainProgram` by one instance per request.
    and no store observer attached, each contiguous ring run of the
    instance is one memory write, and doorbells and setup stores follow
    in recorded order. Otherwise the posts go WR by WR in recorded
-   order, as the IR path makes them, and each probe ``post`` event
-   carries instance 0's decoded ``Wqe`` with the relocations applied
-   to its fields, never a fresh decode. No ``ChainOp``, ``WrRef`` or
-   ``AimEdge`` is created, so program size is O(1) in requests.
+   order, as the IR path makes them; ``post_bytes`` decodes each WR
+   for the probe ``post`` event only when a sink listens. No
+   ``ChainOp``, ``WrRef`` or ``AimEdge`` is created, so program size
+   is O(1) in requests.
 
 A stamp checks the free slots of every shared queue it posts to before
 it writes anything: an instance is posted whole or not at all.
@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..nic.opcodes import Opcode, WrFlags
 from ..nic.queue import QueueError, WorkQueue
-from ..nic.wqe import WQE_HEADER, WQE_SLOT_SIZE, Sge, Wqe, split_ctrl
+from ..nic.wqe import WQE_HEADER, WQE_SLOT_SIZE, Wqe
 from .ir import HostValue, InstanceIndex, SignaledCount, Symbol, WrIndex
 from .program import (
     ChainQueue,
@@ -72,8 +72,6 @@ _SGE_BASE = WQE_SLOT_SIZE
 _SGE_SIZE = 16
 _HEADER_FIELDS = [(name, field.offset, field.width)
                   for name, field in WQE_HEADER.fields.items()]
-#: Header field at each relocatable offset (the decoded-``Wqe`` name).
-_FIELD_AT = {offset: name for name, offset, _width in _HEADER_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +378,16 @@ class _Bound:
     """A template's actions with one queue set's :class:`Local` values
     patched in, as two step lists.
 
-    ``each`` posts WR by WR through ``post_bytes``, handing probe sinks
-    the set's decoded ``Wqe`` with the per-instance fields patched: the
-    IR path's posts, stores and doorbells, in its order. ``runs`` is
-    for stamps nothing observes: it writes each contiguous ring run
-    once (``post_run``) and rings doorbells with explicit targets. A
-    set queue is rung once, where its first doorbell rang, with the
-    highest target: all of a stamp's doorbells land at the same
-    instant, back to back in the event heap, on a queue whose driver
-    is parked, so only the first can wake it and it fetches up to the
-    last either way. Both leave the same bytes and generations as the
-    IR path, and the same simulated timing.
+    ``each`` posts WR by WR through ``post_bytes``: the IR path's
+    posts, stores and doorbells, in its order, each post a probe
+    ``post`` event. ``runs`` is for stamps nothing observes: it writes
+    each contiguous ring run once (``post_run``) and rings doorbells
+    with explicit targets. A set queue is rung once, where its first
+    doorbell rang, with the highest target: all of a stamp's doorbells
+    land at the same instant, back to back in the event heap, on a
+    queue whose driver is parked, so only the first can wake it and it
+    fetches up to the last either way. Both leave the same bytes and
+    generations as the IR path, and the same simulated timing.
     """
 
     __slots__ = ("runs", "each")
@@ -420,9 +417,8 @@ class _Bound:
             if isinstance(action, _Post):
                 slot = action.slot
                 image, relocs = self._fix(action.image, action.relocs, env)
-                wqe = Wqe.decode(image)
                 self.each.append((_POST_ONE, slot, image, relocs,
-                                  action.doorbell, wqe, self._fields(relocs)))
+                                  action.doorbell))
                 run = open_runs.get(slot)
                 start = extent.get(slot, 0)
                 if run is None:
@@ -477,20 +473,6 @@ class _Bound:
         rest = [reloc for reloc in relocs if not isinstance(reloc, Local)]
         return bytes(_patch(image, _placed(fixed), env)), _placed(rest)
 
-    @staticmethod
-    def _fields(relocs) -> List[tuple]:
-        """The decoded-``Wqe`` field of each per-instance relocation:
-        ``(header field name, None)`` or ``(None, (SGE index,
-        is_lkey))``."""
-        fields = []
-        for offset, _width, _reloc in relocs:
-            if offset < _SGE_BASE:
-                fields.append((_FIELD_AT[offset], None))
-            else:
-                index, part = divmod(offset - _SGE_BASE, _SGE_SIZE)
-                fields.append((None, (index, part != 0)))
-        return fields
-
     def stamp(self, env: _Env, memory, observed: bool) -> None:
         queues = env.queues
         for step in (self.each if observed else self.runs):
@@ -501,17 +483,9 @@ class _Bound:
                 _kind, slot, image, relocs, count = step
                 queues[slot][0].post_run(_patch(image, relocs, env), count)
             elif kind is _POST_ONE:
-                _kind, slot, image, relocs, doorbell, wqe, fields = step
-                data = image
-                if relocs:
-                    values = [reloc.value(env) for _o, _w, reloc in relocs]
-                    data = bytearray(image)
-                    for (offset, width, _reloc), value in zip(relocs,
-                                                              values):
-                        data[offset:offset + width] = value.to_bytes(
-                            width, "big")
-                    wqe = _patch_wqe(wqe, fields, values)
-                queues[slot][0].post_bytes(data, doorbell, wqe)
+                _kind, slot, image, relocs, doorbell = step
+                queues[slot][0].post_bytes(_patch(image, relocs, env),
+                                           doorbell)
             else:
                 _kind, addr, image, relocs, source, patches = step
                 source_bytes = None
@@ -536,24 +510,6 @@ def _ring_bytes(where) -> Optional[Tuple[int, int]]:
             and not where.attr:
         return where.queue, where.byte
     return None
-
-
-def _patch_wqe(wqe: Wqe, fields, values) -> Wqe:
-    """A copy of ``wqe`` with ``values`` in its ``fields``."""
-    new = wqe.copy()
-    for (name, sge), value in zip(fields, values):
-        if name == "ctrl":
-            new.opcode, new.wr_id = split_ctrl(value)
-        elif name is not None:
-            setattr(new, name, value)
-        else:
-            index, is_lkey = sge
-            if new.sges is wqe.sges:
-                new.sges = list(wqe.sges)
-            old = new.sges[index]
-            new.sges[index] = (Sge(old.addr, old.length, value) if is_lkey
-                               else Sge(value, old.length, old.lkey))
-    return new
 
 
 # ---------------------------------------------------------------------------

@@ -346,10 +346,6 @@ class Process(Event):
         state = "done" if self.triggered else "running"
         return f"<Process {self.name} {state}>"
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
@@ -552,20 +548,6 @@ class Simulator:
         heappush(heap, (time, seq, callback, payload))
         if len(heap) > self._heap_peak:
             self._heap_peak = len(heap)
-
-    def _queue_callbacks(self, event: Event) -> None:
-        callbacks, event._callbacks = event._callbacks, None
-        if callbacks is None:
-            return
-        immediate = self._immediate
-        if callbacks.__class__ is list:
-            for callback in callbacks:
-                immediate.append((callback, event))
-        else:
-            immediate.append((callbacks, event))
-
-    def _schedule_callback(self, event: Event, callback: Callable) -> None:
-        self._immediate.append((callback, event))
 
     # -- factories -------------------------------------------------------
 

@@ -1,6 +1,6 @@
-"""Tests for the RedN IR pipeline: builder -> IR -> passes -> linker.
+"""Tests for the RedN IR pipeline: builder -> IR -> linker, then passes.
 
-Three pillars:
+Four pillars:
 
 * **Differential lowering** — constructs built through the IR pipeline
   must land byte-identical WQE rings to the pre-refactor direct
@@ -12,11 +12,14 @@ Three pillars:
   recycled while (with both the response and trigger rearms).
 * **Verifier failure modes** — seeded-invalid chains must be rejected
   with a typed :class:`ChainLintError` naming the offending WR.
+* **Streaming linking** — a program holds only posted ops, and wiring
+  aimed at a WR not posted yet fails before it records or pokes
+  anything.
 """
 
 import pytest
 
-from repro.ibv import wr_cas, wr_enable, wr_noop, wr_wait, wr_write
+from repro.ibv import wr_cas, wr_enable, wr_wait, wr_write
 from repro.memory import HostMemory, ProtectionDomain
 from repro.nic import Opcode, RNIC, Wqe, ctrl_word
 from repro.nic.wqe import Sge, WQE_SLOT_SIZE
@@ -25,24 +28,15 @@ from repro.redn.ir import (
     ArmCasOp,
     ArmWord,
     ChainLintError,
-    ChainProgram,
     EnableOp,
     FieldRef,
     RawOp,
     RestoreOp,
-    TemplateOp,
 )
-from repro.redn.linker import link, link_op
+from repro.nic.queue import QueueError
+from repro.redn.linker import aim
 from repro.redn.movmachine import MovLoad, MovMachine
-from repro.redn.passes import (
-    chain_cost,
-    eliminate_dead_templates,
-    fuse_noop_runs,
-    optimize,
-    plan_ordering,
-    verify,
-    verify_or_raise,
-)
+from repro.redn.passes import plan_ordering, verify, verify_or_raise
 from repro.sim import Simulator
 
 
@@ -285,69 +279,59 @@ class TestVerifierRejects:
 
 
 # ---------------------------------------------------------------------------
-# Optimization passes (deferred programs)
+# Streaming linking: a program holds posted ops only
+# ---------------------------------------------------------------------------
+
+
+class TestStreamingLink:
+    def test_forward_aim_fails_before_recording_or_poking(self):
+        """Aiming at a WR not posted yet must raise: nothing would ever
+        poke its address in, yet the verifier would count the edge."""
+        ctx = fresh_ctx("fwd")
+        builder = ProgramBuilder(ctx, name="fwd")
+        data, data_mr = ctx.alloc_registered(64)
+        worker = builder.worker_queue(name="wrk")
+        src = builder.emit(worker, wr_write(data.addr, 8, 0,
+                                            data_mr.rkey), tag="src")
+        later = RawOp(worker, wr_write(data.addr + 8, 8, data.addr,
+                                       data_mr.rkey), tag="later")
+        before = ring_bytes(worker)
+
+        with pytest.raises(ChainLintError) as excinfo:
+            aim(builder.program, src, "raddr", FieldRef(later, "laddr"))
+        assert excinfo.value.check == "unlinked-target"
+        assert builder.program.edges == []
+        assert ring_bytes(worker) == before
+        assert src.peek("raddr") == 0
+
+    def test_failed_post_leaves_program_unchanged(self):
+        """An op whose post fails (here: a full ring) never joins the
+        program, so every op the passes see is linked."""
+        ctx = fresh_ctx("full")
+        builder = ProgramBuilder(ctx, name="full")
+        data, data_mr = ctx.alloc_registered(64)
+        worker = builder.worker_queue(slots=2, name="wrk")
+        for index in range(2):
+            builder.emit(worker, wr_write(data.addr, 8,
+                                          data.addr + 8 * index,
+                                          data_mr.rkey), tag="w")
+        extra = RawOp(worker, wr_write(data.addr, 8, data.addr + 16,
+                                       data_mr.rkey), tag="extra")
+
+        with pytest.raises(QueueError):
+            builder.link(extra)
+        assert not extra.linked
+        assert [op.tag for op in builder.program.ops] == ["w", "w"]
+        assert all(op.linked for op in builder.program.ops)
+        assert builder.program.op_for(extra) is None
+
+
+# ---------------------------------------------------------------------------
+# Ordering report
 # ---------------------------------------------------------------------------
 
 
 class TestOptimizerPasses:
-    def _deferred(self):
-        """A deferred (built-but-unlinked) program: one live CAS, one
-        referenced template, one dead template, a NOOP run."""
-        ctx = fresh_ctx("opt")
-        builder = ProgramBuilder(ctx, name="opt")
-        src, _ = ctx.alloc_registered(8)
-        dst, dst_mr = ctx.alloc_registered(8)
-        worker = builder.worker_queue(name="wrk")
-        branches = builder.worker_queue(name="brn")
-
-        program = ChainProgram("opt")
-        live = wr_write(src.addr, 8, dst.addr, dst_mr.rkey)
-        used = TemplateOp(branches, live, tag="used")
-        dead = TemplateOp(branches,
-                          wr_write(src.addr, 8, dst.addr, dst_mr.rkey,
-                                   signaled=False), tag="dead")
-        for _ in range(3):
-            program.append(RawOp(worker, wr_noop(), tag="pad"))
-        program.append(used)
-        program.append(dead)
-        program.append(ArmCasOp(worker, FieldRef(used, "ctrl"),
-                                compare=0, swap=ArmWord(used),
-                                signaled=True, tag="cas"))
-        return program
-
-    def test_dead_template_elimination(self):
-        program = self._deferred()
-        removed = eliminate_dead_templates(program)
-        assert removed == 1
-        tags = [op.tag for op in program.ops]
-        assert "dead" not in tags and "used" in tags
-        assert [op.index for op in program.ops] == list(
-            range(len(program.ops)))
-
-    def test_noop_fusion(self):
-        program = self._deferred()
-        fused = fuse_noop_runs(program)
-        assert fused == 2   # three adjacent pads fuse into one
-        assert sum(1 for op in program.ops if op.tag == "pad") == 1
-
-    def test_optimize_bundle_then_link(self):
-        program = self._deferred()
-        report = optimize(program)
-        assert report["dead_templates_removed"] == 1
-        assert report["noops_fused"] == 2
-        link(program)
-        assert verify(program) == []
-
-    def test_passes_refuse_linked_programs(self):
-        ctx = fresh_ctx("linked")
-        builder = ProgramBuilder(ctx, name="linked")
-        worker = builder.worker_queue(name="wrk")
-        builder.emit(worker, wr_noop(), tag="nop")
-
-        with pytest.raises(ChainLintError) as excinfo:
-            eliminate_dead_templates(builder.program)
-        assert excinfo.value.check == "already-linked"
-
     def test_plan_ordering_flags_static_managed_queue(self):
         """A managed queue with no modification targets and no
         ENABLE-gating burns fetch holds for nothing: the planner must
