@@ -390,13 +390,12 @@ class FleetScenario:
         return self.num_shards * self.clients_per_shard
 
     def attach_telemetry(self, window_ns: Optional[int] = None,
-                         sink=None, path: Optional[str] = None,
-                         exemplars: int = 0):
+                         path: Optional[str] = None, exemplars: int = 0):
         """Attach one telemetry collector per shard; returns the
         :class:`~repro.obs.telemetry.FleetTelemetry`.
 
-        The run seals and closes it: its merged JSONL stream goes to
-        ``sink`` as windows seal and to ``path`` after the run.
+        The run seals and closes it: after the run its merged stream is
+        emitted once, and written as JSONL to ``path``.
         ``exemplars`` > 0 turns on tail exemplar capture: each window
         record keeps the ``exemplars`` slowest requests' full blame
         breakdowns (see :mod:`repro.obs.blame`).
@@ -405,12 +404,10 @@ class FleetScenario:
         if self._telemetry is not None:
             raise RuntimeError("telemetry already attached")
         fleet = FleetTelemetry(
-            window_ns=window_ns or DEFAULT_WINDOW_NS, sink=sink,
-            exemplars=exemplars)
+            window_ns=window_ns or DEFAULT_WINDOW_NS, exemplars=exemplars)
         for rig in self.rigs:
             fleet.attach(rig.sim, bed=rig.shard.name,
                          shard=rig.shard.index)
-        self.sharded.telemetry = fleet
         self._telemetry = fleet
         self._telemetry_path = path
         return fleet

@@ -1,4 +1,4 @@
-"""Incident triage: streaming anomaly detection over sealed telemetry.
+"""Incident triage: anomaly detection over sealed telemetry windows.
 
 The closing layer of the observability stack. SLO burn alerts (PR 7)
 say *that* the fleet degraded and tail blame (PR 9) says *where the
@@ -12,13 +12,11 @@ Determinism contract
 --------------------
 
 The sentry subscribes to :meth:`repro.obs.telemetry.FleetTelemetry.
-flush` and folds over the **sealed record stream only**. That stream
-is globally sorted by ``(window, shard)`` and byte-identical between
+finalize`, which emits the sealed record stream once, after the run,
+globally sorted by ``(window, shard)`` and byte-identical between
 :meth:`~repro.sim.sharded.ShardedSimulation.run` and ``run_serial``
-drives; batch *boundaries* follow the drive mode's flush cadence, so
-the fold is strictly record-at-a-time and never keys a decision on
-where a batch starts or ends. Detectors compare each window against a
-trailing per-shard baseline of previously sealed windows; every
+drives. The fold takes one record at a time. Detectors compare each
+window against a trailing per-shard baseline of earlier windows; every
 anomaly fires at the violating window's simulated end timestamp
 (``(window + 1) * window_ns``) — a pure function of the stream, hence
 of the simulated system. Targeted capture follows the same rule:
@@ -37,7 +35,7 @@ of the simulated system. Targeted capture follows the same rule:
   first windows sealed after close, recorded per implicated shard.
 
 With no telemetry sink on any bed's ``sim.probe`` nothing is ever
-flushed, and the sentry costs nothing — it has no hook sites of its
+emitted, and the sentry costs nothing — it has no hook sites of its
 own inside the simulator.
 
 Detectors
@@ -50,14 +48,11 @@ flatline               0   flatline    a previously-active shard stops
                                        emitting windows for
                                        ``FLATLINE_GAP`` while the fleet
                                        stays busy
-queue_growth           1   queueing    SQ net growth over a window exceeds
-                                       ``GROWTH_THRESHOLD`` (or RQ peak
-                                       doubles)
+queue_growth           1   queueing    SQ net growth over a window (or the
+                                       RQ peak depth) steps up
 pu_saturation          1   pu_exec     PU busy (incl. PU queueing)
-                                       utilization steps past
-                                       ``UTIL_FACTOR`` x baseline
-pool_pressure          1   pool_wait   QP-pool lease-wait p99 spikes past
-                                       ``POOL_WAIT_FACTOR`` x baseline
+                                       utilization steps up
+pool_pressure          1   pool_wait   QP-pool lease-wait p99 spikes
 stale_cqe              1   cqe_demux   the shared-CQ demux quarantines
                                        more stale CQEs than the baseline
 skew_shift             1   skew        a shard's share of fleet requests
@@ -66,9 +61,13 @@ skew_shift             1   skew        a shard's share of fleet requests
 throughput_collapse    2   throughput  fleet-wide requests/window fall
                                        under ``COLLAPSE_FRAC`` x the
                                        trailing mean
-tail_step              2   tail        p99/p999 steps past
-                                       ``TAIL_FACTOR`` x the trailing max
+tail_step              2   tail        p99 (or p999) steps past the
+                                       trailing max
 ===================  ====  ==========  ====================================
+
+The five per-record detectors are rows of :data:`PER_RECORD`, which
+holds their floors and factors; the three fleet-level ones run in code
+when a global window completes.
 
 Tier orders cause ranking inside an incident: a shard going dark
 (tier 0) outranks resource-pressure causes (tier 1), which outrank the
@@ -89,7 +88,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from .blame import exemplar_order, summarize_blame, diff_blame
-from .telemetry import metric_value
+from .telemetry import LATENCY_METRICS, metric_reader
 
 __all__ = ["SENTRY_SCHEMA", "DETECTORS", "Anomaly", "Incident",
            "FleetSentry", "triage_verdict"]
@@ -108,22 +107,6 @@ MIN_BASELINE = 3
 WARMUP_WINDOWS = 6
 #: Anomalies within this many windows of an open incident join it.
 MERGE_GAP = 3
-#: tail_step: p99/p999 reaches TAIL_FACTOR x the trailing max and
-#: exceeds it by TAIL_FLOOR_NS, in a window of at least
-#: TAIL_MIN_REQUESTS requests.
-TAIL_FACTOR = 3.0
-TAIL_FLOOR_NS = 20_000
-TAIL_MIN_REQUESTS = 6
-#: queue_growth: SQ net growth (or RQ peak depth) in WRs.
-GROWTH_THRESHOLD = 32
-#: pu_saturation: utilization step factor and absolute floor.
-UTIL_FACTOR = 2.5
-UTIL_FLOOR = 0.6
-#: pool_pressure: lease-wait p99 step factor and absolute floor.
-POOL_WAIT_FACTOR = 3.0
-POOL_WAIT_FLOOR_NS = 3000
-#: stale_cqe: quarantined CQEs in one window.
-STALE_THRESHOLD = 1
 #: skew_shift: fractional share drop, over rolling SKEW_SPAN-window
 #: spans, of a shard holding at least SKEW_FLOOR_SHARE.
 SKEW_DROP = 0.8
@@ -145,6 +128,47 @@ POST_WINDOWS = 2
 #: record cap.
 CAPTURE_PRE_WINDOWS = 2
 CAPTURE_SLICE = 64
+
+#: Per-record detectors: ``(detector, metric, floor, factor, margin,
+#: base_floor, min_requests, queue, detail)``. A row fires when its
+#: metric reaches ``floor``, the baseline (its max over the shard's
+#: history) plus ``margin``, and ``factor`` x ``max(baseline,
+#: base_floor)``, the severity's divisor. Rows run in order and a
+#: detector fires at most once per record (RQ backs up SQ, p999 backs
+#: up p99); ``min_requests`` keeps one unlucky request from reading as
+#: a tail, and ``queue`` names the ``queues`` entry to blame.
+PER_RECORD = (
+    ("queue_growth", "sq_growth", 32, 2, 0, 1, 0, "sq_hot",
+     "send-queue backlog grew {value} WRs in one window "
+     "(trailing max {base})"),
+    ("queue_growth", "rq_depth_max", 32, 2, 0, 1, 0, "sq_hot",
+     "recv-queue peak depth {value} vs trailing max {base}"),
+    ("pu_saturation", "util", 0.6, 2.5, 0, 0.01, 0, "sq_hot",
+     "PU busy+queue time {value:.2f} windows vs trailing max {base:.2f}"),
+    ("pool_pressure", "pool_wait_p99_ns", 3000, 3.0, 0, 1, 0, "sq_hot",
+     "lease wait p99 {value}ns vs trailing max {base}ns"),
+    ("stale_cqe", "stale_cqes", 1, 1, 1, 1, 0, "cq_hot",
+     "{value} stale CQEs quarantined (trailing max {base})"),
+    ("tail_step", "p99_ns", 0, 3.0, 20_000, 1, 6, "sq_hot",
+     "{metric} stepped to {value}ns vs trailing max {base}ns"),
+    ("tail_step", "p999_ns", 0, 3.0, 20_000, 1, 6, "sq_hot",
+     "{metric} stepped to {value}ns vs trailing max {base}ns"),
+)
+
+
+def _reader(metric: str):
+    """A row's reader: tails are None without samples, the rest 0."""
+    read = metric_reader(metric)
+    if metric in LATENCY_METRICS:
+        return read
+
+    def read_or_zero(record: dict):
+        value = read(record)
+        return 0 if value is None else value
+    return read_or_zero
+
+
+_READERS = tuple(_reader(row[1]) for row in PER_RECORD)
 
 #: detector name -> (ranking tier, implicated blame phase).
 DETECTORS = {
@@ -287,7 +311,7 @@ class Incident:
 
 
 class FleetSentry:
-    """Streaming anomaly engine over a sealed telemetry window stream.
+    """Anomaly engine folding over a sealed telemetry window stream.
 
     Construct with the stream's ``window_ns``, call
     :meth:`subscribe` with the :class:`~repro.obs.telemetry.
@@ -313,8 +337,10 @@ class FleetSentry:
         self.incidents: List[Incident] = []
         self._open: Optional[Incident] = None
         self._finalized = False
-        # Trailing per-shard sealed-window history (the baseline).
+        # Trailing per-shard sealed-window history (the baseline), and
+        # each history record's PER_RECORD metric readings.
         self._history: Dict[int, List[dict]] = {}
+        self._readings: Dict[int, List[tuple]] = {}
         self._beds: Dict[int, str] = {}
         self._last_seen: Dict[int, int] = {}
         self._active: Dict[int, bool] = {}
@@ -339,7 +365,7 @@ class FleetSentry:
     # -- wiring ------------------------------------------------------------
 
     def subscribe(self, fleet) -> "FleetSentry":
-        """Subscribe to a FleetTelemetry's sealed-batch emissions."""
+        """Fold the stream a FleetTelemetry emits after the run."""
         fleet.subscribe(self._observe_batch)
         return self
 
@@ -362,7 +388,7 @@ class FleetSentry:
         # Global windows complete when the sorted stream moves past
         # them; that is where the fleet-wide detectors (skew, flatline,
         # throughput collapse) evaluate — a pure function of the
-        # stream, not of batching.
+        # stream.
         if self._skew_window is None:
             self._skew_window = window
         while window > self._skew_window:
@@ -374,8 +400,10 @@ class FleetSentry:
 
         # Per-record detectors against the shard's trailing baseline.
         history = self._history.setdefault(shard, [])
+        readings = self._readings.setdefault(shard, [])
+        reading = tuple([read(record) for read in _READERS])
         if window >= WARMUP_WINDOWS:
-            fired.extend(self._detect(record, history))
+            fired.extend(self._detect(record, reading, readings))
 
         for anomaly in fired:
             self._admit(anomaly)
@@ -397,8 +425,9 @@ class FleetSentry:
 
         # Trailing-history bookkeeping.
         history.append(record)
+        readings.append(reading)
         if len(history) > BASELINE_WINDOWS:
-            del history[:len(history) - BASELINE_WINDOWS]
+            del history[0], readings[0]
         self._last_seen[shard] = window
         if record["requests"]:
             self._active[shard] = True
@@ -432,97 +461,33 @@ class FleetSentry:
         self.anomalies.append(anomaly)
         return anomaly
 
-    def _detect(self, record: dict, history: List[dict]) -> List[Anomaly]:
+    def _detect(self, record: dict, reading: tuple,
+                trailing: List[tuple]) -> List[Anomaly]:
+        """The :data:`PER_RECORD` rows: ``reading`` holds the record's
+        row metrics, ``trailing`` those of the shard's history."""
         fired: List[Anomaly] = []
-        shard = record["shard"]
-        window = record["window"]
-        queues = record["queues"]
-        sq_hot = queues.get("sq_hot")
-        if len(history) < MIN_BASELINE:
-            return fired
-
-        # queue_growth — SQ net growth / RQ peak step.
-        growth = queues.get("sq_growth", 0)
-        base_growth = max([h["queues"].get("sq_growth", 0)
-                           for h in history] + [0])
-        if growth >= GROWTH_THRESHOLD and growth >= 2 * max(
-                base_growth, 1):
-            fired.append(self._fire(
-                "queue_growth", shard, window, "sq_growth", growth,
-                base_growth, growth / max(base_growth, 1), queue=sq_hot,
-                detail=f"send-queue backlog grew {growth} WRs in one "
-                       f"window (trailing max {base_growth})"))
-        else:
-            rq_max = queues.get("rq_depth_max", 0)
-            base_rq = max(h["queues"].get("rq_depth_max", 0)
-                          for h in history)
-            if rq_max >= GROWTH_THRESHOLD and rq_max >= 2 * max(
-                    base_rq, 1):
+        requests = record["requests"]
+        done = None
+        for row, value, column in zip(PER_RECORD, reading, zip(*trailing)):
+            (detector, metric, floor, factor, margin, base_floor,
+             min_requests, queue, detail) = row
+            if value is None or detector == done or requests < min_requests:
+                continue
+            if None in column:
+                column = [v for v in column if v is not None]
+            if len(column) < MIN_BASELINE:
+                continue
+            base = max(max(column), 0)
+            scale = max(base, base_floor)
+            if (value >= floor and value >= base + margin
+                    and value >= factor * scale):
+                done = detector
                 fired.append(self._fire(
-                    "queue_growth", shard, window, "rq_depth_max",
-                    rq_max, base_rq, rq_max / max(base_rq, 1),
-                    queue=sq_hot,
-                    detail=f"recv-queue peak depth {rq_max} vs trailing "
-                           f"max {base_rq}"))
-
-        # pu_saturation — utilization (busy incl. PU queueing) step.
-        util = record.get("util", 0.0)
-        base_util = max(h.get("util", 0.0) for h in history)
-        if (util >= UTIL_FLOOR
-                and util >= UTIL_FACTOR * max(base_util, 0.01)):
-            fired.append(self._fire(
-                "pu_saturation", shard, window, "util", util,
-                round(base_util, 6), util / max(base_util, 0.01),
-                queue=sq_hot,
-                detail=f"PU busy+queue time {util:.2f} windows vs "
-                       f"trailing max {base_util:.2f}"))
-
-        # pool_pressure — QP-pool lease-wait p99 spike.
-        wait = metric_value(record, "pool_wait_p99_ns") or 0
-        base_wait = max(metric_value(h, "pool_wait_p99_ns") or 0
-                        for h in history)
-        if (wait >= POOL_WAIT_FLOOR_NS
-                and wait >= POOL_WAIT_FACTOR * max(base_wait, 1)):
-            fired.append(self._fire(
-                "pool_pressure", shard, window, "pool_wait_p99_ns",
-                wait, base_wait, wait / max(base_wait, 1), queue=sq_hot,
-                detail=f"lease wait p99 {wait}ns vs trailing max "
-                       f"{base_wait}ns"))
-
-        # stale_cqe — quarantine-rate step.
-        stale = record.get("stale_cqes", 0)
-        base_stale = max(h.get("stale_cqes", 0) for h in history)
-        if stale >= STALE_THRESHOLD and stale > base_stale:
-            fired.append(self._fire(
-                "stale_cqe", shard, window, "stale_cqes", stale,
-                base_stale, stale / max(base_stale, 1),
-                queue=queues.get("cq_hot"),
-                detail=f"{stale} stale CQEs quarantined (trailing max "
-                       f"{base_stale})"))
-
-        # tail_step — p99 (falling back to p999) step-change. Gated on
-        # a minimum sample count: a near-empty window's p99 is one
-        # unlucky request, not a tail.
-        if record["requests"] >= TAIL_MIN_REQUESTS:
-            for metric in ("p99_ns", "p999_ns"):
-                cur = metric_value(record, metric)
-                if cur is None:
-                    continue
-                base_values = [
-                    v for v in
-                    (metric_value(h, metric) for h in history)
-                    if v is not None]
-                if len(base_values) < MIN_BASELINE:
-                    continue
-                base = max(base_values)
-                if (cur >= base + TAIL_FLOOR_NS
-                        and cur >= TAIL_FACTOR * max(base, 1)):
-                    fired.append(self._fire(
-                        "tail_step", shard, window, metric, cur, base,
-                        cur / max(base, 1), queue=sq_hot,
-                        detail=f"{metric} stepped to {cur}ns vs "
-                               f"trailing max {base}ns"))
-                    break
+                    detector, record["shard"], record["window"], metric,
+                    value, base, value / scale,
+                    queue=record["queues"].get(queue),
+                    detail=detail.format(metric=metric, value=value,
+                                         base=base)))
         return fired
 
     def _rollover(self, window: int) -> List[Anomaly]:

@@ -12,16 +12,12 @@ Determinism contract
 A window record is a **pure function of the bed's simulated event
 stream**: hooks fire from instrumentation sites the simulated schedule
 already visits, never schedule events, and never read wall-clock state.
-Window boundaries are ``sim.now // window_ns`` — no timers. The sharded
-synchronizer's per-round flush (:meth:`FleetTelemetry.flush`) only
-controls *when* finalized records are emitted, never what they contain:
-a window ``W`` is finalized either by the bed's own first event past it
-or by a flush at global time ``t_min`` with ``(W+1)*window_ns <=
-t_min`` — and since every future event anywhere is at ``>= t_min``, no
-event can land in ``W`` afterwards. Emission batches partition the
-stream by ascending window ranges and each batch is sorted in the
-canonical ``(window, shard)`` order, so the concatenated JSONL stream
-is globally sorted — **byte-identical** between
+Window boundaries are ``sim.now // window_ns`` — no timers. A window
+is sealed by the bed's own first event past it, or by
+:meth:`FleetTelemetry.finalize` after the run; either way no later
+event can land in it. ``finalize`` emits the whole stream once, sorted
+in the canonical ``(window, shard)`` order, so it is
+**byte-identical** between
 :meth:`~repro.sim.sharded.ShardedSimulation.run` and
 :meth:`~repro.sim.sharded.ShardedSimulation.run_serial` drives of the
 same scenario (tested on the KV fleet).
@@ -29,8 +25,7 @@ same scenario (tested on the KV fleet).
 One subtlety: a PU busy span can straddle a window boundary. The hook
 fires once, when the span *ends*, and the whole span is attributed to
 the window containing its end — spans are tens of nanoseconds against
->=10 us windows, and end-attribution is mode-independent where
-proportional splitting against the flush schedule would not be.
+>=10 us windows, and end-attribution needs no split across windows.
 
 On top of the stream sit derived signals (utilization, queue growth,
 per-window p50/p99/p999), declarative SLO rules with multi-window
@@ -90,7 +85,7 @@ class TelemetryCollector:
         self.window_ns = fleet.window_ns
         #: Tail exemplars retained per window (0 disables capture).
         self.exemplar_k = fleet.exemplars
-        #: Finalized records awaiting emission, in window order.
+        #: Sealed records awaiting :meth:`FleetTelemetry.finalize`.
         self.finalized: List[dict] = []
         self._window: Optional[int] = None
         self._seq = 0
@@ -135,19 +130,6 @@ class TelemetryCollector:
                 self._finalize_window()
             self._window = window
             self._sq_open_depth = sum(self._depth["send"].values())
-
-    def roll_before(self, floor: Optional[int]) -> None:
-        """Finalize the open window if it ends at or before ``floor``.
-
-        Called by :meth:`FleetTelemetry.flush` with ``floor = t_min //
-        window_ns``: every future event is at ``>= t_min``, so a window
-        strictly before ``floor`` can never receive another sample.
-        ``None`` finalizes unconditionally (end of run).
-        """
-        if self._window is not None and (floor is None
-                                         or self._window < floor):
-            self._finalize_window()
-            self._window = None
 
     def _finalize_window(self) -> None:
         window = self._window
@@ -308,14 +290,12 @@ class TelemetryCollector:
 class FleetTelemetry:
     """Cross-bed collector registry, merger and emitter.
 
-    Attach one collector per bed, point ``ShardedSimulation.telemetry``
-    at this object (the synchronizer calls :meth:`flush` with every
-    round's ``t_min``), and call :meth:`finalize` after the run. The
-    merged stream lands in :attr:`records` and, line by line as windows
-    seal, in the optional ``sink`` (a writable file-like, JSONL).
+    Attach one collector per bed and call :meth:`finalize` after the
+    run: it seals every open window and emits the merged stream once,
+    to :attr:`records` and to every :meth:`subscribe` observer.
     """
 
-    def __init__(self, window_ns: int = DEFAULT_WINDOW_NS, sink=None,
+    def __init__(self, window_ns: int = DEFAULT_WINDOW_NS,
                  exemplars: int = 0):
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
@@ -327,7 +307,6 @@ class FleetTelemetry:
         #: (see ``repro.obs.blame``); 0 keeps the stream unchanged.
         self.exemplars = exemplars
         self.records: List[dict] = []
-        self.sink = sink
         self.collectors: List[TelemetryCollector] = []
         self._observers: List = []
 
@@ -347,55 +326,29 @@ class FleetTelemetry:
         return collector
 
     def subscribe(self, observer) -> None:
-        """Register a callable invoked with every sealed record batch.
-
-        Observers see exactly the emitted stream: batches partition it,
-        each batch is sorted in the canonical ``(window, shard)`` order,
-        and the concatenation is byte-identical between drive modes.
-        Batch *boundaries* are drive-mode dependent (they follow the
-        synchronizer's flush cadence), so a deterministic observer must
-        fold over records one at a time and never key decisions on
-        where a batch starts or ends — the contract
-        :class:`repro.obs.sentry.FleetSentry` is built on.
-        """
+        """Register a callable that :meth:`finalize` invokes once with
+        the whole sealed stream, in canonical ``(window, shard)`` order
+        (see :class:`repro.obs.sentry.FleetSentry`)."""
         self._observers.append(observer)
 
-    # -- emission ---------------------------------------------------------
+    def finalize(self) -> List[dict]:
+        """Seal every open window and emit the stream (end of run).
 
-    def flush(self, t_min: Optional[int] = None) -> List[dict]:
-        """Seal and emit every window that can no longer change.
-
-        ``t_min`` is the synchronizer's global lower bound on all
-        future event times; ``None`` means end-of-run (emit all).
-        Returns the newly emitted records.
+        A second call emits nothing. Returns :attr:`records`.
         """
-        floor = None if t_min is None else t_min // self.window_ns
         batch: List[dict] = []
         for collector in self.collectors:
-            collector.roll_before(floor)
-            pending = collector.finalized
-            take = len(pending)
-            if floor is not None:
-                take = 0
-                while take < len(pending) and pending[take]["window"] < floor:
-                    take += 1
-            if take:
-                batch.extend(pending[:take])
-                del pending[:take]
-        batch.sort(key=lambda record: (record["window"], record["shard"]))
-        self.records.extend(batch)
-        if self.sink is not None and batch:
-            self.sink.write("".join(
-                json.dumps(record, sort_keys=True) + "\n"
-                for record in batch))
+            if collector._window is not None:
+                collector._finalize_window()
+                collector._window = None
+            batch.extend(collector.finalized)
+            collector.finalized = []
         if batch:
+            batch.sort(key=lambda record: (record["window"],
+                                           record["shard"]))
+            self.records.extend(batch)
             for observer in self._observers:
                 observer(batch)
-        return batch
-
-    def finalize(self) -> List[dict]:
-        """Seal everything (end of run); returns all emitted records."""
-        self.flush(None)
         return self.records
 
     def close(self) -> None:
@@ -427,31 +380,26 @@ METRICS = LATENCY_METRICS + POOL_WAIT_METRICS + QUEUE_METRICS \
     + COUNTER_METRICS
 
 
-def metric_value(record: dict, metric: str):
-    """Extract a named derived signal (one of :data:`METRICS`).
+def metric_reader(metric: str):
+    """Resolve a named derived signal (one of :data:`METRICS`) to a
+    ``record -> value`` reader, once per metric.
 
-    Latency and pool-wait metrics are ``None`` for windows without
+    Latency and pool-wait metrics read ``None`` for windows without
     samples; queue metrics come from the ``queues`` sub-dict; the rest
-    are top-level counters or gauges.
+    are top-level counters or gauges (``None`` when absent).
     """
-    if metric in LATENCY_METRICS:
-        latency = record.get("latency")
-        if not latency:
-            return None
-        if metric == "latency_max_ns":
-            return latency.get("max")
-        return latency.get(metric[:-3])
-    if metric in POOL_WAIT_METRICS:
-        pool_wait = record.get("pool_wait")
-        if not pool_wait:
-            return None
-        if metric == "pool_wait_max_ns":
-            return pool_wait.get("max")
-        return pool_wait.get(metric[len("pool_wait_"):-3])
-    queues = record.get("queues", {})
-    if metric in queues:
-        return queues[metric]
-    return record.get(metric)
+    if metric in LATENCY_METRICS or metric in POOL_WAIT_METRICS:
+        part = "latency" if metric in LATENCY_METRICS else "pool_wait"
+        key = metric[:-3].rpartition("_")[2]  # "p99", "max", ...
+        return lambda record: (record.get(part) or {}).get(key)
+    if metric in QUEUE_METRICS:
+        return lambda record: record.get("queues", {}).get(metric)
+    return lambda record: record.get(metric)
+
+
+def metric_value(record: dict, metric: str):
+    """One derived signal of one record (see :func:`metric_reader`)."""
+    return metric_reader(metric)(record)
 
 
 def summarize_records(records: List[dict]) -> Dict[str, dict]:
@@ -679,14 +627,14 @@ def evaluate_slo(records: List[dict], rules: List[SloRule],
         by_bed.setdefault(record["bed"], {})[record["window"]] = record
     alerts: List[BurnAlert] = []
     for rule in rules:
+        read = metric_reader(rule.metric)
         beds = rule.beds if rule.beds else sorted(by_bed)
         for bed in beds:
             windows = by_bed.get(bed, {})
             bad_flags: List[bool] = []
             for window in range(first, last + 1):
                 record = windows.get(window)
-                value = (metric_value(record, rule.metric)
-                         if record is not None else None)
+                value = read(record) if record is not None else None
                 bad_flags.append(rule.is_bad(value))
                 elapsed = len(bad_flags)
                 long_span = min(rule.long_windows, elapsed)

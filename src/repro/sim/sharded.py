@@ -35,7 +35,9 @@ degenerate one-timestamp windows, which is exactly a time-ordered
 global merge of all shards. Because both drivers share the delivery
 rules, serial and sharded runs are bit-identical — same per-shard event
 counts, clocks and journals — and the serial run is the reference
-drive that the identity tests compare the sharded drive against.
+drive that the identity tests compare the sharded drive against. The
+synchronizer has no observability hooks: observers attach to each
+shard's own simulator and never see a round boundary.
 
 Single-shard fallback: with one shard and no links, :meth:`run`
 degenerates to exactly one ``Simulator.run`` call — today's loop,
@@ -240,14 +242,6 @@ class ShardedSimulation:
         self.shards: List[Shard] = []
         #: Rounds executed by the last :meth:`run`/:meth:`run_serial`.
         self.rounds = 0
-        #: Attached :class:`repro.obs.telemetry.FleetTelemetry`, or
-        #: None. The driver only ever calls ``flush(t_min)`` — every
-        #: shard's future events are at or past ``t_min``, so windows
-        #: ending at or before it are final and safe to emit. Record
-        #: *content* never depends on this timing (see the telemetry
-        #: module docstring), which is why sharded and serial drives
-        #: emit byte-identical streams.
-        self.telemetry = None
 
     # -- topology ----------------------------------------------------------
 
@@ -327,8 +321,6 @@ class ShardedSimulation:
                 break  # globally quiescent, nothing in flight
             if until is not None and t_min > until:
                 break
-            if self.telemetry is not None:
-                self.telemetry.flush(t_min)
             self.rounds += 1
             for shard in shards:
                 if serial:

@@ -10,8 +10,7 @@ Four pillars:
 * **Window semantics** — collectors attribute samples to
   ``sim.now // window_ns`` windows, emit gap-free-but-sparse streams
   (idle windows are absent, not zero-filled), clamp queue depths at
-  zero, and seal windows under :meth:`FleetTelemetry.flush` exactly
-  when the global time floor proves no more samples can land.
+  zero, and a fleet run emits its sealed stream once, after the run.
 * **Telemetry determinism on the fleet** — serial and sharded
   drives of the same KV fleet must emit **byte-identical** JSONL
   streams, and attaching telemetry must not perturb the run
@@ -21,7 +20,6 @@ Four pillars:
   queue, with the multi-window burn-rate arithmetic pinned down.
 """
 
-import io
 import json
 import sys
 from pathlib import Path
@@ -224,27 +222,6 @@ def test_depth_clamped_and_growth_signed(fleet):
         "cq_hot": None}
     assert w1["queues"]["sq_depth_max"] == 0  # clamped, not negative
     assert w2["queues"]["sq_growth"] == 1
-
-
-def test_flush_seals_exactly_below_floor(fleet):
-    sim = _StubSim()
-    collector = fleet.attach(sim, bed="b")
-    sink = io.StringIO()
-    fleet.sink = sink
-    collector.on_request(10)
-    sim.now = 2_500
-    collector.on_request(10)
-    # t_min 2_000 proves windows < 2 final: window 0 emits, the open
-    # window 2 must survive (more samples can still land in it).
-    emitted = fleet.flush(t_min=2_000)
-    assert [record["window"] for record in emitted] == [0]
-    sim.now = 2_900
-    collector.on_request(10)
-    fleet.finalize()
-    assert [record["window"] for record in fleet.records] == [0, 2]
-    assert fleet.records[1]["requests"] == 2
-    # The incrementally written sink matches the batch re-serialization.
-    assert sink.getvalue() == fleet.to_jsonl()
 
 
 def test_cqe_and_pu_accounting(fleet):
@@ -451,6 +428,22 @@ def test_fleet_serial_vs_sharded_stream_byte_identical():
     # The concatenated stream is globally sorted in canonical order.
     keys = [(record["window"], record["shard"]) for record in records]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_fleet_run_emits_one_batch(serial):
+    from repro.bench.fleet import build_fleet
+
+    scenario = build_fleet(num_shards=3, clients_per_shard=2,
+                           requests_per_client=2)
+    fleet = scenario.attach_telemetry(window_ns=2_000)
+    batches = []
+    fleet.subscribe(batches.append)
+    scenario.run(serial=serial)
+    assert len(batches) == 1
+    assert batches[0] == fleet.records and len(fleet.records) > 3
+    assert fleet.finalize() == batches[0] and len(batches) == 1
+    assert not hasattr(scenario.sharded, "telemetry")
 
 
 def test_fleet_tight_slo_breach_is_deterministic():
