@@ -6,13 +6,15 @@ announce their events (WQE post, doorbell, fetch, execute, WAIT,
 ENABLE, completion, CQE, atomic, DMA, wire, lease, demux, link hop,
 offload call, request), each exactly once, in one shared vocabulary.
 Sinks join the probe and receive those events through ``on_<kind>``
-methods; three ship here:
+methods. The tracer and the flight recorder are views over one sink,
+the capture (``repro.obs.capture``), which stores each NIC event once
+as a flat record in fixed-size chunks; each view folds them when read:
 
 * :class:`Tracer` (``repro.obs.tracer``) — typed span/instant events
   keyed on *simulated* time (WQE fetch, prefetch-cache hit/stale,
   execute, CAS apply, WAIT wakeup, ENABLE, doorbell, DMA, CQE),
   exported as Chrome trace-event JSON loadable in Perfetto with PUs,
-  WQs, CQs and ports as tracks. The tracer also runs the
+  WQs, CQs and ports as tracks. For it the capture runs the
   **self-modification race inspector** online: it joins DRAM
   write-generation bumps against WQE fetch snapshots and flags every
   WQE whose ring bytes changed between post and fetch (``self_mod``)
@@ -29,18 +31,17 @@ methods; three ship here:
   states — see ``tools/trace.py diff``. Re-recording a scenario and
   diffing the two journals is the re-run check.
 
-* :class:`TelemetryCollector` (``repro.obs.telemetry``) — per-bed
-  windowed counters, queue depths, PU utilization and tail-latency
-  digests, merged fleet-wide by :class:`FleetTelemetry` into one
-  deterministic JSONL stream with SLO burn-rate alerting — see
-  ``tools/fleet.py top``.
+* :class:`TelemetryCollector` (``repro.obs.telemetry``), a sink of its
+  own — per-bed windowed counters, queue depths, PU utilization and
+  tail-latency digests, merged fleet-wide by :class:`FleetTelemetry`
+  into one deterministic JSONL stream with SLO burn-rate alerting —
+  see ``tools/fleet.py top``.
 
-Each sink keeps its own output format; none sees another. Separately,
-:class:`MetricsRegistry` (``repro.obs.metrics``) holds named counters,
-gauges and sim-time histograms behind one ``snapshot()`` API. Every
-simulator owns one lazily (``sim.metrics``); the RNIC and its
-send-queue drivers register their counters there, so one snapshot
-covers kernel, device and driver state. Exportable as
+Separately, :class:`MetricsRegistry` (``repro.obs.metrics``) holds
+named counters, gauges and sim-time histograms behind one
+``snapshot()`` API. Every simulator owns one lazily (``sim.metrics``);
+the RNIC and its send-queue drivers register their counters there, so
+one snapshot covers kernel, device and driver state. Exportable as
 OpenMetrics/Prometheus text via :meth:`MetricsRegistry.to_openmetrics`.
 
 ``repro.obs.critpath`` is pure post-processing: it
@@ -80,7 +81,7 @@ With no sink on a simulator the tuple is empty and the whole cost of
 a site is one attribute load and a branch — the pinned fingerprints in
 ``tests/test_sim_fingerprints.py`` run with every sink off. Attachment is per
 simulator: a sink on one simulator never puts another on the observed
-path, and ``close()`` on a sink takes it off the probe again.
+path, and ``close()`` (on the capture's last view) takes it off again.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 Every instrumentation site in the simulator announces its event exactly
 once, through its own simulator's ``sim.probe``. A *sink* — the
-:class:`~repro.obs.tracer.Tracer`, the
-:class:`~repro.obs.recorder.FlightRecorder`, a
-:class:`~repro.obs.telemetry.TelemetryCollector`, or any object with
-``on_<kind>`` methods — joins with :meth:`Probe.attach`. For each event
-kind in :data:`KINDS` the probe keeps the tuple of the attached sinks'
-bound ``on_<kind>`` hooks; a kind no sink implements holds the empty
-tuple, so with nothing listening a site costs one attribute load and a
-branch::
+:class:`~repro.obs.capture.Capture` behind the tracer and the flight
+recorder, a :class:`~repro.obs.telemetry.TelemetryCollector`, or any
+object with ``on_<kind>`` methods — joins with :meth:`Probe.attach`.
+For each event kind in :data:`KINDS` the probe keeps the tuple of the
+attached sinks' ``on_<kind>`` hooks (None opts out); a kind no sink
+hears holds the empty tuple, so with nothing listening a site costs
+one attribute load and a branch::
 
     if probe.post:
         for hook in probe.post:
@@ -17,8 +16,7 @@ branch::
 
 The probe is per simulator: a sink attached to one simulator never
 puts another on the observed path. Sinks never schedule events or
-mutate simulated state, and they never see each other — each keeps its
-own output format over the shared events.
+mutate simulated state, and they never see each other.
 
 Event kinds and the arguments every ``on_<kind>`` hook receives
 (times are simulated ns; the event happens at ``sim.now``):
@@ -102,7 +100,7 @@ class Probe:
         self.slot_images = False
         #: One shared store index per watched memory, by ``id(memory)``.
         self._store_indexes: Dict[int, _StoreIndex] = {}
-        self._bind()
+        self.bind()
 
     def attach(self, sink) -> None:
         """Add ``sink``; one sink per class per simulator."""
@@ -111,14 +109,14 @@ class Probe:
                 raise SinkAttachedError(
                     f"{self.sim!r} already has {other!r} attached")
         self.sinks.append(sink)
-        self._bind()
+        self.bind()
 
     def detach(self, sink) -> bool:
         """Remove ``sink``; False when it was not attached."""
         for index, other in enumerate(self.sinks):
             if other is sink:
                 del self.sinks[index]
-                self._bind()
+                self.bind()
                 return True
         return False
 
@@ -129,16 +127,15 @@ class Probe:
                 return sink
         return None
 
-    def _bind(self) -> None:
+    def bind(self) -> None:
+        """Re-read every sink's hooks; a sink whose ``on_<kind>`` is
+        missing or None does not hear that kind."""
         self.slot_images = any(getattr(sink, "wants_slot_images", False)
                                for sink in self.sinks)
         for kind in KINDS:
-            name = "on_" + kind
-            setattr(self, kind, tuple(getattr(sink, name)
-                                      for sink in self.sinks
-                                      if hasattr(sink, name)))
-
-
+            hooks = (getattr(sink, "on_" + kind, None) for sink in self.sinks)
+            setattr(self, kind, tuple(hook for hook in hooks
+                                      if hook is not None))
 
 
 class _StoreIndex:

@@ -1,49 +1,44 @@
 """Flight recorder: causal event journal, checkpoints, invariants.
 
 The recorder is the record half of record-and-diff debugging for the
-simulator. A :mod:`repro.obs.probe` sink like the tracer, it journals
-every **causally identified** event — a WQE post/fetch/execute
+simulator. A view over its simulator's :mod:`repro.obs.capture`, it
+journals every **causally identified** event — a WQE post/fetch/execute
 (queue name + monotonic WR index + slot bytes), a doorbell, a WAIT
 wakeup, an ENABLE, a CQE (CQ + monotonic count), an atomic apply, a
-store into annotated ring memory — into a bounded ring buffer, with a
-periodic **checkpoint** of all sim-visible state (DRAM region digests,
-queue producer/consumer counters, prefetch-cache keys, CQ counts).
-Journals dump to compact JSONL, one record per line, all integers and
-hex strings, ``sort_keys`` throughout — two identical runs produce
-byte-identical journals.
+store into annotated ring memory — in a bounded window, with a periodic
+**checkpoint** of all sim-visible state (DRAM region digests, queue
+producer/consumer counters, prefetch-cache keys, CQ counts). Journals
+dump to compact JSONL, one record per line, ``sort_keys`` throughout:
+two identical runs produce byte-identical journals. The re-run check
+is re-record and diff: :func:`repro.obs.tracediff.diff_journals` aligns
+a second journal with the first on causal keys, then compares their
+checkpoint states.
 
-The re-run check is re-record and diff: the simulator is
-deterministic, so rebuilding a scenario *is* re-seeding it, and
-:func:`repro.obs.tracediff.diff_journals` aligns the second journal
-with the first on causal keys, then compares their checkpoint states.
-
-Online **invariant monitors** run over every emitted record (also
-usable standalone over synthetic records via
+Online **invariant monitors** run over every record, evicted or not
+(also usable standalone over synthetic records via
 :class:`InvariantMonitor`): per-queue WR-index monotonicity, CQE
 conservation against signaled completions, DMA byte conservation for
-WRITE/READ, and WAIT-threshold consistency. Violations surface both on
+WRITE/READ, and WAIT-threshold consistency. Violations surface on
 ``FlightRecorder.violations`` and through the MetricsRegistry
 (``obs.invariants`` counter: ``checks`` plus ``violation:<name>``).
-
-Like the tracer, the recorder never schedules simulation events and
-never mutates simulated state — attaching it cannot change a run's
-schedule (``tests/test_obs_determinism.py`` holds it to that).
+Attaching a recorder cannot change a run's schedule
+(``tests/test_obs_determinism.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections import Counter, deque
+from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..nic.opcodes import OPCODE_NAMES, Opcode
+from ..nic.opcodes import Opcode
 from ..nic.wqe import WQE_SLOT_SIZE
-from .probe import StoreWatch
+from .capture import (ATOMIC, CQE, DONE, DOORBELL, ENABLE, EXEC, FETCH,
+                      JOURNALED, POST, SCHEMA, STORE, WAIT, Capture,
+                      digest, op_name, walk)
 
 __all__ = [
     "JOURNAL_SCHEMA",
-    "RECORD_SCHEMA",
     "FlightRecorder",
     "InvariantMonitor",
     "Journal",
@@ -68,15 +63,6 @@ class JournalTruncatedError(JournalError):
 class JournalCorruptError(JournalError):
     """A journal line is not valid JSON, a WQE image is not hex, or the
     seq chain has holes."""
-
-
-def _op_name(opcode: int) -> str:
-    return OPCODE_NAMES.get(opcode) or f"OP{opcode:#x}"
-
-
-def _digest(data) -> str:
-    """Compact (64-bit) content digest used for checkpoint state."""
-    return hashlib.sha256(bytes(data)).hexdigest()[:16]
 
 
 # -- invariant monitors ---------------------------------------------------
@@ -244,80 +230,72 @@ class InvariantMonitor:
 
 # -- the recorder ---------------------------------------------------------
 
-
-#: One row per journal record layout: ``(kind, fields)``. A recorded
-#: entry is the flat tuple ``(code, seq, ts, *values)``, ``code`` being
-#: the row's index; ``fields`` names the values in journal key order,
-#: and ``field:render`` renders that value when the record is built.
-#: Every record ends with ``seq`` and ``ts``.
-RECORD_SCHEMA = (
-    ("post", "wq wq_num wr slot slots addr op:op wqe:hex gens:list"),
-    ("doorbell", "wq wq_num up_to"),
-    ("fetch",
-     "wq wq_num wr slot slots addr op:op wqe:hex gens:list cache:bool"),
-    ("exec", "wq wq_num wr op len"),
-    ("wait", "wq wq_num wr cq threshold count signaled:bool"),
-    ("enable",
-     "wq wq_num wr target count relative:bool target_name signaled:bool"),
-    ("done", "wq wq_num wr op:op status len signaled:bool"),
-    ("cqe", "cq cq_num count op:op wr_id status wq_num"),
-    ("atomic", "nic src op:op raddr op0 op1 orig swapped"),  # CAS
-    ("atomic", "nic src op:op raddr op0 op1 orig"),
-    ("store", "mem region addr len digest:digest"),
-)
-
-#: Stores up to this many bytes keep their bytes for an export-time
-#: digest; larger ones (a freed or filled ring) are digested at once.
-_STORE_KEEP_BYTES = 512
-
-_RENDER = {
-    "op": _op_name,
-    "hex": bytes.hex,
-    "list": list,
-    "bool": bool,
-    "digest": lambda data: data if isinstance(data, str) else _digest(data),
-}
+#: Capture record codes the journal holds (a store only when journaled),
+#: and those of them a queue's :class:`~repro.obs.capture.Queue` names.
+_QUEUED = frozenset((POST, DOORBELL, FETCH, WAIT, ENABLE, DONE))
+_JOURNALED = _QUEUED | {EXEC, CQE, ATOMIC, STORE}
 
 
-def _compile(row):
-    kind, fields = row
-    keys, renders = [], []
-    for field in fields.split():
-        key, _, render = field.partition(":")
-        keys.append(key)
-        renders.append(_RENDER[render] if render else None)
-    return kind, tuple(keys), tuple(renders)
-
-
-_ROWS = tuple(_compile(row) for row in RECORD_SCHEMA)
-_SIZES = tuple(3 + len(keys) for _kind, keys, _renders in _ROWS)
-#: Records per storage chunk: the recorder's eviction granularity.
-_CHUNK = 512
-(_POST, _DOORBELL, _FETCH, _EXEC, _WAIT, _ENABLE, _DONE, _CQE, _CAS,
- _ATOMIC, _STORE) = range(len(RECORD_SCHEMA))
-
-
-def _record(raw: tuple) -> Dict[str, Any]:
-    """One recorded tuple as its journal record dict."""
-    kind, keys, renders = _ROWS[raw[0]]
-    record: Dict[str, Any] = {"kind": kind}
-    for key, render, value in zip(keys, renders, raw[3:]):
-        record[key] = value if render is None else render(value)
-    record["seq"] = raw[1]
-    record["ts"] = raw[2]
-    return record
+def _record(record: list, seq: int, payload) -> Dict[str, Any]:
+    """One journaled capture record as its journal record dict."""
+    code, ts = record[0], record[1]
+    out: Dict[str, Any] = {"kind": SCHEMA[code][0]}
+    if code == EXEC:
+        _, _, name, wq_num, wr, op, length = record
+        out.update(wq=name, wq_num=wq_num, wr=wr, op=op, len=length)
+    elif code in _QUEUED:
+        q = record[2]
+        out.update(wq=q.name, wq_num=q.wq_num)
+    if code == POST or code == FETCH:
+        _, _, q, wr, slot, slots, op = record[:7]
+        gens, data = payload
+        out.update(wr=wr, slot=slot, slots=slots,
+                   addr=q.ring + slot * WQE_SLOT_SIZE, op=op_name(op),
+                   wqe=data.hex(), gens=list(gens))
+        if code == FETCH:
+            out["cache"] = bool(record[7])
+    elif code == DONE:
+        _, _, _, wr, _start, op, status, length, signaled = record
+        out.update(wr=wr, op=op_name(op), status=status, len=length,
+                   signaled=bool(signaled))
+    elif code == CQE:
+        _, _, _track, cq, cq_num, count, op, wr_id, status, wq_num = \
+            record[:10]
+        out.update(cq=cq, cq_num=cq_num, count=count, op=op_name(op),
+                   wr_id=wr_id, status=status, wq_num=wq_num)
+    elif code == DOORBELL:
+        out["up_to"] = record[3]
+    elif code == WAIT:
+        _, _, _, wr, _start, cq, threshold, count, signaled = record
+        out.update(wr=wr, cq=cq, threshold=threshold, count=count,
+                   signaled=bool(signaled))
+    elif code == ENABLE:
+        _, _, _, wr, target, count, relative, target_name, signaled = record
+        out.update(wr=wr, target=target, count=count, relative=bool(relative),
+                   target_name=target_name, signaled=bool(signaled))
+    elif code == ATOMIC:
+        _, _, nic, src, op, raddr, op0, op1, original = record
+        out.update(nic=nic, src=src, op=op_name(op), raddr=raddr, op0=op0,
+                   op1=op1, orig=original)
+        if op == Opcode.CAS:
+            out["swapped"] = original == op0
+    elif code == STORE:
+        _, _, memory, region, addr, length, _views = record
+        out.update(mem=memory, region=region, addr=addr, len=length,
+                   digest=payload if isinstance(payload, str)
+                   else digest(payload))
+    out["seq"] = seq
+    out["ts"] = ts
+    return out
 
 
 class FlightRecorder:
     """Bounded causal journal of one simulation; one per Simulator.
 
-    Each hook records one flat tuple over :data:`RECORD_SCHEMA`; hex
-    strings, op names, store digests and record dicts are built only
-    when the journal is read (:attr:`records`, :meth:`journal_lines`).
+    Keeps the capture chunks that hold its retained window; record
+    dicts, hex strings, op names and store digests are built when the
+    journal is read (:attr:`records`, :meth:`journal_lines`).
     """
-
-    #: Post and fetch records carry the WQE's slot image.
-    wants_slot_images = True
 
     def __init__(self, sim, name: str = "journal",
                  capacity: int = 1 << 16,
@@ -332,50 +310,41 @@ class FlightRecorder:
         self.name = name
         self.capacity = capacity
         self.checkpoint_interval = checkpoint_interval
-        #: Next sequence number; seq - retained entries were evicted.
-        self.seq = 0
-        # Recorded tuples stored back to back in flat chunks of _CHUNK
-        # records, so a stored record leaves no GC-tracked object. The
-        # oldest chunk goes once the newer ones hold ``capacity``;
-        # ``_base`` is the seq of the first stored record and ``_chunk``
-        # the chunk being filled, up to seq ``_chunk_end``.
-        self._chunk: list = []
-        self._chunks: deque = deque([self._chunk])
-        self._base = 0
-        self._chunk_end = _CHUNK
         self.checkpoints: deque = deque(
             maxlen=max(2, capacity // checkpoint_interval + 2))
         self.monitor = InvariantMonitor(sim.metrics) if monitor else None
-        # Every record is one invariant check (a private tally without
-        # a monitor keeps the hooks branch-free).
-        self._checks = self.monitor.counter if monitor else Counter()
-        #: The seq after which :meth:`_boundary` next has work.
-        self._due = self._next_due()
-        # Attachment bookkeeping. Stores into annotated (ring) regions
-        # are journaled, and the regions' digests join every checkpoint.
-        self._nics: List = []
-        self._nics_seen: set = set()
-        self._watch = StoreWatch(sim.probe, self._on_store)
-        # Checkpoint digests are cached per annotated ring and re-taken
-        # only for rings a store touched since the last capture
-        # (``_dirty``); every mutation of a watched ring reaches the
-        # store hook, so the cache never goes stale. ``_rings`` maps
-        # each watched ring's (memory, start, end) to its queue.
-        self._rings: Dict[Tuple[Any, int, int], Any] = {}
+        #: ``(first seq, chunk, payloads)`` of each capture chunk that
+        #: holds part of the retained window.
+        self._chunks: deque = deque()
+        #: The final seq once closed.
+        self._seq: Optional[int] = None
+        # Covered NICs by id, and each journaled ring's (memory, start,
+        # end) -> (queue, label).
+        self._nics: Dict[int, Any] = {}
+        self._rings: Dict[Tuple[Any, int, int], Tuple[Any, str]] = {}
+        # Checkpoint digests are cached per ring and re-taken only for
+        # rings a store touched since the last capture (``_dirty``);
+        # every mutation of a watched ring reaches the store hook, so
+        # the cache never goes stale.
         self._dirty: set = set()
         self._digests: Dict[Tuple[Any, int, int], str] = {}
         self._mem_states: Dict[Any, Dict[str, str]] = {}
         self._wq_states: Dict[Any, Tuple] = {}
-        sim.probe.attach(self)
+        self._capture = Capture.join(self, "recorder")
 
     def __repr__(self) -> str:
         return (f"<FlightRecorder {self.name} seq={self.seq} "
                 f"retained={self.retained}>")
 
     @property
+    def seq(self) -> int:
+        """Next sequence number; seq - retained records were evicted."""
+        return self._capture.seq if self._seq is None else self._seq
+
+    @property
     def records(self) -> List[Dict[str, Any]]:
         """The retained journal records, oldest first (built per call)."""
-        return [_record(raw) for raw in self._retained()]
+        return list(self._journal())
 
     @property
     def retained(self) -> int:
@@ -393,13 +362,36 @@ class FlightRecorder:
 
     def close(self) -> None:
         """Detach from the simulator and its memories."""
-        if self.sim.probe.detach(self):
-            self._watch.close()
-            # No store reaches this recorder any more: stop caching.
-            self._rings.clear()
-            self._digests.clear()
-            self._mem_states.clear()
-            self._wq_states.clear()
+        if self._seq is None:
+            self._seq = self._capture.seq
+            self._capture.leave(self)
+            for cache in (self._rings, self._digests, self._mem_states,
+                          self._wq_states):
+                cache.clear()
+
+    # -- the capture's calls ------------------------------------------------
+
+    def _extend(self, chunk: list, payloads: list, seq: int) -> None:
+        """Hold a new chunk and its payloads, starting at ``seq``; drop
+        the oldest while every record it holds is out of the window."""
+        chunks = self._chunks
+        chunks.append((seq, chunk, payloads))
+        while len(chunks) > 1 and chunks[1][0] <= seq - self.capacity:
+            chunks.popleft()
+
+    def _journal(self):
+        """The retained record dicts, oldest first."""
+        first = self.evicted
+        for start, chunk, payloads in self._chunks:
+            seq = start
+            for record in walk((chunk,)):
+                code = record[0]
+                if code not in _JOURNALED or (
+                        code == STORE and not record[6] & JOURNALED):
+                    continue
+                if seq >= first:
+                    yield _record(record, seq, payloads[seq - start])
+                seq += 1
 
     # -- attachment --------------------------------------------------------
 
@@ -409,240 +401,36 @@ class FlightRecorder:
         Queues the NIC creates later are picked up automatically via
         the ``wq_created``/``cq_created`` probe events.
         """
-        if id(nic) in self._nics_seen:
+        if self._seq is not None or id(nic) in self._nics:
             return
-        self._nics_seen.add(id(nic))
-        self._nics.append(nic)
-        self._watch.attach(nic.memory)
+        self._nics[id(nic)] = nic
         for wq in nic.wqs.values():
-            self._annotate_ring(nic, wq)
+            self._cover(wq)
 
-    def _annotate_ring(self, nic, wq) -> None:
-        memory = nic.memory
-        self._watch.annotate(memory, wq.ring.addr, wq.ring.size,
-                             f"ring:{wq.name}")
-        self._rings[(memory, wq.ring.addr, wq.ring.end)] = wq
+    def _cover(self, wq) -> None:
+        memory, ring = wq.memory, wq.ring
+        key = (memory, ring.addr, ring.end)
+        entry = self._rings.get(key)
+        self._rings[key] = (wq, entry[1] if entry else f"ring:{wq.name}")
         self._mem_states.pop(memory, None)
+        self._capture.cover_ring(wq, JOURNALED)
 
-    # -- probe hooks -------------------------------------------------------
-
-    def on_wq_created(self, nic, wq) -> None:
-        self.attach_nic(nic)
-        self._annotate_ring(nic, wq)
-
-    def on_cq_created(self, nic, cq) -> None:
-        self.attach_nic(nic)
-
-    def on_wq_destroyed(self, wq) -> None:
-        """Stop journaling and checkpointing a torn-down queue's ring:
-        its memory is freed once quiescent and may be reused. The
-        monitor forgets the queue and its CQ."""
+    def _forget(self, wq) -> None:
+        """Stop checkpointing a torn-down queue's ring: its memory is
+        freed once quiescent and may be reused. The monitor forgets
+        the queue and its CQ."""
         if self.monitor is not None:
             self.monitor.forget(0, wq.name, wq.cq.name)
         memory, ring = wq.memory, wq.ring
         key = (memory, ring.addr, ring.end)
         if self._rings.pop(key, None) is None:
             return
-        self._watch.forget(memory, ring.addr, ring.size)
         self._dirty.discard(key)
         self._digests.pop(key, None)
         self._mem_states.pop(memory, None)
         self._wq_states.pop(wq, None)
 
-    # Each hook stores its record, then runs the same tail: advance
-    # seq, count one invariant check, and reach _boundary() when due.
-    # The tail is written out in every hook, not called, because it
-    # runs once per record.
-
-    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe, image) -> None:
-        seq = self.seq
-        gens, data = image
-        slot = slot_cursor % wq.num_slots
-        raw = (_POST, seq, self.sim.now, wq.name, wq.wq_num, wr_index, slot,
-               slots, wq.ring.addr + slot * WQE_SLOT_SIZE, wqe.opcode, data,
-               gens)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-
-    def on_doorbell(self, wq, up_to: int) -> None:
-        seq = self.seq
-        raw = (_DOORBELL, seq, self.sim.now, wq.name, wq.wq_num, up_to)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-
-    def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool, image) -> None:
-        seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
-        gens, data = image
-        slot = slot_cursor % wq.num_slots
-        raw = (_FETCH, seq, now, name, wq_num, wr_index, slot, slots,
-               wq.ring.addr + slot * WQE_SLOT_SIZE, wqe.opcode, data, gens,
-               cache_hit)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-        if self.monitor is not None:
-            self.monitor.fetch(seq, now, 0, name, wq_num, wr_index)
-
-    def on_execute(self, wq, wr_index: int, wqe) -> None:
-        seq = self.seq
-        opcode = wqe.opcode
-        name, op, length = wq.name, OPCODE_NAMES.get(opcode), wqe.length
-        if op is None:
-            op = _op_name(opcode)
-        raw = (_EXEC, seq, self.sim.now, name, wq.wq_num, wr_index, op,
-               length)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-        if self.monitor is not None:
-            self.monitor.exec(0, name, wr_index, op, length)
-
-    def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
-        seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
-        target, threshold, count = wqe.target, wqe.wqe_count, cq.count
-        signaled = wqe.signaled
-        raw = (_WAIT, seq, now, name, wq_num, wr_index, target, threshold,
-               count, signaled)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-        if self.monitor is not None:
-            self.monitor.wait(seq, now, 0, name, wq_num, wr_index, target,
-                              threshold, count, signaled)
-
-    def on_enable(self, wq, wr_index: int, wqe, relative: bool,
-                  target) -> None:
-        seq = self.seq
-        name, wq_num, signaled = wq.name, wq.wq_num, wqe.signaled
-        raw = (_ENABLE, seq, self.sim.now, name, wq_num, wr_index,
-               wqe.target, wqe.wqe_count, relative,
-               target.name if target else None, signaled)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-        if self.monitor is not None:
-            self.monitor.enable(0, name, wq_num, wr_index, signaled)
-
-    def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
-                start_ns: int) -> None:
-        seq, now, name, wq_num = self.seq, self.sim.now, wq.name, wq.wq_num
-        signaled = wqe.signaled
-        raw = (_DONE, seq, now, name, wq_num, wr_index, wqe.opcode, status,
-               byte_len, signaled)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-        if self.monitor is not None:
-            self.monitor.done(seq, now, 0, name, wq_num, wr_index, status,
-                              byte_len, signaled)
-
-    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
-        seq, now, name, count = self.seq, self.sim.now, cq.name, cq.count
-        wq_num, status = cqe.wq_num, cqe.status
-        raw = (_CQE, seq, now, name, cq.cq_num, count, cqe.opcode, cqe.wr_id,
-               status, wq_num)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-        if self.monitor is not None:
-            self.monitor.cqe(seq, now, 0, name, count, wq_num, status)
-
-    def on_atomic(self, nic, src_wq_name: str, wqe,
-                  original: int) -> None:
-        seq = self.seq
-        if wqe.opcode == Opcode.CAS:
-            raw = (_CAS, seq, self.sim.now, nic.name, src_wq_name,
-                   wqe.opcode, wqe.raddr, wqe.operand0, wqe.operand1,
-                   original, original == wqe.operand0)
-        else:
-            raw = (_ATOMIC, seq, self.sim.now, nic.name, src_wq_name,
-                   wqe.opcode, wqe.raddr, wqe.operand0, wqe.operand1,
-                   original)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-
-    def _on_store(self, memory, addr: int, length: int,
-                  region: tuple) -> None:
-        start, end, label = region
-        stop = addr + length
-        if start <= addr and stop <= end:
-            # Rings are disjoint allocations: a store inside one touches
-            # no other watched region.
-            self._dirty.add((memory, start, end))
-        else:
-            for start, end, _ in self._watch.overlapping(memory, addr,
-                                                         stop):
-                self._dirty.add((memory, start, end))
-        seq = self.seq
-        data = (memory.read(addr, length) if length <= _STORE_KEEP_BYTES
-                else _digest(memory.view(addr, length)))
-        raw = (_STORE, seq, self.sim.now, memory.name, label, addr, length,
-               data)
-        self._chunk += raw
-        self.seq = seq + 1
-        self._checks["checks"] += 1
-        if seq == self._due:
-            self._boundary()
-
-    # -- emission core -----------------------------------------------------
-
-    def _next_due(self) -> int:
-        """The last seq before a chunk fills or a checkpoint falls due."""
-        interval = self.checkpoint_interval
-        return min(self._chunk_end, (self.seq // interval + 1) * interval) - 1
-
-    def _boundary(self) -> None:
-        """Chunk rollover, then the checkpoint when one falls due."""
-        seq = self.seq
-        if seq == self._chunk_end:
-            self._next_chunk()
-        if seq % self.checkpoint_interval == 0:
-            self._checkpoint()
-        self._due = self._next_due()
-
-    def _next_chunk(self) -> None:
-        self._chunk = []
-        self._chunks.append(self._chunk)
-        self._chunk_end += _CHUNK
-        while self.seq - (self._base + _CHUNK) >= self.capacity:
-            self._chunks.popleft()
-            self._base += _CHUNK
-
-    def _retained(self):
-        """The retained recorded tuples, oldest first."""
-        skip = self.seq - self._base - self.retained
-        for chunk in self._chunks:
-            index, end = 0, len(chunk)
-            while index < end:
-                size = _SIZES[chunk[index]]
-                if skip:
-                    skip -= 1
-                else:
-                    yield chunk[index:index + size]
-                index += size
+    # -- checkpoints -------------------------------------------------------
 
     def capture_state(self) -> Dict[str, Any]:
         """Sim-visible state of everything attached, all digested.
@@ -656,18 +444,23 @@ class FlightRecorder:
         for key in dirty:
             self._digests.pop(key, None)
             self._mem_states.pop(key[0], None)
-            self._wq_states.pop(self._rings.get(key), None)
+            entry = self._rings.get(key)
+            if entry is not None:
+                self._wq_states.pop(entry[0], None)
         state: Dict[str, Any] = {"mem": {}, "wq": {}, "cq": {}}
-        for memory in self._watch.memories:
+        memories = {id(nic.memory): nic.memory for nic in self._nics.values()}
+        for memory in memories.values():
             mem_state = self._mem_states.get(memory)
             if mem_state is None:
+                regions = sorted([(start, end, label) for (owner, start, end),
+                                  (_wq, label) in self._rings.items()
+                                  if owner is memory])
                 mem_state = self._mem_states[memory] = {
                     label: self._region_digest(memory, start, end)
-                    for start, end, label
-                    in self._watch.regions[id(memory)]}
+                    for start, end, label in regions}
             state["mem"][memory.name] = mem_state
         wq_states = state["wq"]
-        for nic in self._nics:
+        for nic in self._nics.values():
             for wq in nic.wqs.values():
                 # Decode-cache keys are only ever added, so the cache's
                 # size versions its key set.
@@ -685,12 +478,12 @@ class FlightRecorder:
 
     def _region_digest(self, memory, start: int, end: int) -> str:
         key = (memory, start, end)
-        digest = self._digests.get(key)
-        if digest is None:
-            digest = _digest(memory.view(start, end - start))
+        value = self._digests.get(key)
+        if value is None:
+            value = digest(memory.view(start, end - start))
             if key in self._rings:
-                self._digests[key] = digest
-        return digest
+                self._digests[key] = value
+        return value
 
     def _wq_state(self, nic, wq, version: tuple) -> Tuple:
         """``(version, key, entry)`` of one queue's checkpoint entry,
@@ -703,7 +496,7 @@ class FlightRecorder:
             "post_cursor": wq._post_slot_cursor,
             "fetch_cursor": wq._fetch_slot_cursor,
             "ring": self._region_digest(wq.memory, ring.addr, ring.end),
-            "gens": _digest(
+            "gens": digest(
                 ",".join(map(str, wq._ring_gens.gens)).encode()),
             "cache": sorted(wq._decode_cache.keys()),
             "pu": wq.pu_index,
@@ -739,14 +532,13 @@ class FlightRecorder:
         checkpoints = [dict(cp, **extra) if extra else cp
                        for cp in self.checkpoints if cp["seq"] >= first]
         index = 0
-        for raw in self._retained():
+        for record in self._journal():
             while (index < len(checkpoints)
-                   and checkpoints[index]["seq"] <= raw[1]):
+                   and checkpoints[index]["seq"] <= record["seq"]):
                 lines.append(json.dumps(checkpoints[index],
                                         sort_keys=True,
                                         separators=(",", ":")))
                 index += 1
-            record = _record(raw)
             if extra:
                 record.update(extra)
             lines.append(json.dumps(record, sort_keys=True,

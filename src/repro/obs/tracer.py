@@ -1,6 +1,6 @@
 """The tracer: typed NIC-level events + the self-modification inspector.
 
-Events are recorded keyed on **simulated** time and exported as Chrome
+Events are keyed on **simulated** time and exported as Chrome
 trace-event JSON (https://ui.perfetto.dev loads it directly). Track
 layout:
 
@@ -17,190 +17,221 @@ layout:
   ignored so traces stay proportional to program activity, not payload
   volume.
 
-Race inspection happens online, because only the tracer sees both
-sides of the join: at **post** time it snapshots each WQE's slot bytes
-and write generations; at **fetch** time a generation mismatch plus a
-byte diff emits a ``self_mod`` event naming the rewritten fields (a
-generation bump whose bytes match the previous image — e.g. a
-RecycledLoop restore READ rewriting a template — is *not* flagged); at
-**execute** time the fetch-time snapshot is re-checked and any
-divergence emits ``stale_wqe``: the NIC is about to execute bytes that
-no longer match DRAM — exactly the §3.1 prefetch incoherence hazard.
+The race flags come from the capture's online inspector: ``self_mod``
+names the fields of a WQE whose ring bytes changed between post and
+fetch (a generation bump that rewrote the same bytes is not flagged),
+``stale_wqe`` one that changed between fetch and execute — the §3.1
+prefetch incoherence hazard.
 
-Storage is lean. Each hook records one flat tuple of atomic values,
-``(code, pid, tid, ts_ns, dur_ns, *values)``, where ``code`` names a
-row of :data:`EVENT_SCHEMA`. The tuple extends one flat list, so a
-stored event leaves no GC-tracked object behind. A queue's track is
-resolved once, not per event. Names, ``args`` dicts and WQE field
-diffs are built only when events are read (:attr:`Tracer.events`,
-:meth:`Tracer.chrome_events`), by the one formatter over that table.
-
-The tracer never schedules simulation events and never mutates
-simulated state, so attaching it cannot change a run's schedule — the
-``test_obs_determinism`` suite holds it to that.
+A tracer is a view over its simulator's :mod:`repro.obs.capture`: it
+holds the chunks recorded while attached, and :attr:`Tracer.events`
+and :meth:`Tracer.chrome_events` fold them when read, numbering pids
+and tids in the order tracks were first seen. Attaching it cannot
+change a run's schedule (``tests/test_obs_determinism.py``).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Sequence
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..nic.opcodes import OPCODE_NAMES, Opcode
+from ..nic.opcodes import Opcode
 from ..nic.wqe import format_field_diff, wqe_field_diff
-from .probe import StoreWatch
+from .capture import (ATOMIC, CQE, DEMUX, DMA, DMA_TXN, DONE, DOORBELL,
+                      DOORBELL_BATCH, ENABLE, EXEC, FETCH, FETCH_SPAN, LINK,
+                      NIC, OFFLOAD_CALL, ORPHANS, POOL_WAIT, POST, PU, QUEUE,
+                      REQUEST, SELF_MOD, SIZES, STALE_WQE, STORE, TRACED,
+                      TRACK, WAIT, WIRE, Capture, op_name, walk)
 
-__all__ = ["EVENT_SCHEMA", "Tracer", "export_merged_chrome"]
+__all__ = ["Tracer", "export_merged_chrome"]
 
-
-#: One row per recorded event kind: ``(kind, ph, cat, name, fields,
-#: args)``. A recorded event is ``(code, pid, tid, ts_ns, dur_ns,
-#: *values)``, ``code`` being the row's index and ``dur_ns`` None
-#: unless ``ph`` is "X". ``fields`` names the values in order;
-#: ``field:render`` renders that value at export. ``name`` is formatted
-#: over the rendered fields, and ``args`` lists the trailing fields
-#: that make the event's args dict, in key order (``*``: the ``args``
-#: field is the dict itself; None: no args).
-EVENT_SCHEMA = (
-    ("post", "i", "queue", "post:{op}",
-     "op:op wr_index slot slots", "wr_index slot slots"),
-    ("doorbell", "i", "queue", "doorbell", "up_to", "up_to"),
-    ("fetch_span", "X", "fetch", "fetch",
-     "wq count managed", "wq count managed"),
-    ("prefetch_span", "X", "fetch", "prefetch[{count}]",
-     "wq count managed", "wq count managed"),
-    ("self_mod", "i", "race", "self_mod",
-     "wq wr_index slot changed:diff", "wq wr_index slot changed"),
-    ("fetch", "i", "fetch", "wqe:{op}",
-     "op:op wr_index slot cache:cache", "wr_index slot cache"),
-    ("stale_wqe", "i", "race", "stale_wqe",
-     "wq wr_index fetched_at window_ns changed:diff",
-     "wq wr_index fetched_at window_ns changed"),
-    ("pu", "X", "exec", "{op}", "op:op wq", "wq"),
-    ("wait", "X", "sync", "WAIT", "cq_num count", "cq_num count"),
-    ("wait_wake", "i", "sync", "WAIT.wake", "cq_num", "cq_num"),
-    ("enable", "i", "sync", "ENABLE",
-     "target_wq count relative", "target_wq count relative"),
-    ("enable_named", "i", "sync", "ENABLE",
-     "target_wq count relative target_name",
-     "target_wq count relative target_name"),
-    ("done", "X", "exec", "op:{op}",
-     "op:op wr_index status", "wr_index status"),
-    ("cqe", "i", "cqe", "cqe:{op}",
-     "op:op wr_id status wq_num cq_num count",
-     "wr_id status wq_num cq_num count"),
-    ("cqe_dma", "X", "cqe", "cqe_dma", "wr_id cq_num", "wr_id cq_num"),
-    ("cq_count", "C", "cqe", "cq:{cq}", "cq completions", "completions"),
-    ("cas", "i", "atomic", "{op}",
-     "op:op raddr expected desired original swapped",
-     "raddr expected desired original swapped"),
-    ("atomic", "i", "atomic", "{op}",
-     "op:op raddr delta original", "raddr delta original"),
-    ("dma", "X", "dma", "dma[{bytes}B]", "bytes", "bytes"),
-    ("dma_txn", "X", "dma", "dma:{kind}", "kind", "kind"),
-    ("wire", "X", "wire", "wire[{bytes}B]", "bytes dst", "bytes dst"),
-    ("pool_wait", "X", "conn", "pool_wait", "pool tag", "pool tag"),
-    ("doorbell_batch", "X", "conn", "batch[{count}]",
-     "wq count extra_delay_ns", "wq count extra_delay_ns"),
-    ("demux", "i", "conn", "demux",
-     "cq_num wq_num wr_id", "cq_num wq_num wr_id"),
-    ("demux_stale", "i", "conn", "demux:stale",
-     "cq_num wq_num wr_id", "cq_num wq_num wr_id"),
-    ("link", "X", "link", "link:{mailbox}",
-     "src dst mailbox arrival_ns", "src dst mailbox arrival_ns"),
-    ("offload_call", "X", "offload", "call:{conn}",
-     "conn ok bytes", "ok bytes"),
-    ("request", "X", "request", "{label}", "label args", "*"),
-    ("store", "i", "mem", "store:{region}",
-     "addr len region", "addr len region"),
-)
+# Trace events per record (a CQE with a host delay adds its DMA span;
+# a store only the journal sees adds none).
+_PER_RECORD = [0 if code in (NIC, QUEUE, TRACK, EXEC) else
+               2 if code in (WAIT, CQE) else 1 for code in range(len(SIZES))]
 
 
-class _OpNames(dict):
-    """Opcode -> name, falling back to ``OP0x..`` for unknown codes."""
-
-    def __missing__(self, opcode: int) -> str:
-        return f"OP{opcode:#x}"
+def _changed(images) -> list:
+    """The field diff of a ``(old, new)`` WQE image pair."""
+    return [format_field_diff(diff) for diff in wqe_field_diff(*images)]
 
 
-_RENDER = {
-    "op": _OpNames(OPCODE_NAMES).__getitem__,
-    "cache": lambda hit: "hit" if hit else "miss",
-    # The self_mod / stale_wqe field diff of (old, new) WQE images.
-    "diff": lambda images: [format_field_diff(diff)
-                            for diff in wqe_field_diff(*images)],
-}
+def _fold(chunks, name: str) -> tuple:
+    """``(pids, tids, events)`` of the records in ``chunks``: pids per
+    process label and tids per (pid, thread label), numbered in order of
+    first sight, and events as ``(ph, cat, name, pid, tid, ts_ns,
+    dur_ns, args)`` in emission order."""
+    pids: Dict[str, int] = {}
+    tids: Dict[tuple, int] = {}
+    counts: Dict[int, int] = {}
+
+    def track(process: str, thread: str) -> tuple:
+        pid = pids.setdefault(process, len(pids) + 1)
+        tid = tids.get((pid, thread))
+        if tid is None:
+            tid = tids[(pid, thread)] = counts[pid] = counts.get(pid, 0) + 1
+        return pid, tid
+
+    def queue(q) -> tuple:
+        return track(q.nic, f"wq:{q.name}")
+
+    events: list = []
+    add = events.append
+    for record in walk(chunks):
+        code, ts = record[0], record[1]
+        if code == POST:
+            _, _, q, wr, slot, slots, op = record
+            add(("i", "queue", f"post:{op_name(op)}", *queue(q), ts, None,
+                 {"wr_index": wr, "slot": slot, "slots": slots}))
+        elif code == FETCH:
+            _, _, q, wr, slot, _slots, op, cache = record
+            add(("i", "fetch", f"wqe:{op_name(op)}", *queue(q), ts, None,
+                 {"wr_index": wr, "slot": slot,
+                  "cache": "hit" if cache else "miss"}))
+        elif code == DONE:
+            _, _, q, wr, start, op, status = record[:7]
+            add(("X", "exec", f"op:{op_name(op)}", *queue(q), start,
+                 ts - start, {"wr_index": wr, "status": status}))
+        elif code == CQE:
+            _, _, cq_track, cq, cq_num, count, op, wr_id, status, wq_num, \
+                delay = record
+            pid, tid = track(*(cq_track or (ORPHANS, f"cq:{cq}")))
+            add(("i", "cqe", f"cqe:{op_name(op)}", pid, tid, ts, None,
+                 {"wr_id": wr_id, "status": status, "wq_num": wq_num,
+                  "cq_num": cq_num, "count": count}))
+            if delay > 0:
+                # The posted DMA that carries the CQE to host memory:
+                # the monotonic counter (WAIT verbs) bumped at span
+                # start, the host poller sees the entry at span end.
+                add(("X", "cqe", "cqe_dma", pid, tid, ts, delay,
+                     {"wr_id": wr_id, "cq_num": cq_num}))
+            add(("C", "cqe", f"cq:{cq}", pid, tid, ts, None,
+                 {"completions": count}))
+        elif code == PU:
+            _, _, nic, port, pu, start, op, wq = record
+            add(("X", "exec", op_name(op), *track(nic, f"port{port}/pu{pu}"),
+                 start, ts - start, {"wq": wq}))
+        elif code == DOORBELL:
+            add(("i", "queue", "doorbell", *queue(record[2]), ts, None,
+                 {"up_to": record[3]}))
+        elif code == FETCH_SPAN:
+            _, _, nic, port, start, wq, count, managed = record
+            add(("X", "fetch", "fetch" if managed else f"prefetch[{count}]",
+                 *track(nic, f"port{port}/fetch"), start, ts - start,
+                 {"wq": wq, "count": count, "managed": managed}))
+        elif code == DMA:
+            _, _, nic, start, nbytes = record
+            add(("X", "dma", f"dma[{nbytes}B]", *track(nic, "pcie"), start,
+                 ts - start, {"bytes": nbytes}))
+        elif code == DMA_TXN:
+            _, _, nic, start, kind = record
+            add(("X", "dma", f"dma:{kind}", *track(nic, "pcie"), start,
+                 ts - start, {"kind": kind}))
+        elif code == WIRE:
+            _, _, nic, start, nbytes, dst = record
+            add(("X", "wire", f"wire[{nbytes}B]", *track(nic, "wire"), start,
+                 ts - start, {"bytes": nbytes, "dst": dst}))
+        elif code == WAIT:
+            _, _, q, _wr, start, cq_num, threshold = record[:7]
+            pid, tid = queue(q)
+            add(("X", "sync", "WAIT", pid, tid, start, ts - start,
+                 {"cq_num": cq_num, "count": threshold}))
+            add(("i", "sync", "WAIT.wake", pid, tid, ts, None,
+                 {"cq_num": cq_num}))
+        elif code == ENABLE:
+            _, _, q, _wr, target, count, relative, target_name = record[:8]
+            args = {"target_wq": target, "count": count,
+                    "relative": relative}
+            if target_name is not None:
+                args["target_name"] = target_name
+            add(("i", "sync", "ENABLE", *queue(q), ts, None, args))
+        elif code == ATOMIC:
+            _, _, nic, _src, op, raddr, op0, op1, original = record
+            if op == Opcode.CAS:
+                args = {"raddr": raddr, "expected": op0, "desired": op1,
+                        "original": original, "swapped": original == op0}
+            else:
+                args = {"raddr": raddr, "delta": op0, "original": original}
+            add(("i", "atomic", op_name(op), *track(nic, "atomics"), ts,
+                 None, args))
+        elif code == STORE:
+            _, _, memory, region, addr, length, views = record
+            if views & TRACED:
+                add(("i", "mem", f"store:{region}", *track(memory, "stores"),
+                     ts, None, {"addr": addr, "len": length,
+                                "region": region}))
+        elif code == DOORBELL_BATCH:
+            _, _, q, start, count, extra = record
+            add(("X", "conn", f"batch[{count}]", *queue(q), start,
+                 ts - start + extra,
+                 {"wq": q.name, "count": count, "extra_delay_ns": extra}))
+        elif code == DEMUX:
+            _, _, cq_track, cq_num, wq_num, wr_id, stale = record
+            add(("i", "conn", "demux:stale" if stale else "demux",
+                 *track(*cq_track), ts, None,
+                 {"cq_num": cq_num, "wq_num": wq_num, "wr_id": wr_id}))
+        elif code == POOL_WAIT:
+            _, _, pool, start, tag = record
+            add(("X", "conn", "pool_wait", *track(pool, "lease-wait"), start,
+                 ts - start, {"pool": pool, "tag": tag}))
+        elif code == LINK:
+            _, _, src, dst, mailbox, arrival = record
+            add(("X", "link", f"link:{mailbox}",
+                 *track("fabric", f"link:{src}->{dst}"), ts, arrival - ts,
+                 {"src": src, "dst": dst, "mailbox": mailbox,
+                  "arrival_ns": arrival}))
+        elif code == OFFLOAD_CALL:
+            _, _, nic, start, conn, ok, nbytes = record
+            add(("X", "offload", f"call:{conn}", *track(nic, "offload"),
+                 start, ts - start, {"ok": ok, "bytes": nbytes}))
+        elif code == SELF_MOD:
+            _, _, q, wr, slot, images = record
+            add(("i", "race", "self_mod", *queue(q), ts, None,
+                 {"wq": q.name, "wr_index": wr, "slot": slot,
+                  "changed": _changed(images)}))
+        elif code == STALE_WQE:
+            _, _, q, wr, fetched, images = record
+            add(("i", "race", "stale_wqe", *queue(q), ts, None,
+                 {"wq": q.name, "wr_index": wr, "fetched_at": fetched,
+                  "window_ns": ts - fetched, "changed": _changed(images)}))
+        elif code == REQUEST:
+            _, _, start, label, args = record
+            add(("X", "request", f"{label}", *track(name, "requests"), start,
+                 ts - start, args))
+        elif code == QUEUE:
+            queue(record[1])
+        elif code == TRACK:
+            track(*record[1])
+        elif code == NIC:
+            _, nic, ports = record
+            for index, pus in ports:
+                track(nic, f"port{index}/fetch")
+                for pu in range(pus):
+                    track(nic, f"port{index}/pu{pu}")
+            for thread in ("pcie", "wire", "atomics"):
+                track(nic, thread)
+    return pids, tids, events
 
 
-def _compile(row):
-    """A schema row as ``(ph, cat, title, templated, arg_keys, skip,
-    renders)``: ``title`` takes the values positionally, the args are
-    ``values[skip:]`` (the ``args`` value itself for ``*``), and
-    ``renders`` pairs each rendered value's index with its renderer."""
-    kind, ph, cat, name, fields, args = row
-    keys, renders = [], []
-    for index, field in enumerate(fields.split()):
-        key, _, render = field.partition(":")
-        keys.append(key)
-        if render:
-            renders.append((index, _RENDER[render]))
-    skip = None
-    if args == "*":
-        skip = keys.index("args")
-    elif args is not None:
-        args = tuple(args.split())
-        skip = len(keys) - len(args)
-        if tuple(keys[skip:]) != args:
-            raise ValueError(f"{kind}: args must be the last fields")
-    title = re.sub(r"\{(\w+)\}",
-                   lambda match: "{%d}" % keys.index(match.group(1)), name)
-    return ph, cat, title, "{" in name, args, skip, tuple(renders)
-
-
-_ROWS = tuple(_compile(row) for row in EVENT_SCHEMA)
-_SIZES = tuple(5 + len(row[4].split()) for row in EVENT_SCHEMA)
-(_POST, _DOORBELL, _FETCH_SPAN, _PREFETCH_SPAN, _SELF_MOD, _FETCH,
- _STALE_WQE, _PU, _WAIT, _WAIT_WAKE, _ENABLE, _ENABLE_NAMED, _DONE, _CQE,
- _CQE_DMA, _CQ_COUNT, _CAS, _ATOMIC, _DMA, _DMA_TXN, _WIRE, _POOL_WAIT,
- _DOORBELL_BATCH, _DEMUX, _DEMUX_STALE, _LINK, _OFFLOAD_CALL, _REQUEST,
- _STORE) = range(len(EVENT_SCHEMA))
-
-
-def _format(raw: list) -> tuple:
-    """``(ph, cat, name, args)`` of one recorded event."""
-    ph, cat, title, templated, arg_keys, skip, renders = _ROWS[raw[0]]
-    values = raw[5:]
-    for index, render in renders:
-        values[index] = render(values[index])
-    name = title.format(*values) if templated else title
-    if arg_keys is None:
-        args = None
-    elif arg_keys == "*":
-        args = values[skip]
-    else:
-        args = dict(zip(arg_keys, values[skip:]))
-    return ph, cat, name, args
-
-
-def _event(raw: tuple) -> tuple:
-    """One recorded tuple as ``(ph, cat, name, pid, tid, ts_ns, dur_ns,
-    args)``."""
-    ph, cat, name, args = _format(raw)
-    return (ph, cat, name, raw[1], raw[2], raw[3], raw[4], args)
-
-
-def _walk(flat: list):
-    """The recorded events stored back to back in ``flat``, as lists."""
-    index, end = 0, len(flat)
-    while index < end:
-        size = _SIZES[flat[index]]
-        yield flat[index:index + size]
-        index += size
+def _count(chunks) -> int:
+    """Trace events the records in ``chunks`` fold to."""
+    count = 0
+    for chunk in chunks:
+        index, end = 0, len(chunk)
+        while index < end:
+            code = chunk[index]
+            count += _PER_RECORD[code]
+            if code == CQE:
+                count += chunk[index + 10] > 0
+            elif code == STORE:
+                count -= not chunk[index + 6] & TRACED
+            index += SIZES[code]
+    return count
 
 
 class _EventView(Sequence):
-    """:attr:`Tracer.events`: formatted on access, sized in O(1)."""
+    """:attr:`Tracer.events`: folded when read."""
 
     __slots__ = ("_tracer",)
 
@@ -208,13 +239,13 @@ class _EventView(Sequence):
         self._tracer = tracer
 
     def __len__(self) -> int:
-        return self._tracer._count
+        return _count(self._tracer._chunks)
 
     def __getitem__(self, index):
-        return list(self)[index]
+        return self._tracer._fold()[2][index]
 
     def __iter__(self):
-        return map(_event, _walk(self._tracer._raw))
+        return iter(self._tracer._fold()[2])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (_EventView, list, tuple)):
@@ -227,67 +258,34 @@ class _EventView(Sequence):
         return f"<events n={len(self)}>"
 
 
-class _Queue:
-    """Per work queue: its track, last slot images, fetch snapshots."""
-
-    __slots__ = ("wq", "pid", "tid", "images", "snaps")
-
-    def __init__(self, wq, pid: int, tid: int):
-        self.wq = wq
-        self.pid = pid
-        self.tid = tid
-        #: Last-seen ``(gens, bytes)`` image per ring slot index.
-        self.images: Dict[int, Tuple[Tuple[int, ...], bytes]] = {}
-        #: Fetch-time snapshot per in-flight WR index.
-        self.snaps: Dict[int, Tuple] = {}
-
-
-class _Queues(dict):
-    """Live queue -> its :class:`_Queue`; a miss resolves the queue."""
-
-    def __init__(self, resolve):
-        super().__init__()
-        self.resolve = resolve
-
-    def __missing__(self, wq) -> _Queue:
-        return self.resolve(wq)
-
-
 class Tracer:
     """Records one simulation's events; one tracer per Simulator.
 
-    A :mod:`repro.obs.probe` sink: its ``on_<kind>`` methods are the
-    probe's event hooks.
+    A view over the simulator's :class:`~repro.obs.capture.Capture`.
     """
-
-    #: The race inspector compares post/fetch slot images.
-    wants_slot_images = True
 
     def __init__(self, sim, name: str = "trace"):
         self.sim = sim
         self.name = name
-        # Recorded events, in emission (= simulated time) order: flat
-        # tuples over EVENT_SCHEMA stored back to back, and their count.
-        self._raw: list = []
-        self._count = 0
-        self._pids: Dict[str, int] = {}
-        self._tids: Dict[Tuple[int, str], int] = {}
-        self._tid_counts: Dict[int, int] = {}
-        self._nics_seen: set = set()
-        # Resolved state per live queue, and (pid, tid) per CQ.
-        self._queues = _Queues(self._queue)
-        self._cqs: Dict[Any, Tuple[int, int]] = {}
-        # (pid, tid) per NIC-, pool- or memory-level track key.
-        self._tracks: Dict[tuple, Tuple[int, int]] = {}
-        # Stores into WQE rings (RedN code regions included) become events.
-        self._watch = StoreWatch(sim.probe, self._on_store)
         self.self_mod_count = 0
         self.stale_count = 0
-        sim.probe.attach(self)
         self._exec_hist = sim.metrics.histogram("obs.execute_ns")
+        # The capture's chunks recorded while attached, and the last
+        # fold, keyed by how much was recorded.
+        self._chunks: List[list] = []
+        self._folded: tuple = (None, None)
+        self._capture = Capture.join(self, "tracer")
 
     def __repr__(self) -> str:
-        return f"<Tracer {self.name} events={self._count}>"
+        return f"<Tracer {self.name} events={_count(self._chunks)}>"
+
+    def _fold(self) -> tuple:
+        """``(pids, tids, events)``, folded again after new records."""
+        chunks = self._chunks
+        size = (len(chunks), len(chunks[-1]) if chunks else 0)
+        if self._folded[0] != size:
+            self._folded = (size, _fold(chunks, self.name))
+        return self._folded[1]
 
     @property
     def events(self) -> _EventView:
@@ -297,330 +295,16 @@ class Tracer:
 
     def close(self) -> None:
         """Detach from the simulator and its memories."""
-        if self.sim.probe.detach(self):
-            self._watch.close()
+        self._capture.leave(self)
 
-    # -- track bookkeeping -----------------------------------------------
-
-    def _pid(self, label: str) -> int:
-        pid = self._pids.get(label)
-        if pid is None:
-            pid = self._pids[label] = len(self._pids) + 1
-        return pid
-
-    def _tid(self, pid: int, label: str) -> int:
-        key = (pid, label)
-        tid = self._tids.get(key)
-        if tid is None:
-            tid = self._tid_counts.get(pid, 0) + 1
-            self._tid_counts[pid] = self._tids[key] = tid
-        return tid
-
-    def _track(self, key: tuple, pid_label: str,
-               thread: str) -> Tuple[int, int]:
-        pid = self._pid(pid_label)
-        track = self._tracks[key] = (pid, self._tid(pid, thread))
-        return track
-
-    def _nic_track(self, nic, key: tuple, thread: str) -> Tuple[int, int]:
-        pid = self.attach_nic(nic)
-        track = self._tracks[key] = (pid, self._tid(pid, thread))
-        return track
-
-    def _queue(self, wq) -> _Queue:
-        """Resolve a queue not in ``_queues`` (cached unless destroyed)."""
-        qp = wq.qp
-        if qp is not None:
-            return self._register_wq(qp.nic, wq)
-        pid = self._pid("orphan-queues")
-        state = _Queue(wq, pid, self._tid(pid, f"wq:{wq.name}"))
-        if not wq.destroyed:
-            self._queues[wq] = state
-        return state
-
-    def _register_wq(self, nic, wq) -> _Queue:
-        pid = self.attach_nic(nic)
-        tid = self._tid(pid, f"wq:{wq.name}")
-        if not wq.destroyed:
-            self._watch.annotate(wq.memory, wq.ring.addr, wq.ring.size,
-                                 f"ring:{wq.name}")
-        state = self._queues.get(wq)
-        if state is None:
-            state = _Queue(wq, pid, tid)
-            if not wq.destroyed:
-                self._queues[wq] = state
-        return state
-
-    def _cq_track(self, cq) -> Tuple[int, int]:
-        track = self._cqs.get(cq)
-        if track is not None:
-            return track
-        pid = self._pid("orphan-queues")
-        return pid, self._tid(pid, f"cq:{cq.name}")
-
-    # -- attachment --------------------------------------------------------
-
-    def attach_nic(self, nic) -> int:
+    def attach_nic(self, nic) -> None:
         """Register a NIC's tracks, queues and DRAM write hook.
 
-        Idempotent; also invoked lazily by every NIC-side event, so an
+        Idempotent; also done lazily on every NIC-side event, so an
         explicit call is only needed to pre-register empty tracks.
         """
-        pid = self._pid(nic.name)
-        if id(nic) in self._nics_seen:
-            return pid
-        self._nics_seen.add(id(nic))
-        for port in nic.ports:
-            self._tid(pid, f"port{port.index}/fetch")
-            for pu_index in range(len(port.pus)):
-                self._tid(pid, f"port{port.index}/pu{pu_index}")
-        self._tid(pid, "pcie")
-        self._tid(pid, "wire")
-        self._tid(pid, "atomics")
-        self._watch.attach(nic.memory)
-        for cq in nic.cqs.values():
-            self.on_cq_created(nic, cq)
-        for wq in nic.wqs.values():
-            self.on_wq_created(nic, wq)
-        return pid
-
-    # -- NIC object lifecycle (called by RNIC factories) --------------------
-
-    def on_wq_created(self, nic, wq) -> None:
-        self._register_wq(nic, wq)
-
-    def on_wq_destroyed(self, wq) -> None:
-        """A torn-down queue never fetches or executes again: drop its
-        slot images and unexecuted fetch snapshots, and stop tracing
-        stores into its ring, which a later allocation may reuse."""
-        self._queues.pop(wq, None)
-        self._watch.forget(wq.memory, wq.ring.addr, wq.ring.size)
-
-    def on_cq_created(self, nic, cq) -> None:
-        pid = self.attach_nic(nic)
-        self._cqs[cq] = (pid, self._tid(pid, f"cq:{cq.name}"))
-
-    # -- queue-side events ----------------------------------------------------
-
-    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe, image) -> None:
-        """Host posted a WQE: record its image for the race inspector."""
-        state = self._queues[wq]
-        slot = slot_cursor % wq.num_slots
-        state.images[slot] = image
-        self._raw += (_POST, state.pid, state.tid, self.sim.now, None,
-                      wqe.opcode, wr_index, slot, slots)
-        self._count += 1
-
-    def on_doorbell(self, wq, up_to: int) -> None:
-        state = self._queues[wq]
-        self._raw += (_DOORBELL, state.pid, state.tid, self.sim.now, None,
-                      up_to)
-        self._count += 1
-
-    def on_fetch_span(self, nic, wq, start_ns: int, count: int,
-                      managed: bool) -> None:
-        """One fetch DMA (managed: 1 WQE; normal: a prefetch batch)."""
-        key = (nic, "fetch", wq.port_index)
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, f"port{wq.port_index}/fetch")
-        self._raw += (_FETCH_SPAN if managed else _PREFETCH_SPAN, pid, tid,
-                      start_ns, self.sim.now - start_ns, wq.name, count,
-                      managed)
-        self._count += 1
-
-    def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool, image) -> None:
-        """One WQE's bytes were snapshotted by the NIC.
-
-        Runs the post-vs-fetch half of the race join and arms the
-        fetch-vs-execute half.
-        """
-        state = self._queues[wq]
-        now = self.sim.now
-        gens, data = image
-        slot = slot_cursor % wq.num_slots
-        images = state.images
-        old = images.get(slot)
-        if old is not None and old[0] != gens and old[1] != data:
-            self.self_mod_count += 1
-            self._raw += (_SELF_MOD, state.pid, state.tid, now, None, wq.name,
-                          wr_index, slot, (old[1], data))
-            self._count += 1
-        images[slot] = image
-        state.snaps[wr_index] = (gens, data, now, slot_cursor, slots)
-        self._raw += (_FETCH, state.pid, state.tid, now, None, wqe.opcode,
-                      wr_index, slot, cache_hit)
-        self._count += 1
-
-    # -- execute-side events ----------------------------------------------------
-
-    def on_execute(self, wq, wr_index: int, wqe) -> None:
-        """WQE entered execution: close the fetch-vs-execute window."""
-        state = self._queues.get(wq)
-        if state is None:
-            return
-        snap = state.snaps.pop(wr_index, None)
-        if snap is None:
-            return
-        gens, data, fetch_ts, slot_cursor, slots = snap
-        if wq.slot_gens(slot_cursor, slots) == gens:
-            return
-        _, current = wq.slot_state(slot_cursor, slots)
-        if current == data:
-            return
-        now = self.sim.now
-        self.stale_count += 1
-        self._raw += (_STALE_WQE, state.pid, state.tid, now, None, wq.name,
-                      wr_index, fetch_ts, now - fetch_ts, (data, current))
-        self._count += 1
-
-    def on_pu(self, nic, wq, opcode: int, start_ns: int) -> None:
-        key = (nic, wq.port_index, wq.pu_index)
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, f"port{wq.port_index}/pu{wq.pu_index}")
-        self._raw += (_PU, pid, tid, start_ns, self.sim.now - start_ns, opcode,
-                      wq.name)
-        self._count += 1
-
-    def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
-        state = self._queues[wq]
-        now = self.sim.now
-        self._raw += (_WAIT, state.pid, state.tid, start_ns, now - start_ns,
-                      wqe.target, wqe.wqe_count)
-        self._count += 1
-        self._raw += (_WAIT_WAKE, state.pid, state.tid, now, None, wqe.target)
-        self._count += 1
-
-    def on_enable(self, wq, wr_index: int, wqe, relative: bool,
-                  target) -> None:
-        state = self._queues[wq]
-        if target is None:
-            raw = (_ENABLE, state.pid, state.tid, self.sim.now, None,
-                   wqe.target, wqe.wqe_count, relative)
-        else:
-            raw = (_ENABLE_NAMED, state.pid, state.tid, self.sim.now, None,
-                   wqe.target, wqe.wqe_count, relative, target.name)
-        self._raw += raw
-        self._count += 1
-
-    def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
-                start_ns: int) -> None:
-        state = self._queues[wq]
-        dur = self.sim.now - start_ns
-        self._exec_hist.observe(dur)
-        self._raw += (_DONE, state.pid, state.tid, start_ns, dur, wqe.opcode,
-                      wr_index, status)
-        self._count += 1
-
-    # -- completion / data-path events ---------------------------------------
-
-    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
-        pid, tid = self._cq_track(cq)
-        now = self.sim.now
-        self._raw += (_CQE, pid, tid, now, None, cqe.opcode, cqe.wr_id,
-                      cqe.status, cqe.wq_num, cq.cq_num, cq.count)
-        self._count += 1
-        if host_delay_ns > 0:
-            # The posted DMA that carries the CQE to host memory: the
-            # monotonic counter (WAIT verbs) bumped at span start, the
-            # host poller sees the entry at span end.
-            self._raw += (_CQE_DMA, pid, tid, now, host_delay_ns, cqe.wr_id,
-                          cq.cq_num)
-            self._count += 1
-        self._raw += (_CQ_COUNT, pid, tid, now, None, cq.name, cq.count)
-        self._count += 1
-
-    def on_atomic(self, nic, src_wq_name: str, wqe, original: int) -> None:
-        key = (nic, "atomics")
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, "atomics")
-        if wqe.opcode == Opcode.CAS:
-            raw = (_CAS, pid, tid, self.sim.now, None, wqe.opcode,
-                   wqe.raddr, wqe.operand0, wqe.operand1, original,
-                   original == wqe.operand0)
-        else:
-            raw = (_ATOMIC, pid, tid, self.sim.now, None, wqe.opcode,
-                   wqe.raddr, wqe.operand0, original)
-        self._raw += raw
-        self._count += 1
-
-    def on_dma(self, nic, nbytes: int, start_ns: int) -> None:
-        key = (nic, "pcie")
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, "pcie")
-        self._raw += (_DMA, pid, tid, start_ns, self.sim.now - start_ns,
-                      nbytes)
-        self._count += 1
-
-    def on_dma_txn(self, nic, kind: str, start_ns: int) -> None:
-        """A posted/non-posted PCIe transaction latency window."""
-        key = (nic, "pcie")
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, "pcie")
-        self._raw += (_DMA_TXN, pid, tid, start_ns, self.sim.now - start_ns,
-                      kind)
-        self._count += 1
-
-    def on_wire(self, nic, dst_nic, nbytes: int, start_ns: int) -> None:
-        """One message's serialization + link traversal (never loopback)."""
-        key = (nic, "wire")
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, "wire")
-        self._raw += (_WIRE, pid, tid, start_ns, self.sim.now - start_ns,
-                      nbytes, dst_nic.name)
-        self._count += 1
-
-    # -- connection-plane / cross-shard events -------------------------------
-
-    def on_pool_acquire(self, pool, start_ns: int, tag: str) -> None:
-        """One lease's FIFO wait in a QpPool's acquire queue, if any."""
-        now = self.sim.now
-        if start_ns == now:
-            return
-        key = (pool.name, "lease-wait")
-        pid, tid = self._tracks.get(key) or self._track(
-            key, pool.name, "lease-wait")
-        self._raw += (_POOL_WAIT, pid, tid, start_ns, now - start_ns,
-                      pool.name, tag)
-        self._count += 1
-
-    def on_doorbell_batch(self, wq, count: int, start_ns: int,
-                          extra_delay_ns: int) -> None:
-        """One coalesced doorbell flush: hold window + batch surcharge."""
-        state = self._queues[wq]
-        self._raw += (_DOORBELL_BATCH, state.pid, state.tid, start_ns,
-                      (self.sim.now - start_ns) + extra_delay_ns, wq.name,
-                      count, extra_delay_ns)
-        self._count += 1
-
-    def on_cqe_demux(self, cq, cqe, stale: bool) -> None:
-        """CompletionRouter verdict for one shared-CQ entry."""
-        pid, tid = self._cq_track(cq)
-        self._raw += (_DEMUX_STALE if stale else _DEMUX, pid, tid,
-                      self.sim.now, None, cq.cq_num, cqe.wq_num, cqe.wr_id)
-        self._count += 1
-
-    def on_link_send(self, src_index: int, dst_index: int, mailbox: str,
-                     arrival_ns: int) -> None:
-        """One ShardFabric message's wire traversal to the peer shard."""
-        key = ("fabric", src_index, dst_index)
-        pid, tid = self._tracks.get(key) or self._track(
-            key, "fabric", f"link:{src_index}->{dst_index}")
-        now = self.sim.now
-        self._raw += (_LINK, pid, tid, now, arrival_ns - now, src_index,
-                      dst_index, mailbox, arrival_ns)
-        self._count += 1
-
-    def on_offload_call(self, conn, start_ns: int, ok: bool,
-                        byte_len: int) -> None:
-        nic = conn.client_nic
-        key = (nic, "offload")
-        pid, tid = self._tracks.get(key) or self._nic_track(
-            nic, key, "offload")
-        self._raw += (_OFFLOAD_CALL, pid, tid, start_ns,
-                      self.sim.now - start_ns, conn.name, ok, byte_len)
-        self._count += 1
+        if self._capture.tracer is self:
+            self._capture._traced[nic]
 
     def request_span(self, label: str, start_ns: int,
                      args: Optional[Dict[str, Any]] = None) -> None:
@@ -629,48 +313,31 @@ class Tracer:
         The critical-path profiler treats each such span — like each
         offload ``call:`` span — as one request to attribute.
         """
-        pid = self._pid(self.name)
-        tid = self._tid(pid, "requests")
-        self._raw += (_REQUEST, pid, tid, start_ns, self.sim.now - start_ns,
-                      label, args)
-        self._count += 1
-
-    def _on_store(self, memory, addr: int, length: int,
-                  region: tuple) -> None:
-        key = (memory.name, "stores")
-        pid, tid = self._tracks.get(key) or self._track(
-            key, memory.name, "stores")
-        self._raw += (_STORE, pid, tid, self.sim.now, None, addr, length,
-                      region[2])
-        self._count += 1
+        if self._capture.tracer is self:
+            self._capture._chunk += (REQUEST, self.sim.now, start_ns, label,
+                                     args)
 
     # -- export ------------------------------------------------------------
 
     def chrome_events(self, pid_offset: int = 0) -> List[Dict[str, Any]]:
-        """All events as Chrome trace-event dicts (ts/dur in us)."""
+        """All events as Chrome trace-event dicts (ts/dur in us), after
+        one ``M`` metadata row per process and thread."""
+        pids, tids, events = self._fold()
         out: List[Dict[str, Any]] = []
-        for label, pid in self._pids.items():
+        for label, pid in pids.items():
             out.append({"ph": "M", "name": "process_name",
                         "pid": pid + pid_offset, "tid": 0,
                         "args": {"name": label}})
-        for (pid, label), tid in self._tids.items():
+        for (pid, label), tid in tids.items():
             out.append({"ph": "M", "name": "thread_name",
                         "pid": pid + pid_offset, "tid": tid,
                         "args": {"name": label}})
-        flat = self._raw
-        index, end = 0, len(flat)
-        while index < end:
-            size = _SIZES[flat[index]]
-            raw = flat[index:index + size]
-            index += size
-            ph, cat, name, args = _format(raw)
-            event: Dict[str, Any] = {
-                "ph": ph, "cat": cat, "name": name,
-                "pid": raw[1] + pid_offset, "tid": raw[2],
-                "ts": raw[3] / 1000,
-            }
+        for ph, cat, name, pid, tid, ts, dur, args in events:
+            event: Dict[str, Any] = {"ph": ph, "cat": cat, "name": name,
+                                     "pid": pid + pid_offset, "tid": tid,
+                                     "ts": ts / 1000}
             if ph == "X":
-                event["dur"] = (raw[4] or 0) / 1000
+                event["dur"] = (dur or 0) / 1000
             elif ph == "i":
                 event["s"] = "t"
             if args is not None:
@@ -680,29 +347,31 @@ class Tracer:
 
     @property
     def pid_count(self) -> int:
-        return len(self._pids)
+        return len(self._fold()[0])
 
     def to_json(self) -> str:
-        payload = {"traceEvents": self.chrome_events(),
-                   "displayTimeUnit": "ns"}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _trace_json(self.chrome_events())
 
     def export_chrome(self, path) -> int:
-        """Write Chrome trace-event JSON; returns the event count."""
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-        return self._count
+        """Write Chrome trace-event JSON; returns the recorded event
+        count (the ``M`` metadata rows are not counted)."""
+        return export_merged_chrome([self], path)
+
+
+def _trace_json(events: list) -> str:
+    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def export_merged_chrome(tracers, path) -> int:
-    """Merge several tracers (distinct pid spaces) into one trace file."""
+    """Merge several tracers (distinct pid spaces) into one trace file;
+    returns the recorded event count, as :meth:`Tracer.export_chrome`
+    does."""
     events: List[Dict[str, Any]] = []
     offset = 0
     for tracer in tracers:
         events.extend(tracer.chrome_events(pid_offset=offset))
         offset += tracer.pid_count
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
     with open(path, "w") as handle:
-        handle.write(json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")))
-    return len(events)
+        handle.write(_trace_json(events))
+    return sum(_count(tracer._chunks) for tracer in tracers)

@@ -249,8 +249,9 @@ class TestTracerLifecycle:
     def test_enabled_flag_tracks_attachment(self, lo):
         assert lo.sim.probe.sinks == []
         tracer = Tracer(lo.sim)
-        assert lo.sim.probe.sinks == [tracer]
-        assert lo.sim.probe.post == (tracer.on_post,)
+        capture = tracer._capture
+        assert lo.sim.probe.sinks == [capture]
+        assert lo.sim.probe.post == (capture.on_post,)
         tracer.close()
         assert lo.sim.probe.sinks == []
         assert lo.sim.probe.post == ()
@@ -292,6 +293,21 @@ class TestTracerEvents:
                     if event.get("ph") == "X"
                     and (event["pid"], event["tid"]) in pu_tids]
         assert pu_spans, "no execute spans on any PU track"
+
+    def test_single_and_merged_exports_count_the_same_rows(self, traced,
+                                                           tmp_path):
+        """One tracer exported alone or through the merged writer: the
+        same file, and both report the recorded events, without the
+        ``M`` metadata rows."""
+        lo, tracer = traced
+        drive_write_chain(lo)
+        single, merged = tmp_path / "single.json", tmp_path / "merged.json"
+        count = tracer.export_chrome(single)
+        assert obs.export_merged_chrome([tracer], merged) == count
+        assert single.read_bytes() == merged.read_bytes()
+        rows = json.loads(single.read_text())["traceEvents"]
+        assert count == len(tracer.events) == sum(
+            1 for row in rows if row["ph"] != "M") < len(rows)
 
     def test_span_categories_present(self, traced):
         lo, tracer = traced

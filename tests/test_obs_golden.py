@@ -136,18 +136,23 @@ def test_break_offload_keeps_no_destroyed_queue_snapshot(calls):
     """Early-break calls reuse pooled queue sets whose stranded tails
     were prefetched but never execute. A set's reset announces each of
     its queues destroyed, then created under the new tenant's name, so
-    no sink state holds a WR index of a previous tenant: every tracer
-    queue state and fetch snapshot, and every cached recorder queue
-    state, belongs to the queue's current tenant. The trace and
-    journal still match the golden digests."""
+    no capture state holds a WR index of a previous tenant: every live
+    queue registration (whose name gives its records' track) and fetch
+    snapshot, every CQ track, and every cached recorder queue state,
+    belongs to the queue's current tenant. The trace and journal still
+    match the golden digests."""
     def check(tracer, recorder):
+        capture = tracer._capture
         stale = []
-        for wq, state in tracer._queues.items():
-            if tracer._tids.get((state.pid, f"wq:{wq.name}")) != state.tid:
+        for wq, state in capture._queues.items():
+            if state.name != wq.name:
                 stale.append(("tracer track", wq.name))
             stale.extend(("tracer snapshot", wq.name, wr_index)
                          for wr_index in state.snaps
                          if wr_index >= wq.fetched_count)
+        stale.extend(("tracer cq track", cq.name)
+                     for cq, (_nic, label) in capture._cqs.items()
+                     if label != f"cq:{cq.name}")
         for wq, (_version, key, entry) in recorder._wq_states.items():
             if (not key.endswith("/" + wq.name)
                     or entry["posted"] > wq.posted_count):
@@ -158,6 +163,54 @@ def test_break_offload_keeps_no_destroyed_queue_snapshot(calls):
                                        check)
     assert digests == _golden()["offloads"][
         _case_id("list-traversal-break", calls)]
+
+
+def _live_tables(tracer, recorder) -> dict:
+    """Sizes of every per-queue table the capture and its views keep
+    while the run is live. The caches filled as rings are used (slot
+    images, checkpoint digests) must stay within their rings."""
+    capture = tracer._capture
+    monitor = recorder.monitor
+    queues = capture._queues
+    assert sum(len(q.images) for q in queues.values()) <= sum(
+        wq.num_slots for wq in queues)
+    assert len(recorder._wq_states) <= len(recorder._rings)
+    assert len(recorder._digests) <= len(recorder._rings)
+    return {
+        "queues": len(queues),
+        "snapshots": sum(len(q.snaps) for q in queues.values()),
+        "cqs": len(capture._cqs),
+        "rings": len(capture._rings),
+        "nics": len(capture._traced),
+        "recorder rings": len(recorder._rings),
+        "monitor": sum(len(state) for state in (
+            monitor._last_fetch_wr, monitor._cq_counts, monitor._exec_len,
+            monitor._last_wait_threshold)),
+    }
+
+
+def test_live_tables_stay_flat_over_reused_queue_sets():
+    """Track ids are numbered when the trace is read, so no per-queue
+    table grows with the renamed pooled queues: the live tables after
+    128 observed break calls are the sizes they were after 32, while
+    the exported trace names many more queue tracks (the digests pin
+    it)."""
+    tables, threads = {}, {}
+
+    def keep(calls):
+        def check(tracer, recorder):
+            tables[calls] = _live_tables(tracer, recorder)
+            threads[calls] = len(tracer._fold()[1])
+        return check
+
+    for calls in BREAK_CALLS:
+        digests, _tracer = offload_digests("list-traversal-break", calls,
+                                           keep(calls))
+        assert digests == _golden()["offloads"][
+            _case_id("list-traversal-break", calls)]
+    assert tables[32] == tables[128]
+    assert tables[32]["queues"] > 0
+    assert threads[32] < threads[128]
 
 
 def test_fleet_exports_match_golden():

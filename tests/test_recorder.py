@@ -59,7 +59,7 @@ class TestRecorderLifecycle:
     def test_close_detaches_and_clears_flag(self, lo):
         recorder = FlightRecorder(lo.sim)
         drive_writes(lo, recorder, writes=1)
-        assert lo.sim.probe.sinks == [recorder]
+        assert lo.sim.probe.sinks == [recorder._capture]
         before = recorder.seq
         recorder.close()
         assert lo.sim.probe.sinks == []
@@ -289,6 +289,34 @@ def test_monitor_state_stays_flat_over_reused_queue_sets():
 
     few = entries(32)
     assert 0 < entries(128) <= few
+
+
+def test_recorder_only_capture_stays_bounded():
+    """With only a recorder attached, the capture keeps no chunk the
+    recorder's window does not need: after 512 break calls it holds as
+    many chunks (each with its payloads) as after 256, each holding
+    ``capacity`` records plus at most one chunk's head."""
+    from _offload_runners import run_offload
+    from repro.obs.capture import CHUNK_SLOTS, walk
+
+    def stored(calls):
+        def instrument(bed, name):
+            recorder = FlightRecorder(bed.sim, name=name)
+            for nic in [bed.server.nic] + [c.nic for c in bed.clients]:
+                recorder.attach_nic(nic)
+            return recorder
+
+        recorder = run_offload("list-traversal-break", calls,
+                               instrument=instrument)["instrument"]
+        assert recorder._capture.tracer is None
+        assert recorder.retained == recorder.capacity < recorder.seq
+        chunks = [chunk for _seq, chunk, _payloads in recorder._chunks]
+        records = sum(1 for _ in walk(chunks))
+        assert recorder.capacity <= records < (recorder.capacity
+                                               + CHUNK_SLOTS // 4)
+        return len(chunks)
+
+    assert stored(256) == stored(512)
 
 
 def test_monitor_forget_drops_one_queue_only():
