@@ -46,8 +46,9 @@ TRACED, JOURNALED = 1, 2
 
 #: One row per record kind: ``(kind, fields)``; a record is ``(code,
 #: *fields)``, ``code`` being the row's index. The first three rows
-#: register tracer tracks. ``q`` is a :class:`Queue`, ``track`` a
-#: ``(process, thread)`` label pair (None: an unregistered CQ).
+#: register tracer tracks; a journaled kind is named as its journal
+#: records are. ``q`` is a :class:`Queue`, ``track`` a ``(process,
+#: thread)`` label pair (None: an unregistered CQ).
 SCHEMA = (
     ("nic", "name ports"),
     ("queue", "q"),
@@ -468,18 +469,17 @@ class Capture:
         if start <= addr and stop <= end:
             # Rings are disjoint allocations: a store inside one
             # touches no other watched region.
-            regions = (region,)
+            keys = ((memory, start, end),)
         else:
-            regions = self._watch.overlapping(memory, addr, stop)
+            keys = [(memory, low, high) for low, high, _label
+                    in self._watch.overlapping(memory, addr, stop)]
         views = 0
-        for low, high, _label in regions:
-            views |= self._rings.get((memory, low, high), 0)
+        for key in keys:
+            views |= self._rings.get(key, 0)
         record = (STORE, self.sim.now, memory.name, label, addr, length,
                   views)
         if views & JOURNALED:
-            dirty = self.recorder._dirty
-            for low, high, _label in regions:
-                dirty.add((memory, low, high))
+            self.recorder._dirty.update(keys)
             self._log(record, memory.read(addr, length)
                       if length <= STORE_KEEP_BYTES
                       else digest(memory.view(addr, length)))
