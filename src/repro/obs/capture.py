@@ -184,7 +184,7 @@ class Capture:
         self._cqs: Dict[Any, tuple] = {}
         self._traced = _Resolved(self._traced_nic)
         self._rings: Dict[tuple, int] = {}
-        self._watch = StoreWatch(sim.probe, self._on_store)
+        self._watch = StoreWatch(self._on_store)
         sim.probe.attach(self)
 
     # -- views ---------------------------------------------------------------

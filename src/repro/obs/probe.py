@@ -61,14 +61,14 @@ reads it once for all sinks, and only when an attached sink sets
 ``wants_slot_images``; otherwise it is None.
 
 Stores into annotated DRAM regions reach sinks through
-:class:`StoreWatch`; every watch on one memory shares that memory's
-single store hook and region index.
+:class:`StoreWatch`: one store hook and one bisected region index per
+watched memory.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["KINDS", "Probe", "SinkAttachedError", "StoreWatch"]
 
@@ -90,7 +90,7 @@ class SinkAttachedError(ValueError):
 class Probe:
     """Per-simulator fan-out of instrumentation events to sinks."""
 
-    __slots__ = ("sim", "sinks", "slot_images", "_store_indexes") + KINDS
+    __slots__ = ("sim", "sinks", "slot_images") + KINDS
 
     def __init__(self, sim):
         self.sim = sim
@@ -98,8 +98,6 @@ class Probe:
         self.sinks: List[Any] = []
         #: True when an attached sink wants ``post``/``fetch`` images.
         self.slot_images = False
-        #: One shared store index per watched memory, by ``id(memory)``.
-        self._store_indexes: Dict[int, _StoreIndex] = {}
         self.bind()
 
     def attach(self, sink) -> None:
@@ -138,150 +136,68 @@ class Probe:
                                       if hook is not None))
 
 
-class _StoreIndex:
-    """One memory's annotated regions and its one store hook.
+class _Regions:
+    """One watch's annotated regions on one memory, and its store hook.
 
-    Every :class:`StoreWatch` on the memory shares it. ``keys`` holds
-    the distinct ``(start, end)`` ranges in sorted order; ``regions[i]``
-    holds, per watch, the ``(start, end, label)`` region that watch
-    annotated at ``keys[i]`` (None where it did not), and ``calls[i]``
-    the ``(on_store, region)`` pairs a store there fans out to.
-    ``reach[i]`` is the largest end among ``keys[:i + 1]``, so it never
-    decreases and the first key a store ``[addr, end)`` overlaps is
-    ``bisect_right(reach, addr)`` when that key starts before ``end``.
+    ``regions`` holds the ``(start, end, label)`` regions sorted by
+    ``(start, end)``, one per range (the first label stays).
+    ``reach[i]`` is the largest end among ``regions[:i + 1]``, so it
+    never decreases and the first region a store ``[addr, end)``
+    overlaps is ``regions[bisect_right(reach, addr)]`` when that region
+    starts before ``end``.
     """
 
-    def __init__(self, memory):
+    def __init__(self, memory, on_store):
         self.memory = memory
-        self.watches: List["StoreWatch"] = []
-        self.keys: List[Tuple[int, int]] = []
-        self.regions: List[List[Optional[tuple]]] = []
-        self.calls: List[tuple] = []
+        self.on_store = on_store
+        self.regions: List[Tuple[int, int, str]] = []
         self.reach: List[int] = []
         memory.add_store_hook(self.dispatch)
 
     def dispatch(self, addr: int, length: int) -> None:
-        """The memory's store hook: each watch gets the lowest region
-        it annotated that the store overlaps."""
+        """The memory's store hook: the lowest overlapped region."""
         index = bisect_right(self.reach, addr)
-        if index == len(self.reach):
-            return
-        if self.keys[index][0] >= addr + length:
-            return
-        memory = self.memory
-        calls = self.calls[index]
-        for on_store, region in calls:
-            on_store(memory, addr, length, region)
-        if len(calls) < len(self.watches):
-            self._dispatch_rest(index, addr, length)
+        if index < len(self.reach) and \
+                self.regions[index][0] < addr + length:
+            self.on_store(self.memory, addr, length, self.regions[index])
 
-    def _dispatch_rest(self, index: int, addr: int, length: int) -> None:
-        """Watches that did not annotate the first overlapped key."""
-        end = addr + length
-        for slot, region in enumerate(self.regions[index]):
-            if region is not None:
-                continue
-            for later in range(index + 1, len(self.keys)):
-                start, stop = self.keys[later]
-                if start >= end:
-                    break
-                region = self.regions[later][slot]
-                if stop > addr and region is not None:
-                    self.watches[slot].on_store(self.memory, addr, length,
-                                                region)
-                    break
-
-    def overlapping(self, slot: int, lo: int, hi: int) -> List[tuple]:
-        """Regions watch ``slot`` annotated that overlap ``[lo, hi)``."""
-        found = []
-        keys = self.keys
-        for index in range(bisect_right(self.reach, lo), len(keys)):
-            start, stop = keys[index]
-            if start >= hi:
+    def overlapping(self, lo: int, hi: int) -> List[tuple]:
+        """Regions overlapping ``[lo, hi)``, lowest first."""
+        found, regions = [], self.regions
+        for index in range(bisect_right(self.reach, lo), len(regions)):
+            region = regions[index]
+            if region[0] >= hi:
                 break
-            region = self.regions[index][slot]
-            if stop > lo and region is not None:
+            if region[1] > lo:
                 found.append(region)
         return found
 
-    def _set_calls(self, index: int) -> None:
-        self.calls[index] = tuple(
-            (watch.on_store, region)
-            for watch, region in zip(self.watches, self.regions[index])
-            if region is not None)
-
-    def annotate(self, slot: int, region: tuple) -> bool:
-        """Add ``region`` for watch ``slot``; False when that watch
-        already had the range (its first label stays)."""
+    def annotate(self, region: tuple) -> None:
         start, end, _label = region
-        key = (start, end)
-        keys = self.keys
-        index = bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            regions = self.regions[index]
-            if regions[slot] is not None:
-                return False
-            regions[slot] = region
-            self._set_calls(index)
-            return True
-        regions = [None] * len(self.watches)
-        regions[slot] = region
-        keys.insert(index, key)
-        self.regions.insert(index, regions)
-        self.calls.insert(index, ())
-        self._set_calls(index)
-        reach = self.reach
+        regions, reach = self.regions, self.reach
+        index = bisect_left(regions, (start, end))
+        if index < len(regions) and regions[index][:2] == (start, end):
+            return
+        regions.insert(index, region)
         value = max(reach[index - 1], end) if index else end
         reach.insert(index, value)
         for later in range(index + 1, len(reach)):
             if reach[later] >= value:
                 break
             reach[later] = value
-        return True
 
-    def forget(self, slot: int, start: int, end: int) -> bool:
-        """Drop watch ``slot``'s region at [start, end); False when it
-        had none there."""
-        keys = self.keys
-        index = bisect_left(keys, (start, end))
-        if index == len(keys) or keys[index] != (start, end):
-            return False
-        regions = self.regions[index]
-        if regions[slot] is None:
-            return False
-        regions[slot] = None
-        if any(region is not None for region in regions):
-            self._set_calls(index)
-            return True
-        del keys[index], self.regions[index], self.calls[index]
-        del self.reach[index]
-        reach = self.reach
+    def forget(self, start: int, end: int) -> None:
+        regions, reach = self.regions, self.reach
+        index = bisect_left(regions, (start, end))
+        if index == len(regions) or regions[index][:2] != (start, end):
+            return
+        del regions[index], reach[index]
         for later in range(index, len(reach)):
-            value = max(reach[later - 1], keys[later][1]) if later else (
-                keys[later][1])
+            value = max(reach[later - 1], regions[later][1]) if later else (
+                regions[later][1])
             if reach[later] == value:
                 break
             reach[later] = value
-        return True
-
-    def join(self, watch: "StoreWatch") -> int:
-        """Subscribe ``watch``; returns its region slot."""
-        self.watches.append(watch)
-        for regions in self.regions:
-            regions.append(None)
-        return len(self.watches) - 1
-
-    def leave(self, watch: "StoreWatch") -> bool:
-        """Unsubscribe ``watch``; True when no watch is left."""
-        self.watches.remove(watch)
-        self.keys, self.regions, self.calls, self.reach = [], [], [], []
-        for slot, other in enumerate(self.watches):
-            for region in other.regions[id(self.memory)]:
-                self.annotate(slot, region)
-        if self.watches:
-            return False
-        self.memory.remove_store_hook(self.dispatch)
-        return True
 
 
 class StoreWatch:
@@ -291,68 +207,46 @@ class StoreWatch:
     that overlaps a region this watch annotated, with the lowest such
     ``(start, end, label)`` region. Stores elsewhere are ignored, so a
     sink's output stays proportional to program activity, not payload
-    volume. All watches of one simulator share each memory's store hook
-    and bisected region index (:class:`_StoreIndex`), kept on its
-    probe.
+    volume. Each watched memory gets one store hook and one bisected
+    region index (:class:`_Regions`).
     """
 
-    def __init__(self, probe: Probe,
-                 on_store: Callable[[Any, int, int, tuple], None]):
-        self.probe = probe
+    def __init__(self, on_store: Callable[[Any, int, int, tuple], None]):
         self.on_store = on_store
-        #: Watched memories, in attach order.
-        self.memories: List[Any] = []
-        #: Sorted [(start, end, label)] per ``id(memory)``.
-        self.regions: Dict[int, List[Tuple[int, int, str]]] = {}
+        #: The region index per watched ``id(memory)``, in attach order.
+        self._indexes: Dict[int, _Regions] = {}
         self.closed = False
 
-    def _index(self, memory) -> Tuple[_StoreIndex, int]:
-        index = self.probe._store_indexes[id(memory)]
-        return index, index.watches.index(self)
+    @property
+    def regions(self) -> Dict[int, List[Tuple[int, int, str]]]:
+        """Sorted ``[(start, end, label)]`` per watched ``id(memory)``."""
+        return {key: index.regions for key, index in self._indexes.items()}
 
     def attach(self, memory) -> None:
         """Watch stores into ``memory`` (idempotent; inert once closed)."""
-        if self.closed or id(memory) in self.regions:
-            return
-        indexes = self.probe._store_indexes
-        index = indexes.get(id(memory))
-        if index is None:
-            index = indexes[id(memory)] = _StoreIndex(memory)
-        index.join(self)
-        self.regions[id(memory)] = []
-        self.memories.append(memory)
+        if not self.closed and id(memory) not in self._indexes:
+            self._indexes[id(memory)] = _Regions(memory, self.on_store)
 
     def annotate(self, memory, addr: int, size: int, label: str) -> None:
         """Watch stores into [addr, addr+size) under ``label``."""
         self.attach(memory)
-        if self.closed:
-            return
-        index, slot = self._index(memory)
-        region = (addr, addr + size, label)
-        if index.annotate(slot, region):
-            insort(self.regions[id(memory)], region)
+        if not self.closed:
+            self._indexes[id(memory)].annotate((addr, addr + size, label))
 
     def forget(self, memory, addr: int, size: int) -> None:
         """Stop watching [addr, addr+size) (its memory is being torn
         down, and a later owner of the range is not this region)."""
-        if self.closed or id(memory) not in self.regions:
-            return
-        index, slot = self._index(memory)
-        if index.forget(slot, addr, addr + size):
-            regions = self.regions[id(memory)]
-            position = bisect_left(regions, (addr, addr + size))
-            del regions[position]
+        index = self._indexes.get(id(memory))
+        if index is not None:
+            index.forget(addr, addr + size)
 
     def overlapping(self, memory, lo: int, hi: int) -> List[tuple]:
         """This watch's regions overlapping [lo, hi), lowest first."""
-        index, slot = self._index(memory)
-        return index.overlapping(slot, lo, hi)
+        return self._indexes[id(memory)].overlapping(lo, hi)
 
     def close(self) -> None:
-        """Leave every memory's index; the last watch removes its hook."""
-        indexes = self.probe._store_indexes
-        for memory in self.memories:
-            if indexes[id(memory)].leave(self):
-                del indexes[id(memory)]
-        self.memories.clear()
+        """Remove every memory's store hook."""
+        for index in self._indexes.values():
+            index.memory.remove_store_hook(index.dispatch)
+        self._indexes.clear()
         self.closed = True

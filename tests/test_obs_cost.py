@@ -7,8 +7,8 @@ shard plus fleet telemetry keeping tail exemplars. The ratio of the
 observed run's total calls to the plain run's must stay under
 :data:`CALLS_X_CEILING`, so a change that adds per-event obs work fails
 here by count, whatever the machine did. The counts are the same
-under ``PYTHONHASHSEED`` 0, 1 and 2; the ratio reads 1.594 under
-Python 3.11 and 1.588 under 3.12 (1.618 and 1.613 when the tracer and
+under ``PYTHONHASHSEED`` 0, 1 and 2; the ratio reads 1.572 under
+Python 3.11 and 1.566 under 3.12 (1.608 and 1.603 when the tracer and
 the recorder each hooked every event). Print it with
 ``python tests/test_obs_cost.py``.
 """
@@ -19,7 +19,7 @@ import cProfile
 import pstats
 
 #: The ratio under Python 3.11 (the larger of 3.11 and 3.12), +2%.
-CALLS_X_CEILING = 1.626
+CALLS_X_CEILING = 1.604
 
 
 def fleet_calls(observe: bool) -> int:
@@ -56,6 +56,9 @@ def fleet_calls(observe: bool) -> int:
 
 
 def calls_x() -> float:
+    # A first observed run imports every module the runs touch, so no
+    # import machinery runs under the profiler.
+    fleet_calls(True)
     return fleet_calls(True) / fleet_calls(False)
 
 

@@ -1,8 +1,8 @@
 """The probe contract: one event vocabulary, fanned out per simulator.
 
 Every instrumentation site emits each event once through ``sim.probe``;
-the tracer, the flight recorder and the telemetry collector are sinks
-on it. These tests hold the probe to four promises:
+the capture behind the tracer and the flight recorder, and the
+telemetry collector, are sinks on it. These tests hold the probe to four promises:
 
 * a counting sink sees, per event kind, exactly what the three real
   sinks record (tracer events, journal records, telemetry counters) —
@@ -274,22 +274,20 @@ def _naive_first_region(regions, addr, length):
     return None
 
 
-def test_shared_store_index_matches_per_watch_scan():
-    """Two watches share one memory's hook and bisected index; each
-    still sees the lowest region it annotated, even when regions nest,
-    overlap, repeat or belong to only one watch."""
+def test_store_index_matches_per_watch_scan():
+    """Two watches on one memory, each with its own hook and bisected
+    index: each sees the lowest region it annotated, even when regions
+    nest, overlap, repeat or belong to only one watch."""
     import random
 
     from repro.memory import HostMemory
     from repro.obs.probe import StoreWatch
 
-    sim = Simulator()
     memory = HostMemory(size=1 << 16, name="m")
     base = memory.BASE_ADDR
     memory.register_generation_range(base, 4096)
     seen = {"a": [], "b": []}
-    watches = {name: StoreWatch(sim.probe,
-                                lambda _m, addr, length, region, name=name:
+    watches = {name: StoreWatch(lambda _m, addr, length, region, name=name:
                                 seen[name].append((addr, length, region)))
                for name in seen}
     rng = random.Random(7)
@@ -311,7 +309,7 @@ def test_shared_store_index_matches_per_watch_scan():
                        in annotated[key].items()]
             want = _naive_first_region(regions, addr, length)
             assert seen[key] == ([(addr, length, want)] if want else [])
-    assert len(memory._store_hooks) == 1
+    assert len(memory._store_hooks) == 2
     watches["a"].close()
     before = len(seen["a"])
     memory.write(base, bytes(4096))
@@ -319,10 +317,10 @@ def test_shared_store_index_matches_per_watch_scan():
     assert seen["b"][-1][2] == min(
         (s, e, lab) for (s, e), lab in annotated["b"].items())
     watches["b"].close()
-    assert not memory._store_hooks and not sim.probe._store_indexes
+    assert not memory._store_hooks
 
 
-def test_shared_store_index_forgets_torn_down_regions():
+def test_store_index_forgets_torn_down_regions():
     """Regions dropped with ``forget`` (a destroyed queue's ring) stop
     matching stores; the other watch's regions, nested or overlapping
     ones included, still resolve to the lowest remaining region."""
@@ -331,13 +329,11 @@ def test_shared_store_index_forgets_torn_down_regions():
     from repro.memory import HostMemory
     from repro.obs.probe import StoreWatch
 
-    sim = Simulator()
     memory = HostMemory(size=1 << 16, name="m")
     base = memory.BASE_ADDR
     memory.register_generation_range(base, 4096)
     seen = {"a": [], "b": []}
-    watches = {name: StoreWatch(sim.probe,
-                                lambda _m, addr, length, region, name=name:
+    watches = {name: StoreWatch(lambda _m, addr, length, region, name=name:
                                 seen[name].append((addr, length, region)))
                for name in seen}
     rng = random.Random(11)
