@@ -370,11 +370,6 @@ class HostMemory:
         self._check(addr, length)
         self._bytes[addr:addr + length] = bytes(length)
 
-    @property
-    def observed(self) -> bool:
-        """True while a store observer is installed."""
-        return self._trace_hook is not None
-
     def read_uint(self, addr: int, width: int) -> int:
         self._check(addr, width)
         return int.from_bytes(self._view[addr:addr + width], "big")

@@ -172,11 +172,9 @@ class SendQueueDriver:
                 for hook in probe.fetch_span:
                     hook(self.nic, wq, fetch_start, 1, True)
             if probe.fetch:
-                image = (wq.slot_state(cursor, slots)
-                         if probe.slot_images else None)
                 for hook in probe.fetch:
                     hook(wq, wr_index, cursor, slots, wqe,
-                         wq._last_decode_cached, image)
+                         wq._last_decode_cached)
             return [(wqe, wr_index)]
 
         count = min(wq.fetchable, timing.prefetch_batch)
@@ -214,10 +212,8 @@ class SendQueueDriver:
         if fetch_meta is not None:
             for (wqe, wr_index), (cursor, slots, cached) in zip(
                     batch, fetch_meta):
-                image = (wq.slot_state(cursor, slots)
-                         if probe.slot_images else None)
                 for hook in probe.fetch:
-                    hook(wq, wr_index, cursor, slots, wqe, cached, image)
+                    hook(wq, wr_index, cursor, slots, wqe, cached)
         return batch
 
     # -- execute path -----------------------------------------------------------

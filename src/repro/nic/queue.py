@@ -319,31 +319,15 @@ class WorkQueue:
         for managed queues (the paper's "managed flag [...] disables the
         driver from issuing doorbells after a WR is posted", §5).
         """
-        return self.post_bytes(wqe.encode(), ring_doorbell, wqe)
+        return self.post_bytes(wqe.encode(), ring_doorbell)
 
-    def post_bytes(self, data, ring_doorbell: Optional[bool] = None,
-                   wqe: Optional[Wqe] = None) -> int:
+    def post_bytes(self, data, ring_doorbell: Optional[bool] = None) -> int:
         """Write pre-encoded WQE bytes into the ring; returns its WR index.
 
-        The post behind :meth:`post` and behind compiled offload
-        templates (:mod:`repro.redn.template`) stamping while observed:
-        the ring write of :meth:`post_run`, then the probe ``post``
-        event and the doorbell policy. ``wqe`` is the decoded view
-        handed to probe sinks; when omitted it is decoded from ``data``
-        only if a sink listens.
+        The post behind :meth:`post`: a one-WQE :meth:`post_run`, then
+        the doorbell policy.
         """
-        cursor = self._post_slot_cursor
         wr_index = self.post_run(data, 1)
-        if self._probe.post:
-            if wqe is None:
-                wqe = Wqe.decode(data)
-            slots = len(data) // WQE_SLOT_SIZE
-            # The ring now holds exactly ``data``: the slot image needs
-            # only the generations read back.
-            image = ((self.slot_gens(cursor, slots), bytes(data))
-                     if self._probe.slot_images else None)
-            for hook in self._probe.post:
-                hook(self, wr_index, cursor, slots, wqe, image)
         if ring_doorbell is None:
             ring_doorbell = not self.managed
         if ring_doorbell:
@@ -355,10 +339,11 @@ class WorkQueue:
         with one ring write (two where they wrap the ring edge);
         returns the first one's WR index.
 
-        No probe ``post`` event and no doorbell: :meth:`post_bytes`
-        adds those for one WQE, and a compiled-template stamp nothing
-        observes (:mod:`repro.redn.template`) rings each doorbell
-        itself.
+        One probe ``post`` event announces the whole run; sinks split
+        it into WQEs by each header's ``num_slots``. No doorbell:
+        :meth:`post_bytes` adds that for one WQE, and a compiled
+        offload template (:mod:`repro.redn.template`) rings each of a
+        stamp's doorbells itself.
         """
         if self.destroyed:
             raise QueueError(f"post to destroyed {self!r}")
@@ -383,6 +368,9 @@ class WorkQueue:
         self._post_slot_cursor = cursor + slots
         wr_index = self.posted_count
         self.posted_count += count
+        if self._probe.post:
+            for hook in self._probe.post:
+                hook(self, wr_index, cursor, data, count)
         return wr_index
 
     def doorbell(self, up_to: Optional[int] = None,

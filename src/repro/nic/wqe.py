@@ -44,6 +44,7 @@ __all__ = [
     "field_location",
     "format_field_diff",
     "split_ctrl",
+    "split_run",
     "wqe_field_diff",
     "wqe_slots_needed",
     "FIELD_CTRL",
@@ -180,6 +181,18 @@ def ctrl_word(opcode: int, wr_id: int = 0) -> int:
 def split_ctrl(word: int) -> Tuple[int, int]:
     """Unpack a ctrl-word u64 into (opcode, id)."""
     return word >> OPCODE_SHIFT, word & ID_MASK
+
+
+def split_run(data) -> List[Tuple[int, int, int]]:
+    """``(byte offset, slots, opcode)`` of each WQE in ``data``, encoded
+    WQEs back to back (a ring run), read off each header's
+    ``num_slots`` and ctrl word without decoding."""
+    found, offset, end = [], 0, len(data)
+    while offset < end:
+        slots = data[offset + 54] or 1  # num_slots, as a fetch reads it
+        found.append((offset, slots, data[offset] << 8 | data[offset + 1]))
+        offset += slots * WQE_SLOT_SIZE
+    return found
 
 
 def wqe_slots_needed(num_sge: int) -> int:

@@ -30,6 +30,7 @@ from collections import Counter
 from typing import Any, Dict, Optional
 
 from ..nic.opcodes import OPCODE_NAMES
+from ..nic.wqe import WQE_SLOT_SIZE, split_run
 from .probe import SinkAttachedError, StoreWatch
 
 __all__ = ["CHUNK_SLOTS", "SCHEMA", "Capture", "op_name"]
@@ -138,8 +139,6 @@ class _Resolved(dict):
 
 class Capture:
     """Records one simulator's NIC events for its tracer and recorder."""
-
-    wants_slot_images = True
 
     @classmethod
     def join(cls, view, role: str) -> "Capture":
@@ -361,32 +360,44 @@ class Capture:
 
     # -- journaled hooks -----------------------------------------------------
 
-    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe, image) -> None:
-        q = self._queues[wq]
-        slot = slot_cursor % wq.num_slots
-        q.images[slot] = image
-        self._log((POST, self.sim.now, q, wr_index, slot, slots, wqe.opcode),
-                  image)
+    def on_post(self, wq, wr_index: int, slot_cursor: int, data,
+                count: int) -> None:
+        """One record per WQE of a ring run. The ring now holds exactly
+        ``data``, so each slot image needs only its generations read."""
+        q, now, ring_slots = self._queues[wq], self.sim.now, wq.num_slots
+        images, data = q.images, bytes(data)
+        for offset, slots, op in split_run(data):
+            cursor = slot_cursor + offset // WQE_SLOT_SIZE
+            slot = cursor % ring_slots
+            image = images[slot] = (
+                wq.slot_gens(cursor, slots),
+                data[offset:offset + slots * WQE_SLOT_SIZE])
+            self._log((POST, now, q, wr_index, slot, slots, op), image)
+            wr_index += 1
 
     def on_doorbell(self, wq, up_to: int) -> None:
         self._log((DOORBELL, self.sim.now, self._queues[wq], up_to))
 
     def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool, image) -> None:
-        """Post-vs-fetch half of the race join; arms fetch-vs-execute."""
+                 wqe, cache_hit: bool) -> None:
+        """Post-vs-fetch half of the race join; arms fetch-vs-execute.
+        The slot's last image stands while its generations do; only
+        moved generations read the ring again."""
         q = self._queues[wq]
         now = self.sim.now
         slot = slot_cursor % wq.num_slots
-        if self.tracer is not None:
-            gens, data = image
-            old = q.images.get(slot)
-            if old is not None and old[0] != gens and old[1] != data:
+        image = q.images.get(slot)
+        gens = wq.slot_gens(slot_cursor, slots)
+        if image is None or image[0] != gens:
+            old = image
+            image = q.images[slot] = wq.slot_state(slot_cursor, slots)
+            if self.tracer is not None and old is not None \
+                    and old[1] != image[1]:
                 self.tracer.self_mod_count += 1
                 self._chunk += (SELF_MOD, now, q, wr_index, slot,
-                                (old[1], data))
-            q.snaps[wr_index] = (gens, data, now, slot_cursor, slots)
-        q.images[slot] = image
+                                (old[1], image[1]))
+        if self.tracer is not None:
+            q.snaps[wr_index] = (gens, image[1], now, slot_cursor, slots)
         seq = self.seq
         self._log((FETCH, now, q, wr_index, slot, slots, wqe.opcode,
                    cache_hit), image)

@@ -12,7 +12,7 @@ one attribute load and a branch::
 
     if probe.post:
         for hook in probe.post:
-            hook(wq, wr_index, slot_cursor, slots, wqe)
+            hook(wq, wr_index, slot_cursor, data, count)
 
 The probe is per simulator: a sink attached to one simulator never
 puts another on the observed path. Sinks never schedule events or
@@ -28,13 +28,15 @@ kind                  arguments
 ``wq_destroyed``      wq — the queue was torn down; its fetched but
                       unexecuted WQEs never execute
 ``cq_created``        nic, cq
-``post``              wq, wr_index, slot_cursor, slots, wqe, image
+``post``              wq, wr_index, slot_cursor, data, count — one
+                      ring run of ``count`` WQEs, the first at
+                      ``wr_index``/``slot_cursor``; ``data`` is the
+                      run's bytes, each WQE's slot count in its header
 ``doorbell``          wq, up_to
 ``doorbell_batch``    wq, count, start_ns, extra_delay_ns
 ``fetch_span``        nic, wq, start_ns, count, managed — one fetch
                       DMA, announced before its WQEs' ``fetch`` events
-``fetch``             wq, wr_index, slot_cursor, slots, wqe, cache_hit,
-                      image
+``fetch``             wq, wr_index, slot_cursor, slots, wqe, cache_hit
 ``recv_fetch``        wq — an inbound SEND consumed one RECV WQE
 ``execute``           wq, wr_index, wqe — a WQE entered execution
 ``pu``                nic, wq, opcode, start_ns — a PU occupancy span
@@ -54,11 +56,6 @@ kind                  arguments
 ``request``           latency_ns, key, blame — a client request done
 ``serviced``          (none) — a frontend served one inbound request
 ====================  ==================================================
-
-``image`` is the WQE's slot image, ``(generations, bytes)``: the write
-generation of each slot and the slots' raw bytes at the event. The site
-reads it once for all sinks, and only when an attached sink sets
-``wants_slot_images``; otherwise it is None.
 
 Stores into annotated DRAM regions reach sinks through
 :class:`StoreWatch`: one store hook and one bisected region index per
@@ -90,14 +87,12 @@ class SinkAttachedError(ValueError):
 class Probe:
     """Per-simulator fan-out of instrumentation events to sinks."""
 
-    __slots__ = ("sim", "sinks", "slot_images") + KINDS
+    __slots__ = ("sim", "sinks") + KINDS
 
     def __init__(self, sim):
         self.sim = sim
         #: Attached sinks, in attach order.
         self.sinks: List[Any] = []
-        #: True when an attached sink wants ``post``/``fetch`` images.
-        self.slot_images = False
         self.bind()
 
     def attach(self, sink) -> None:
@@ -128,8 +123,6 @@ class Probe:
     def bind(self) -> None:
         """Re-read every sink's hooks; a sink whose ``on_<kind>`` is
         missing or None does not hear that kind."""
-        self.slot_images = any(getattr(sink, "wants_slot_images", False)
-                               for sink in self.sinks)
         for kind in KINDS:
             hooks = (getattr(sink, "on_" + kind, None) for sink in self.sinks)
             setattr(self, kind, tuple(hook for hook in hooks

@@ -203,18 +203,18 @@ class TelemetryCollector:
         if depth > wmax.get(name, 0):
             wmax[name] = depth
 
-    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe, image=None) -> None:
+    def on_post(self, wq, wr_index: int, slot_cursor: int, data,
+                count: int) -> None:
         self._touch()
-        self._posts += 1
-        self._bump_depth(wq.kind, wq.name, 1)
+        self._posts += count
+        self._bump_depth(wq.kind, wq.name, count)
 
     def on_doorbell(self, wq, up_to: int) -> None:
         self._touch()
         self._doorbells += 1
 
     def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool, image=None) -> None:
+                 wqe, cache_hit: bool) -> None:
         self._touch()
         self._fetches += 1
         self._bump_depth(wq.kind, wq.name, -1)

@@ -348,7 +348,7 @@ class RednContext:
         data = wqe.encode()
         if ring_doorbell is None:
             ring_doorbell = not wq.managed
-        wr_index = wq.post_bytes(data, ring_doorbell, wqe)
+        wr_index = wq.post_bytes(data, ring_doorbell)
         recorder.on_post(wq, wqe, data, ring_doorbell)
         return wr_index
 

@@ -36,12 +36,10 @@ the :class:`~repro.redn.ir.ChainProgram` by one instance per request.
    verifies);
 3. stamps every later instance. The first stamp on a queue set patches
    the set's :class:`Local` values in once (:class:`_Bound`); a stamp
-   then applies only the per-instance relocations. With no probe sink
-   and no store observer attached, each contiguous ring run of the
-   instance is one memory write, and doorbells and setup stores follow
-   in recorded order. Otherwise the posts go WR by WR in recorded
-   order, as the IR path makes them; ``post_bytes`` decodes each WR
-   for the probe ``post`` event only when a sink listens. No
+   then applies only the per-instance relocations. Each contiguous ring
+   run of the instance is one memory write and one probe ``post``
+   event (:meth:`~repro.nic.queue.WorkQueue.post_run`), and doorbells
+   and setup stores follow in recorded order, observed or not. No
    ``ChainOp``, ``WrRef`` or ``AimEdge`` is created, so program size
    is O(1) in requests.
 
@@ -371,32 +369,30 @@ class _Doorbell:
 # A template bound to one queue set
 # ---------------------------------------------------------------------------
 
-_RUN, _POST_ONE, _STORE, _RING = range(4)
+_RUN, _STORE, _RING = range(3)
 
 
 class _Bound:
     """A template's actions with one queue set's :class:`Local` values
-    patched in, as two step lists.
+    patched in, as one step list, ``runs``.
 
-    ``each`` posts WR by WR through ``post_bytes``: the IR path's
-    posts, stores and doorbells, in its order, each post a probe
-    ``post`` event. ``runs`` is for stamps nothing observes: it writes
-    each contiguous ring run once (``post_run``) and rings doorbells
-    with explicit targets. A set queue is rung once, where its first
-    doorbell rang, with the highest target: all of a stamp's doorbells
-    land at the same instant, back to back in the event heap, on a
-    queue whose driver is parked, so only the first can wake it and it
-    fetches up to the last either way. Both leave the same bytes and
-    generations as the IR path, and the same simulated timing.
+    It writes each contiguous ring run once (``post_run``, one probe
+    ``post`` event) and rings doorbells with explicit targets. A set
+    queue is rung once, where its first doorbell rang, with the highest
+    target: all of a stamp's doorbells land at the same instant, back
+    to back in the event heap, on a queue whose driver is parked, so
+    only the first can wake it and it fetches up to the last either
+    way. A stamp leaves the same bytes and generations as the IR path,
+    and the same simulated timing; only the order of its same-instant
+    posts, ring stores and doorbells differs.
     """
 
-    __slots__ = ("runs", "each")
+    __slots__ = ("runs",)
 
     def __init__(self, template: "InstanceTemplate",
                  qset: Optional[QueueSet]):
         env = template._env(0, [], qset)
         self.runs: List = []
-        self.each: List[tuple] = []
         # Per slot: the run being extended ([bytes, relocs, WRs], None
         # once a store closed it), posts so far and slot bytes posted
         # so far; per set queue, its one ring step.
@@ -417,8 +413,6 @@ class _Bound:
             if isinstance(action, _Post):
                 slot = action.slot
                 image, relocs = self._fix(action.image, action.relocs, env)
-                self.each.append((_POST_ONE, slot, image, relocs,
-                                  action.doorbell))
                 run = open_runs.get(slot)
                 start = extent.get(slot, 0)
                 if run is None:
@@ -437,10 +431,8 @@ class _Bound:
                 source = (None if action.source is None
                           else _fixed(action.source, env))
                 image, relocs = self._fix(action.image, action.relocs, env)
-                step = (_STORE, addr, image, relocs, source,
-                        action.patches)
-                self.runs.append(step)
-                self.each.append(step)
+                self.runs.append((_STORE, addr, image, relocs, source,
+                                  action.patches))
                 # A store into (or a copy out of) ring bytes a later post
                 # of this instance writes would see that post's bytes
                 # early in a run written up front: later posts start a
@@ -460,7 +452,6 @@ class _Bound:
                 else:
                     target = _fixed(action.up_to, env)
                 ring(slot, target)
-                self.each.append((_RING, slot, target))
         self.runs = [(_RUN, step[1], bytes(step[2][0]), step[2][1],
                       step[2][2]) if step[0] is _RUN else tuple(step)
                      for step in self.runs]
@@ -473,19 +464,15 @@ class _Bound:
         rest = [reloc for reloc in relocs if not isinstance(reloc, Local)]
         return bytes(_patch(image, _placed(fixed), env)), _placed(rest)
 
-    def stamp(self, env: _Env, memory, observed: bool) -> None:
+    def stamp(self, env: _Env, memory) -> None:
         queues = env.queues
-        for step in (self.each if observed else self.runs):
+        for step in self.runs:
             kind = step[0]
             if kind is _RING:
                 queues[step[1]][0].doorbell(up_to=_value(step[2], env))
             elif kind is _RUN:
                 _kind, slot, image, relocs, count = step
                 queues[slot][0].post_run(_patch(image, relocs, env), count)
-            elif kind is _POST_ONE:
-                _kind, slot, image, relocs, doorbell = step
-                queues[slot][0].post_bytes(_patch(image, relocs, env),
-                                           doorbell)
             else:
                 _kind, addr, image, relocs, source, patches = step
                 source_bytes = None
@@ -802,9 +789,7 @@ class InstanceTemplate:
             self._check_set(qset, instance)
             bound = self._bound[qset] = _Bound(self, qset)
         env = self._env(instance, self.read_host(), qset)
-        memory = self.ctx.memory
-        bound.stamp(env, memory, bool(self.ctx.sim.probe.post)
-                    or memory.observed)
+        bound.stamp(env, self.ctx.memory)
         queues = env.queues
         for slot, count in self._signaled.items():
             chain = queues[slot][1]

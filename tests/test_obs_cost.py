@@ -7,10 +7,11 @@ shard plus fleet telemetry keeping tail exemplars. The ratio of the
 observed run's total calls to the plain run's must stay under
 :data:`CALLS_X_CEILING`, so a change that adds per-event obs work fails
 here by count, whatever the machine did. The counts are the same
-under ``PYTHONHASHSEED`` 0, 1 and 2; the ratio reads 1.572 under
-Python 3.11 and 1.566 under 3.12 (1.608 and 1.603 when the tracer and
-the recorder each hooked every event). Print it with
-``python tests/test_obs_cost.py``.
+under ``PYTHONHASHSEED`` 0, 1 and 2; the ratio reads 1.537 under
+Python 3.11 and 1.526 under 3.12 (1.572 and 1.566 when observed stamps
+posted WR by WR and every fetch re-read its slots; 1.608 and 1.603
+when the tracer and the recorder each hooked every event). Print it
+with ``python tests/test_obs_cost.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import cProfile
 import pstats
 
 #: The ratio under Python 3.11 (the larger of 3.11 and 3.12), +2%.
-CALLS_X_CEILING = 1.604
+CALLS_X_CEILING = 1.568
 
 
 def fleet_calls(observe: bool) -> int:

@@ -24,6 +24,18 @@ again when they began reusing whole queue sets: each time a causal
 diff of the old and new journals showed only queue numbers and address
 fields (and, the second time, no late wake of a stranded control
 WAIT), with every other record the same at the same simulated time.
+
+Every scenario whose journal holds stamped template instances (each
+offload but ``recycled-get``, and the fleet's second shard) was
+regenerated when observed stamps began posting run by run, as
+unobserved ones did: the causal diff of old and new journals showed
+only ring ``store`` records (one per run where there was one per WR,
+over the same bytes) and, on ``list-traversal-break``, fewer
+set-queue ``doorbell`` records (one per stamp). Every ``post``,
+``fetch``, ``exec``, ``done``, ``cqe``, ``wait``, ``enable`` and
+``atomic`` record was unchanged in content and time, and so were the
+tracer's race counts (:data:`RACE_COUNTS`, which were read before
+that move and still hold).
 """
 
 from __future__ import annotations
@@ -49,6 +61,14 @@ OFFLOADS = ["hash-lookup", "hash-lookup-par", "list-traversal",
 BREAK_CALLS = [32, 128]
 OFFLOAD_CASES = [(name, 8) for name in OFFLOADS] + [
     ("list-traversal-break", calls) for calls in BREAK_CALLS]
+
+#: Race events of each scenario: ``(self_mod, stale_wqe)``.
+RACE_COUNTS = {
+    "hash-lookup@8": (41, 0), "hash-lookup-par@8": (41, 0),
+    "list-traversal@8": (256, 0), "list-traversal-break@8": (188, 0),
+    "recycled-get@8": (39, 0), "list-traversal-break@32": (752, 0),
+    "list-traversal-break@128": (3008, 0),
+}
 
 FLEET_RECORDER_CAPACITY = 512
 FLEET_CHECKPOINT_INTERVAL = 128
@@ -127,8 +147,10 @@ def _golden() -> dict:
 
 @pytest.mark.parametrize("name", OFFLOADS)
 def test_offload_exports_match_golden(name):
-    digests, _tracer = offload_digests(name, 8)
+    digests, tracer = offload_digests(name, 8)
     assert digests == _golden()["offloads"][_case_id(name, 8)]
+    assert (tracer.self_mod_count, tracer.stale_count) == \
+        RACE_COUNTS[_case_id(name, 8)]
 
 
 @pytest.mark.parametrize("calls", BREAK_CALLS)
@@ -159,10 +181,10 @@ def test_break_offload_keeps_no_destroyed_queue_snapshot(calls):
                 stale.append(("recorder state", wq.name, key))
         assert not stale
 
-    digests, _tracer = offload_digests("list-traversal-break", calls,
-                                       check)
-    assert digests == _golden()["offloads"][
-        _case_id("list-traversal-break", calls)]
+    digests, tracer = offload_digests("list-traversal-break", calls, check)
+    case = _case_id("list-traversal-break", calls)
+    assert digests == _golden()["offloads"][case]
+    assert (tracer.self_mod_count, tracer.stale_count) == RACE_COUNTS[case]
 
 
 def _live_tables(tracer, recorder) -> dict:
@@ -211,6 +233,44 @@ def test_live_tables_stay_flat_over_reused_queue_sets():
     assert tables[32] == tables[128]
     assert tables[32]["queues"] > 0
     assert threads[32] < threads[128]
+
+
+class _FetchReads:
+    """Probe sink, attached after the capture: reads every fetched
+    WQE's slots afresh."""
+
+    def __init__(self, sim):
+        self.reads = []
+        sim.probe.attach(self)
+
+    def on_fetch(self, wq, wr_index, slot_cursor, slots, wqe, cache_hit):
+        gens, data = wq.slot_state(slot_cursor, slots)
+        self.reads.append((wq.name, wr_index, list(gens), data.hex()))
+
+
+@pytest.mark.parametrize("name,calls", [("hash-lookup", 8),
+                                        ("list-traversal-break", 32)])
+def test_fetch_images_equal_a_fresh_read(name, calls):
+    """The capture reuses a slot's last image while the slot's write
+    generations hold. Every fetch record's image must still equal a
+    fresh read of the slots: on hash-lookup, CAS verbs rewrite slots
+    already fetched; on list-traversal-break, pooled queue sets zero
+    their rings and generations between requests."""
+    from _offload_runners import run_offload
+
+    def instrument(bed, label):
+        recorder = FlightRecorder(bed.sim, name=label, capacity=1 << 20)
+        return Tracer(bed.sim, name=label), recorder, _FetchReads(bed.sim)
+
+    tracer, recorder, sink = run_offload(
+        name, calls, instrument=instrument)["instrument"]
+    journaled = [(record["wq"], record["wr"], record["gens"], record["wqe"])
+                 for record in recorder.records if record["kind"] == "fetch"]
+    assert recorder.evicted == 0 and journaled
+    assert journaled == sink.reads
+    assert tracer.self_mod_count == RACE_COUNTS[_case_id(name, calls)][0]
+    tracer.close()
+    recorder.close()
 
 
 def test_fleet_exports_match_golden():

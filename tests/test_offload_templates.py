@@ -5,9 +5,12 @@ stamp every later one from a compiled byte template
 (:mod:`repro.redn.template`). These tests hold the stamps to the IR
 path: a reference rig lowers *every* instance through the offload's
 private per-instance IR builder, and the two rigs must leave identical
-DRAM (rings included), identical results and identical observability
-output, while the stamping rig's program stays O(1) in requests.
+DRAM (rings included) and identical results, with the same journal
+records apart from how stamps group their ring writes, while the
+stamping rig's program stays O(1) in requests.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -21,7 +24,10 @@ from repro.ibv import VerbsContext, wr_noop
 from repro.memory import HostMemory, ProtectionDomain
 from repro.net import Fabric
 from repro.nic import RNIC, QueueError
+from repro.nic.wqe import WQE_SLOT_SIZE, split_run
 from repro.obs import FlightRecorder, Tracer
+from repro.obs.recorder import Journal
+from repro.obs.tracediff import diff_journals, render_report
 from repro.offloads.hash_lookup import HashGetOffload
 from repro.offloads.list_traversal import ListTraversalOffload
 from repro.redn import ProgramBuilder, RednContext
@@ -145,9 +151,12 @@ class _Straddles:
         self.seen = []
         sim.probe.attach(self)
 
-    def on_post(self, wq, wr_index, slot_cursor, slots, wqe, image):
-        if slot_cursor % wq.num_slots + slots > wq.num_slots:
-            self.seen.append((wq.name, wr_index, slots))
+    def on_post(self, wq, wr_index, slot_cursor, data, count):
+        for offset, slots, _op in split_run(data):
+            cursor = slot_cursor + offset // WQE_SLOT_SIZE
+            if cursor % wq.num_slots + slots > wq.num_slots:
+                self.seen.append((wq.name, wr_index, slots))
+            wr_index += 1
 
 
 def _pad_list_worker(rig: Rig) -> None:
@@ -213,25 +222,94 @@ def test_program_size_constant_in_requests(variant):
         assert 1 <= len(rig.offload.queue_sets.sets) <= 2
 
 
+def _simulated(rig: Rig, results) -> tuple:
+    """Everything a run simulated: results, time, DRAM, and each server
+    ring's slot generations and decode-cache keys."""
+    rings = [(wq.name, tuple(wq._ring_gens.gens),
+              sorted((slot, entry[0], entry[2])
+                     for slot, entry in wq._decode_cache.items()))
+             for wq in rig.server_nic.wqs.values()]
+    return results, rig.sim.now, rig.dram(), rings
+
+
+def _ring_bytes(records) -> Counter:
+    """Every byte the ring ``store`` records cover, by instant."""
+    covered = Counter()
+    for record in records:
+        for addr in range(record["addr"], record["addr"] + record["len"]):
+            covered[(record["ts"], record["mem"], record["region"],
+                     addr)] += 1
+    return covered
+
+
+def _by_queue(records) -> dict:
+    """``(wq, ts) -> [records]`` with ``seq`` dropped, in journal order."""
+    grouped = {}
+    for record in records:
+        content = {key: value for key, value in record.items()
+                   if key != "seq"}
+        grouped.setdefault((record["wq"], record["ts"]), []).append(content)
+    return grouped
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_observed_stamps_match_ir_build(variant):
-    """Tracer and flight-recorder output, ring slot generations and the
-    ordered DRAM stores ``(addr, length)`` of stamped instances equal
-    the IR-built ones. The recorder checkpoints every 16 records, inside
-    every instance: a stamp that wrote a ring run before its per-WR
-    records would change a checkpoint digest."""
-    outputs = []
-    for ir in (False, True):
-        rig = Rig(variant, observe=True, checkpoint_interval=16)
-        stores = []
-        rig.server_mem.add_store_hook(
-            lambda addr, length: stores.append((addr, length)))
-        rig.serve(12, ir=ir)
-        tracer, recorder = rig.obs
-        gens = [(wq.name, tuple(wq._ring_gens.gens))
-                for wq in rig.server_nic.wqs.values()]
-        outputs.append((tracer.events, recorder.to_jsonl(), gens, stores))
-    assert outputs[0] == outputs[1]
+    """An observed stamp posts run by run, as an unobserved one does.
+
+    Observed stamps, unobserved stamps and the IR build simulate the
+    same: results, ``sim.now``, DRAM (rings included), slot generations
+    and decode-cache keys. In the journal, the stamps' per-WR ``post``
+    records (wq, wr, slot, slots, op, slot image, time) equal the IR
+    build's, their ring ``store`` records cover exactly the bytes the
+    IR build's do at the same instants, and every other record matches
+    the IR build's by causal key with the same content and time. The
+    one exception is doorbells of a pooled queue set (``list-break``):
+    a stamp rings a set queue once per instant, to the highest target
+    the IR build rang it to then. The recorder checkpoints every 16
+    records, so checkpoints fall inside stamped runs."""
+    runs = {}
+    for name, ir, observe in (("observed", False, True),
+                              ("unobserved", False, False),
+                              ("ir", True, True)):
+        rig = Rig(variant, observe=observe, checkpoint_interval=16)
+        results = rig.serve(12, ir=ir)
+        records = rig.obs[1].records if observe else None
+        events = rig.obs[0].events if observe else None
+        runs[name] = (_simulated(rig, results), records, events)
+    assert runs["observed"][0] == runs["unobserved"][0] == runs["ir"][0]
+
+    stamped, reference = runs["observed"][1], runs["ir"][1]
+
+    def of(records, *kinds):
+        return [record for record in records if record["kind"] in kinds]
+
+    assert _by_queue(of(stamped, "post")) == _by_queue(of(reference, "post"))
+    assert _ring_bytes(of(stamped, "store")) == \
+        _ring_bytes(of(reference, "store"))
+    assert len(of(stamped, "store")) < len(of(reference, "store"))
+    coalesced = variant == "list-break"
+    causal = ("fetch", "exec", "done", "cqe", "wait", "enable", "atomic") \
+        + (() if coalesced else ("doorbell",))
+    report = diff_journals(Journal({}, of(stamped, *causal), []),
+                           Journal({}, of(reference, *causal), []),
+                           fold_cqe_counts=False)
+    assert report.identical, render_report(report)
+    assert report.aligned == len(of(reference, *causal))
+    if coalesced:
+        rung, wanted = (_by_queue(of(records, "doorbell"))
+                        for records in (stamped, reference))
+        assert rung.keys() == wanted.keys()
+        for key, doorbells in rung.items():
+            expected = wanted[key]
+            assert doorbells == expected or doorbells == [
+                max(expected, key=lambda record: record["up_to"])], key
+        assert sum(map(len, rung.values())) < sum(map(len, wanted.values()))
+
+    def unmoved(events):
+        return [event for event in events
+                if event[1] not in ("queue", "mem")]
+
+    assert unmoved(runs["observed"][2]) == unmoved(runs["ir"][2])
 
 
 def test_hash_overflow_posts_nothing_then_recovers():

@@ -34,7 +34,8 @@ if TOOLS not in sys.path:
 
 
 class CountingSink:
-    """Counts every probe event by kind, plus the DMA bytes it saw."""
+    """Counts every probe event by kind (a ``post`` by the WRs of its
+    ring run), plus the DMA bytes it saw."""
 
     def __init__(self, sim):
         self.counts = Counter()
@@ -44,6 +45,11 @@ class CountingSink:
     def on_dma(self, nic, nbytes, start_ns):
         self.counts["dma"] += 1
         self.dma_bytes += nbytes
+
+    def on_post(self, wq, wr_index, slot_cursor, data, count):
+        """One event per ring run: count its WRs."""
+        self.counts["post"] += count
+        self.counts["post_events"] += 1
 
 
 def _counter(kind):
@@ -202,6 +208,35 @@ def test_counting_sink_matches_sinks_on_two_shard_fleet():
         recorder.close()
     assert sum(sink.counts["link_send"] for *_, sink in sinks) \
         == scenario.sharded.fabric.messages_sent > 0
+
+
+def test_stamped_instance_posts_one_event_per_ring_run():
+    """A stamped hash-lookup instance announces each contiguous ring run
+    it writes as one ``post`` event carrying its WR count, not one
+    event per WR; the journal still holds one record per WR."""
+    from repro.apps import MemcachedServer
+    from repro.bench import Testbed
+    from repro.redn.template import _RUN
+
+    bed = Testbed(num_clients=1)
+    store = MemcachedServer(bed.server)
+    store.set(0x30, b"value", force_bucket=0)
+    offload, _conn = store.attach_get_offload(
+        bed.clients[0].nic, bed.client_pd(0), max_instances=4)
+    offload.post_instances(2)  # instances 0 and 1 are built through IR
+    nics = [bed.server.nic, bed.clients[0].nic]
+    tracer, recorder, sink = _attach_all(bed.sim, nics, "hash-lookup")
+    offload.post_instances(1)
+    runs = [step for step in offload._poster.template._bound[None].runs
+            if step[0] == _RUN]
+    assert sink.counts["post_events"] == len(runs)
+    assert sink.counts["post"] == sum(step[4] for step in runs)
+    assert sink.counts["post_events"] < sink.counts["post"]
+    _check_once(sink, nics)
+    assert sum(record["kind"] == "post" for record in recorder.records) \
+        == sink.counts["post"]
+    tracer.close()
+    recorder.close()
 
 
 def _obs_off(sim):

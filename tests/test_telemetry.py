@@ -181,7 +181,7 @@ def test_attach_rejects_double_attach(fleet):
 
 
 def _post(collector, wq):
-    collector.on_post(wq, 0, 0, 1, None)
+    collector.on_post(wq, 0, 0, bytes(64), 1)
 
 
 def _fetch(collector, wq):
